@@ -305,20 +305,17 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
 	})
-	// fanIn drives the engine from 4×GOMAXPROCS blocking producers (the
-	// b.RunParallel fan-in keeps the admission pipeline full, unlike the
-	// one-at-a-time loops above, whose in-flight depth is 1). specWorkers 0
-	// is the serial consumer loop under concurrent load; > 0 is the
-	// speculative pipeline — the multi-core headline of the trajectory.
+	// FanIn drives the serial consumer loop from 4×GOMAXPROCS blocking
+	// producers (the b.RunParallel fan-in keeps the admission queue full,
+	// unlike the one-at-a-time loops above, whose in-flight depth is 1).
 	// Deliberately outside the CI perf gate's filter: timings are
 	// GOMAXPROCS-dependent by design, and benchjson labels the entries with
 	// the procs value instead of merging them with the serial baseline.
-	fanIn := func(b *testing.B, specWorkers int) {
+	b.Run("FanIn", func(b *testing.B) {
 		b.ReportAllocs()
 		g := grid.Line(64, 3, 3)
 		eng, err := engine.New(g, engine.Options{
 			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-			SpecWorkers: specWorkers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -342,11 +339,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
-	}
-	b.Run("FanIn", func(b *testing.B) { fanIn(b, 0) })
-	for _, w := range []int{2, 8} {
-		b.Run("SpecFanIn/workers="+itoa(w), func(b *testing.B) { fanIn(b, w) })
-	}
+	})
 }
 
 // BenchmarkDPWavefront measures the pipelined parallel DP kernel at a few

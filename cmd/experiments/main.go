@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	merge := fs.Bool("merge", false, "merge the shard artifacts given as arguments into canonical markdown/JSON instead of running experiments")
 	stableJSON := fs.Bool("stable-json", false, "omit timing/machine-dependent fields (durations, workers) from -json so outputs diff byte-identically across runs; implied by -merge")
 	dpWorkers := fs.Int("dp-workers", 1, "wavefront workers per admission DP (1 = serial; results are bit-identical at any setting)")
-	specWorkers := fs.Int("spec-workers", 0, "speculative admission workers per engine (0 = serial consumer loop; results are bit-identical at any setting)")
 	// Honour the standard `--` end-of-flags terminator before any
 	// re-parsing below can swallow it: everything after it is positional.
 	var files, terminated []string
@@ -135,7 +134,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// to work while doing nothing.
 		shapers := map[string]bool{"quick": true, "run": true, "j": true, "timeout": true,
 			"subtimeout": true, "retries": true, "list": true, "cpuprofile": true,
-			"memprofile": true, "dp-workers": true, "spec-workers": true}
+			"memprofile": true, "dp-workers": true}
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			if shapers[f.Name] && conflict == "" {
@@ -191,11 +190,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// DP and speculation parallelism are pure throughput knobs (decisions
-	// are bit-identical), set process-wide so every DetConfig literal in the
-	// registry picks them up.
+	// DP parallelism is a pure throughput knob (decisions are
+	// bit-identical), set process-wide so every DetConfig literal in the
+	// registry picks it up.
 	core.SetDefaultDPWorkers(*dpWorkers)
-	core.SetDefaultSpecWorkers(*specWorkers)
 
 	exps, err := experiments.Select(*runPat)
 	if err != nil {

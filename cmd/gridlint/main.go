@@ -1,6 +1,7 @@
 // gridlint is the repo's contract checker: a go/analysis multichecker that
-// statically enforces the determinism, hot-path, lock and logical-clock
-// contracts the dynamic gates (race, alloc, chaos, shard) probe at runtime.
+// statically enforces the determinism, hot-path, packer-version and
+// logical-clock contracts the dynamic gates (race, alloc, chaos, shard)
+// probe at runtime.
 //
 // It speaks the unitchecker protocol, so it runs under the build system's
 // vet driver — which is also how its analyzers see export data and facts

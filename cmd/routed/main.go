@@ -86,15 +86,6 @@ type metrics struct {
 	Retries   uint64 `json:"backpressure_retries"`
 	AvgWaitNs int64  `json:"avg_wait_ns"`
 
-	// Speculation counters (all zero when -spec-workers is 0). Speculated =
-	// SpecCommitted + SpecAborted; SpecRetried ≤ SpecAborted counts inline
-	// serial re-decisions after a conflict.
-	SpecWorkers   int    `json:"spec_workers"`
-	Speculated    uint64 `json:"speculated"`
-	SpecCommitted uint64 `json:"spec_committed"`
-	SpecAborted   uint64 `json:"spec_aborted"`
-	SpecRetried   uint64 `json:"spec_retried"`
-
 	Throughput       int     `json:"throughput"`
 	ReachedLastTile  int     `json:"reached_last_tile"`
 	MaxLoad          float64 `json:"max_load"`
@@ -135,7 +126,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	statsEvery := fs.Duration("stats", 0, "live counter interval on stderr (0 = off)")
 	jsonPath := fs.String("json", "", "write the metrics JSON to this file instead of stdout")
 	dpWorkers := fs.Int("dp-workers", runtime.NumCPU(), "wavefront workers for the admission DP (1 = serial; decisions are identical at any setting)")
-	specWorkers := fs.Int("spec-workers", 0, "speculative admission workers (0 = serial consumer loop; decisions are identical at any setting)")
 	walPath := fs.String("wal", "", "write-ahead decision log path; an existing non-empty log is recovered first")
 	walSync := fs.Int("wal-sync", 0, "WAL fsync batch size in decisions (0 = default)")
 	declogPath := fs.String("declog", "", "write the final decision log (seq verdict cost tiles per line) to this file")
@@ -202,7 +192,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// below) independent of producer interleaving.
 		InOrder:         true,
 		DPWorkers:       *dpWorkers,
-		SpecWorkers:     *specWorkers,
 		RecordDecisions: *declogPath != "",
 		GapTimeout:      *gapTimeout,
 		Injector:        inj,
@@ -286,10 +275,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				case <-tick.C:
 					s := eng.Stats()
 					extra := ""
-					if *specWorkers > 0 {
-						extra += fmt.Sprintf(" spec=%d/%d aborted=%d retried=%d",
-							s.SpecCommitted, s.Speculated, s.SpecAborted, s.SpecRetried)
-					}
 					if shed != nil || s.Shed > 0 {
 						extra += fmt.Sprintf(" shed=%d", s.Shed)
 					}
@@ -375,10 +360,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		RejectedInvalid: s.RejectedInvalid, RejectedQueueFull: s.RejectedQueueFull,
 		Shed: s.Shed, Recovered: s.Recovered,
 		Retries: retries.Load(), AvgWaitNs: int64(s.AvgWait),
-		SpecWorkers: *specWorkers, Speculated: s.Speculated,
-		SpecCommitted: s.SpecCommitted, SpecAborted: s.SpecAborted,
-		SpecRetried: s.SpecRetried,
-		Throughput:  res.Throughput, ReachedLastTile: res.ReachedLastTile,
+		Throughput: res.Throughput, ReachedLastTile: res.ReachedLastTile,
 		MaxLoad: res.MaxLoad, LoadBound: res.LoadBound, PrimalValue: res.PrimalValue,
 		ReplayViolations: violations,
 		Partial:          interrupted,

@@ -6,10 +6,6 @@
 //	//gridroute:deterministic          on a func: root of the detflow closure
 //	//gridroute:hotpath                on a func: checked by hotalloc
 //	//gridroute:versioned              on a struct field: writes need a version bump
-//	//gridroute:weightmutator <mutex>  on a func: sanctioned commit point; the
-//	                                   named receiver mutex must bracket mutations
-//	//gridroute:rlock                  on a method: concurrent callers need RLock
-//	//gridroute:versionstamp           on a method: arg 0 must be a .Version() call
 //	//gridroute:seqclock               package marker: no wall clock anywhere
 //	//gridlint:allow <reason>          suppress diagnostics on this line (or, for
 //	                                   a standalone comment, on the next line)
@@ -30,9 +26,6 @@ const (
 	Deterministic = "deterministic"
 	Hotpath       = "hotpath"
 	Versioned     = "versioned"
-	WeightMutator = "weightmutator"
-	RLock         = "rlock"
-	VersionStamp  = "versionstamp"
 	SeqClock      = "seqclock"
 )
 
@@ -41,28 +34,26 @@ const (
 	allowPrefix = "//gridlint:allow"
 )
 
-// Directive reports whether the comment group carries //gridroute:<name>,
-// returning any trailing argument text (e.g. the mutex name for
-// weightmutator) with surrounding space trimmed.
-func Directive(doc *ast.CommentGroup, name string) (arg string, ok bool) {
+// Directive reports whether the comment group carries //gridroute:<name>
+// (any text after a space is commentary).
+func Directive(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
-		return "", false
+		return false
 	}
 	for _, c := range doc.List {
 		rest, found := strings.CutPrefix(c.Text, routePrefix)
 		if !found {
 			continue
 		}
-		head, tail, _ := strings.Cut(rest, " ")
-		if head == name {
-			return strings.TrimSpace(tail), true
+		if head, _, _ := strings.Cut(rest, " "); head == name {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // FuncDirective reports whether fn's doc comment carries the directive.
-func FuncDirective(fn *ast.FuncDecl, name string) (arg string, ok bool) {
+func FuncDirective(fn *ast.FuncDecl, name string) bool {
 	return Directive(fn.Doc, name)
 }
 
@@ -70,7 +61,7 @@ func FuncDirective(fn *ast.FuncDecl, name string) (arg string, ok bool) {
 // directive; used for package-scoped markers like //gridroute:seqclock.
 func FileDirective(f *ast.File, name string) bool {
 	for _, cg := range f.Comments {
-		if _, ok := Directive(cg, name); ok {
+		if Directive(cg, name) {
 			return true
 		}
 	}

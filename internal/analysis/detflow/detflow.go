@@ -1,9 +1,8 @@
 // Package detflow enforces the determinism contract on the decision flow:
-// every function reachable from a decision-log write — the serial decide
-// path, the speculative committer, and WAL replay, all rooted by a
-// //gridroute:deterministic annotation — must be free of wall-clock reads,
-// unseeded math/rand draws, and map iteration (whose order would reach the
-// log). The byte-identical decision logs that the race, chaos and shard
+// every function reachable from a decision-log write — the decide path and
+// WAL replay, both rooted by a //gridroute:deterministic annotation — must
+// be free of wall-clock reads, unseeded math/rand draws, and map iteration
+// (whose order would reach the log). The byte-identical decision logs that the race, chaos and shard
 // gates check dynamically are only possible if this holds statically.
 //
 // The closure is computed over static calls (typeutil.StaticCallee) within
@@ -88,7 +87,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			info := &funcInfo{decl: fn, obj: obj}
-			_, info.root = annotation.FuncDirective(fn, annotation.Deterministic)
+			info.root = annotation.FuncDirective(fn, annotation.Deterministic)
 			collectBody(pass, fn.Body, allows, info)
 			infos[obj] = info
 			order = append(order, info)

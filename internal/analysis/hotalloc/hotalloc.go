@@ -38,7 +38,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if _, hot := annotation.FuncDirective(fn, annotation.Hotpath); !hot || annotation.FuncAllowed(fn) {
+			if !annotation.FuncDirective(fn, annotation.Hotpath) || annotation.FuncAllowed(fn) {
 				continue
 			}
 			checkFunc(pass, fn, allows)

@@ -1,26 +1,17 @@
-// Package lockorder enforces the commit discipline the speculative pipeline
-// (PR 8) depends on, in three layers:
+// Package lockorder enforces the packer's version contract: in the package
+// that declares them, every element write to a //gridroute:versioned field
+// (the IPP weight state) must be preceded, in the same function, by a bump
+// of the receiver's version counter (<x>.version++). The sketch session's
+// warm-start DP trusts an unchanged ipp.Version to mean unchanged weights
+// and repairs from ipp.LastCommitted, so a weight write that skips the bump
+// would silently serve a route solved against stale weights.
 //
-//  1. In the packer's own package, any write to a //gridroute:versioned
-//     field (the IPP weight state) must be preceded, in the same function,
-//     by a bump of the receiver's atomic version counter — snapshot readers
-//     stamp versions lock-free, so the bump must land before the weights
-//     move. Functions that mutate versioned state (directly or through
-//     local calls) export a Mutator fact.
+// The analyzer keeps its historical name from when it also checked the
+// locking between the committer and a concurrent admission pipeline; the
+// engine now decides on one serial loop, so only the version layer remains.
 //
-//  2. In "concurrent" packages — those declaring a //gridroute:weightmutator
-//     function — every call to a Mutator-fact function must sit inside such
-//     a sanctioned commit point and be bracketed by Lock/Unlock on the
-//     mutex the annotation names. Calls to //gridroute:rlock methods (the
-//     sketch's SnapshotWindow) must likewise be bracketed by RLock/RUnlock.
-//
-//  3. A //gridroute:versionstamp method (the conflict journal's append)
-//     must receive a fresh .Version() call as its first argument, so every
-//     journal record is stamped with the version its edges produced.
-//
-// Counter-only or single-threaded call sites (nil offers, WAL replay before
-// the workers start, serial mode) are exempted with //gridlint:allow; the
-// reasons are part of the reviewed source.
+// A deliberate exception is exempted with //gridlint:allow; the reason is
+// part of the reviewed source.
 package lockorder
 
 import (
@@ -29,44 +20,59 @@ import (
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 
 	"gridroute/internal/analysis/annotation"
 )
 
-// Mutator marks a function that (transitively) mutates //gridroute:versioned
-// state. Propagation stops at //gridroute:weightmutator functions: they are
-// the sanctioned commit points, not hazards to report.
-type Mutator struct{}
-
-func (*Mutator) AFact()         {}
-func (*Mutator) String() string { return "mutates versioned state" }
-
-// RLocked marks a method whose concurrent callers must hold a read lock.
-type RLocked struct{}
-
-func (*RLocked) AFact()         {}
-func (*RLocked) String() string { return "requires RLock" }
-
-// Stamped marks a method whose first argument must be a .Version() call.
-type Stamped struct{}
-
-func (*Stamped) AFact()         {}
-func (*Stamped) String() string { return "requires version stamp" }
-
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockorder",
-	Doc:       "versioned-weight writes need a version bump; concurrent mutator/snapshot calls need the packer locks",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*Mutator)(nil), (*RLocked)(nil), (*Stamped)(nil)},
+	Name: "lockorder",
+	Doc:  "writes to //gridroute:versioned fields need a preceding version bump (x.version++) in the same function",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
+	versioned := versionedFields(pass)
+	if len(versioned) == 0 {
+		return nil, nil
+	}
 	allows := annotation.CollectAllows(pass.Fset, pass.Files)
+	for _, f := range pass.Files {
+		if annotation.IsTestFile(pass.Fset, f) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			// Inspect visits statements in source order, so bumped is true
+			// exactly when a bump precedes the current write.
+			bumped := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Tok == token.INC && sel.Sel.Name == "version" {
+						bumped = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						fld := writtenVersionedField(pass, versioned, lhs)
+						if fld != nil && !bumped && !allows.Allowed(lhs.Pos()) {
+							pass.Reportf(lhs.Pos(), "write to versioned field %s without a preceding version bump (version++) in this function", fld.Name())
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return nil, nil
+}
 
-	// Annotated field and method objects declared in this package.
+// versionedFields collects the struct fields this package annotates with
+// //gridroute:versioned.
+func versionedFields(pass *analysis.Pass) map[*types.Var]bool {
 	versioned := make(map[*types.Var]bool)
-	mutatorFns := make(map[*ast.FuncDecl]string) // decl -> mutex name
 	for _, f := range pass.Files {
 		if annotation.IsTestFile(pass.Fset, f) {
 			continue
@@ -77,7 +83,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			for _, fld := range st.Fields.List {
-				if _, ok := annotation.Directive(fld.Doc, annotation.Versioned); !ok {
+				if !annotation.Directive(fld.Doc, annotation.Versioned) {
 					continue
 				}
 				for _, name := range fld.Names {
@@ -88,137 +94,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 			return true
 		})
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			if mutex, ok := annotation.FuncDirective(fn, annotation.WeightMutator); ok {
-				mutatorFns[fn] = mutex
-			}
-			if _, ok := annotation.FuncDirective(fn, annotation.RLock); ok {
-				pass.ExportObjectFact(obj, &RLocked{})
-			}
-			if _, ok := annotation.FuncDirective(fn, annotation.VersionStamp); ok {
-				pass.ExportObjectFact(obj, &Stamped{})
-			}
-		}
 	}
-
-	checkVersionBumps(pass, versioned, allows)
-	checkConcurrent(pass, mutatorFns, allows)
-	return nil, nil
-}
-
-// checkVersionBumps enforces layer 1 and seeds Mutator facts.
-func checkVersionBumps(pass *analysis.Pass, versioned map[*types.Var]bool, allows *annotation.Allows) {
-	type fnSummary struct {
-		obj    *types.Func
-		writes bool
-		calls  []*types.Func
-	}
-	var fns []*fnSummary
-	byObj := make(map[*types.Func]*fnSummary)
-	for _, f := range pass.Files {
-		if annotation.IsTestFile(pass.Fset, f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			s := &fnSummary{obj: obj}
-			_, isCommitPoint := annotation.FuncDirective(fn, annotation.WeightMutator)
-
-			// Version bumps: positions of <x>.<atomic field>.Add(...) calls.
-			var bumps []token.Pos
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" {
-					if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "version" {
-						bumps = append(bumps, call.Pos())
-					}
-				}
-				return true
-			})
-			bumpBefore := func(pos token.Pos) bool {
-				for _, b := range bumps {
-					if b < pos {
-						return true
-					}
-				}
-				return false
-			}
-
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						fld := writtenVersionedField(pass, versioned, lhs)
-						if fld == nil {
-							continue
-						}
-						s.writes = true
-						if !bumpBefore(lhs.Pos()) && !allows.Allowed(lhs.Pos()) {
-							pass.Reportf(lhs.Pos(), "write to versioned field %s without a preceding version bump (%s.Add) in this function",
-								fld.Name(), "version")
-						}
-					}
-				case *ast.CallExpr:
-					if callee := typeutil.StaticCallee(pass.TypesInfo, n); callee != nil && !allows.Allowed(n.Pos()) {
-						s.calls = append(s.calls, callee)
-					}
-				}
-				return true
-			})
-			if isCommitPoint {
-				// Sanctioned commit point: do not propagate the fact upward.
-				s.calls = nil
-				s.writes = false
-			}
-			fns = append(fns, s)
-			byObj[obj] = s
-		}
-	}
-
-	// Fixed point: local propagation plus imported facts.
-	isMut := make(map[*types.Func]bool)
-	for _, s := range fns {
-		if s.writes {
-			isMut[s.obj] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range fns {
-			if isMut[s.obj] {
-				continue
-			}
-			for _, c := range s.calls {
-				var fact Mutator
-				if isMut[c] || (byObj[c] == nil && pass.ImportObjectFact(c, &fact)) {
-					isMut[s.obj] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for obj := range isMut {
-		pass.ExportObjectFact(obj, &Mutator{})
-	}
+	return versioned
 }
 
 // writtenVersionedField resolves lhs as an element write (p.xs[e] = ..., or
@@ -238,147 +115,4 @@ func writtenVersionedField(pass *analysis.Pass, versioned map[*types.Var]bool, l
 		return v
 	}
 	return nil
-}
-
-// checkConcurrent enforces layers 2 and 3 in packages that declare a
-// weightmutator commit point. Batch-mode packages (no concurrent readers)
-// have no such annotation and are exempt.
-func checkConcurrent(pass *analysis.Pass, mutatorFns map[*ast.FuncDecl]string, allows *annotation.Allows) {
-	concurrent := len(mutatorFns) > 0
-
-	for _, f := range pass.Files {
-		if annotation.IsTestFile(pass.Fset, f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			mutex := mutatorFns[fn]
-			brackets := collectBrackets(fn.Body)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := typeutil.StaticCallee(pass.TypesInfo, call)
-				if callee == nil {
-					return true
-				}
-				var mut Mutator
-				var rl RLocked
-				var st Stamped
-				if concurrent && pass.ImportObjectFact(callee, &mut) && !allows.Allowed(call.Pos()) {
-					switch {
-					case mutex == "":
-						pass.Reportf(call.Pos(), "%s mutates versioned weights but %s is not a //gridroute:weightmutator commit point",
-							callee.Name(), fn.Name.Name)
-					case !brackets.covers(mutex, "Lock", "Unlock", call.Pos()):
-						pass.Reportf(call.Pos(), "mutator call %s not bracketed by %s.Lock/Unlock", callee.Name(), mutex)
-					}
-				}
-				if concurrent && pass.ImportObjectFact(callee, &rl) && !allows.Allowed(call.Pos()) {
-					if !brackets.coversAny("RLock", "RUnlock", call.Pos()) {
-						pass.Reportf(call.Pos(), "%s read requires RLock/RUnlock bracketing in concurrent package", callee.Name())
-					}
-				}
-				if pass.ImportObjectFact(callee, &st) && !allows.Allowed(call.Pos()) {
-					if len(call.Args) == 0 || !isVersionCall(call.Args[0]) {
-						pass.Reportf(call.Pos(), "%s requires a fresh .Version() call as its first argument (version stamp)", callee.Name())
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// isVersionCall reports whether e is a call of the form <x>.Version().
-func isVersionCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Version"
-}
-
-// lockEvent is one mutex operation in a function body.
-type lockEvent struct {
-	name     string // final selector component of the mutex expression
-	method   string // Lock, Unlock, RLock, RUnlock
-	pos      token.Pos
-	deferred bool
-}
-
-type brackets []lockEvent
-
-// collectBrackets records every mutex call in the body, including deferred
-// unlocks (which guard to the end of the function regardless of position).
-func collectBrackets(body *ast.BlockStmt) brackets {
-	var evs brackets
-	record := func(call *ast.CallExpr, deferred bool) {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		switch sel.Sel.Name {
-		case "Lock", "Unlock", "RLock", "RUnlock":
-		default:
-			return
-		}
-		name := ""
-		switch x := ast.Unparen(sel.X).(type) {
-		case *ast.SelectorExpr:
-			name = x.Sel.Name
-		case *ast.Ident:
-			name = x.Name
-		}
-		evs = append(evs, lockEvent{name: name, method: sel.Sel.Name, pos: call.Pos(), deferred: deferred})
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			record(n.Call, true)
-			return false
-		case *ast.CallExpr:
-			record(n, false)
-		}
-		return true
-	})
-	return evs
-}
-
-// covers reports whether pos lies between a <name>.<lockM>() before it and a
-// <name>.<unlockM>() after it (or a deferred unlock anywhere).
-func (b brackets) covers(name, lockM, unlockM string, pos token.Pos) bool {
-	var locked, unlocked bool
-	for _, e := range b {
-		if e.name != name {
-			continue
-		}
-		if e.method == lockM && e.pos < pos {
-			locked = true
-		}
-		if e.method == unlockM && (e.pos > pos || e.deferred) {
-			unlocked = true
-		}
-	}
-	return locked && unlocked
-}
-
-// coversAny is covers for any mutex name, as long as the same name both
-// read-locks before and read-unlocks after.
-func (b brackets) coversAny(lockM, unlockM string, pos token.Pos) bool {
-	names := make(map[string]bool)
-	for _, e := range b {
-		names[e.name] = true
-	}
-	for n := range names {
-		if b.covers(n, lockM, unlockM, pos) {
-			return true
-		}
-	}
-	return false
 }

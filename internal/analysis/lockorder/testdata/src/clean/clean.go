@@ -1,48 +1,27 @@
-// Package clean follows the lockorder contract end to end: bump-then-write
-// commits, a properly bracketed commit point (including a deferred unlock),
-// an RLock-bracketed snapshot read, stamped journal appends, and the allow
-// hatch for a single-threaded replay path.
+// Package clean follows the lockorder contract: every write to versioned
+// weight state follows a version bump in the same function, unversioned
+// fields are free to change, and the allow hatch covers a reviewed
+// exception.
 package clean
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 type packer struct {
-	mu      sync.RWMutex
-	version atomic.Uint64
+	version uint64
 	//gridroute:versioned
-	xs []float64
+	xs    []float64
+	flows []int32
 }
 
-func (p *packer) Version() uint64 { return p.version.Load() }
+func (p *packer) Version() uint64 { return p.version }
 
 func (p *packer) commit(e int) {
-	p.version.Add(1)
+	p.version++
 	p.xs[e] = 1
 }
 
-//gridroute:versionstamp
-func (p *packer) journalAdd(ver uint64, edges []int) {}
-
-//gridroute:weightmutator mu
-func (p *packer) offer(e int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.commit(e)
-	p.journalAdd(p.Version(), nil)
+func (p *packer) count(e int) {
+	p.flows[e]++
 }
 
-//gridroute:rlock
-func (p *packer) Snapshot() []float64 { return p.xs }
-
-func read(p *packer) float64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.Snapshot()[0]
-}
-
-func replay(p *packer, e int) {
-	p.commit(e) //gridlint:allow single-threaded replay before the workers start
+func (p *packer) seed(e int) {
+	p.xs[e] = 0.5 //gridlint:allow fixture setup before any consumer has read a version
 }

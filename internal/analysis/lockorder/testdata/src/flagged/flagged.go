@@ -1,58 +1,36 @@
-// Package flagged violates each layer of the lockorder contract: a
-// versioned-field write with no version bump, a mutator call outside any
-// commit point, an unbracketed mutator call inside one, an unprotected
-// snapshot read, and a journal append without a version stamp.
+// Package flagged writes versioned weight state without the preceding
+// version bump incremental consumers rely on: one commit forgets p.version++
+// entirely, one bumps only after the write, another bumps the wrong counter.
 package flagged
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 type packer struct {
-	mu      sync.RWMutex
-	version atomic.Uint64
-	// xs is the live weight state; snapshot readers stamp versions
-	// lock-free, so every write needs a preceding bump.
+	version uint64
+	epoch   uint64
+	// xs and x are the live weight state; warm-start consumers trust an
+	// unchanged version to mean unchanged weights.
 	//gridroute:versioned
 	xs []float64
+	//gridroute:versioned
+	x map[int]float64
 }
 
-func (p *packer) Version() uint64 { return p.version.Load() }
+func (p *packer) Version() uint64 { return p.version }
 
 func (p *packer) commit(e int) {
-	p.version.Add(1)
+	p.version++
 	p.xs[e] = 1
 }
 
-func (p *packer) commitUnstamped(e int) {
+func (p *packer) commitMissedBump(e int) {
 	p.xs[e] = 1 // want `write to versioned field xs without a preceding version bump`
 }
 
-//gridroute:versionstamp
-func (p *packer) journalAdd(ver uint64, edges []int) {}
-
-//gridroute:weightmutator mu
-func (p *packer) offerLocked(e int) {
-	p.mu.Lock()
-	p.commit(e)
-	p.mu.Unlock()
-	p.journalAdd(p.Version(), nil)
+func (p *packer) commitBumpAfter(e int) {
+	p.xs[e] *= 2 // want `write to versioned field xs without a preceding version bump`
+	p.version++
 }
 
-//gridroute:weightmutator mu
-func (p *packer) offerUnlocked(e int) {
-	p.commit(e)          // want `mutator call commit not bracketed by mu.Lock/Unlock`
-	p.journalAdd(0, nil) // want `journalAdd requires a fresh .Version\(\) call as its first argument`
-}
-
-func rogue(p *packer, e int) {
-	p.commit(e) // want `commit mutates versioned weights but rogue is not a //gridroute:weightmutator commit point`
-}
-
-//gridroute:rlock
-func (p *packer) Snapshot() []float64 { return p.xs }
-
-func readBad(p *packer) float64 {
-	return p.Snapshot()[0] // want `Snapshot read requires RLock/RUnlock bracketing`
+func (p *packer) commitWrongCounter(e int) {
+	p.epoch++
+	p.x[e] += 1 // want `write to versioned field x without a preceding version bump`
 }

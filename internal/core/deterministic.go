@@ -27,11 +27,6 @@ type DetConfig struct {
 	// SetDefaultDPWorkers; ≤ 1 after defaulting keeps the DP serial.
 	// Decisions are bit-identical at every setting.
 	DPWorkers int
-	// SpecWorkers sizes the speculative admission pipeline
-	// (engine.Options.SpecWorkers). 0 uses the process default set by
-	// SetDefaultSpecWorkers; ≤ 0 after defaulting keeps the serial consumer
-	// loop. Decisions are bit-identical at every setting.
-	SpecWorkers int
 }
 
 // defaultDPWorkers is the process-wide DP parallelism applied when
@@ -50,23 +45,6 @@ func dpWorkersOf(cfg *DetConfig) int {
 		return cfg.DPWorkers
 	}
 	return int(defaultDPWorkers.Load())
-}
-
-// defaultSpecWorkers mirrors defaultDPWorkers for the speculative admission
-// pipeline: a process-wide setting applied when DetConfig.SpecWorkers is 0.
-var defaultSpecWorkers atomic.Int32
-
-// SetDefaultSpecWorkers sets the SpecWorkers value used by zero-valued
-// DetConfig fields. n ≤ 0 means the serial consumer loop (the initial
-// default).
-func SetDefaultSpecWorkers(n int) { defaultSpecWorkers.Store(int32(n)) }
-
-// specWorkersOf resolves a config's SpecWorkers against the process default.
-func specWorkersOf(cfg *DetConfig) int {
-	if cfg.SpecWorkers != 0 {
-		return cfg.SpecWorkers
-	}
-	return int(defaultSpecWorkers.Load())
 }
 
 // ReqOutcome is the per-request result of the deterministic algorithm.
@@ -142,8 +120,7 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 	eng, err := engine.New(g, engine.Options{
 		Horizon: horizon, PMax: pmax, TileSide: k,
 		Queue: 1, ExpectPackets: len(reqs),
-		DPWorkers:   dpWorkersOf(&cfg),
-		SpecWorkers: specWorkersOf(&cfg),
+		DPWorkers: dpWorkersOf(&cfg),
 	})
 	if err != nil {
 		return nil, err

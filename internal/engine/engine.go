@@ -167,13 +167,11 @@ type Options struct {
 	// (sketch.Session warm start). Warm and cold engines decide identically;
 	// the switch exists for parity tests and benchmarks.
 	NoWarmStart bool
-	// SpecWorkers enables the speculative admission pipeline (spec.go): N
-	// worker goroutines solve lightest-route queries against versioned
-	// weight snapshots while a single committer validates and commits them
-	// in order, re-deciding conflicted speculations inline. The decision
-	// log, accepted set and all downstream output are byte-identical to the
-	// serial loop at any setting. ≤ 0 keeps the serial consumer loop; 1
-	// exercises the full pipeline without parallelism.
+	// SpecWorkers is ignored: the engine always decides on its single
+	// consumer loop.
+	//
+	// Deprecated: the speculative admission pipeline it sized was removed
+	// (it was slower than the serial loop at 2 procs).
 	SpecWorkers int
 	// GapTimeout arms the InOrder gap watchdog: if the consumer waits this
 	// long for the next expected Seq while later packets sit parked behind
@@ -215,14 +213,13 @@ const DefaultQueue = 256
 // Submitted increment happens before its verdict increment (program order —
 // Admit counts the submission before the packet can be decided or bounced),
 // and Stats loads the verdict counters first and Submitted last, so a
-// mid-flight snapshot always satisfies the monotone-pair invariants
+// mid-flight snapshot always satisfies the monotone-pair invariant
 //
 //	Decided() + Shed + RejectedQueueFull ≤ Submitted
-//	SpecCommitted + SpecAborted ≤ Speculated ≤ Submitted
 //
-// with equality (for the first) once Drain has returned. In particular a
-// snapshot can never show Decided() > Submitted. The invariants are pinned
-// by TestStatsSnapshotCoherence.
+// with equality once Drain has returned. In particular a snapshot can never
+// show Decided() > Submitted. The invariant is pinned by
+// TestEngineStatsSnapshotCoherence.
 type Stats struct {
 	Submitted         uint64
 	Accepted          uint64
@@ -242,16 +239,6 @@ type Stats struct {
 	// packets (queue-full rejections excluded: they are decided at the
 	// gate, not by the loop).
 	AvgWait time.Duration
-	// Speculation counters (zero unless Options.SpecWorkers > 0).
-	// Speculated counts packets through the worker stage; every one is
-	// either committed as speculated (SpecCommitted) or aborted
-	// (SpecAborted). SpecRetried counts inline serial re-decisions after an
-	// abort (≤ SpecAborted). The abort rate is the conflict rate: raise
-	// workers while SpecAborted/Speculated stays low.
-	Speculated    uint64
-	SpecCommitted uint64
-	SpecAborted   uint64
-	SpecRetried   uint64
 }
 
 // Rejected is the total over all rejection verdicts (shed packets are
@@ -313,7 +300,6 @@ type Engine struct {
 
 	inOrder  bool
 	record   bool
-	queue    int
 	firstSeq int
 
 	gapTimeout time.Duration
@@ -341,8 +327,8 @@ type Engine struct {
 
 	pool sync.Pool
 
-	// Consumer-loop state (owned by the loop goroutine — the committer, in
-	// spec mode; read by Finish only after done is closed).
+	// Consumer-loop state (owned by the loop goroutine; read by Finish only
+	// after done is closed).
 	nextSeq   int
 	parked    map[int]*pending
 	watermark int64
@@ -351,19 +337,6 @@ type Engine struct {
 	admitted  []detroute.Admitted
 	decisions []Decision
 	arena     arena
-
-	// Speculative pipeline state (spec.go); inert when specWorkers ≤ 0.
-	// specMu orders the committer's weight mutations against worker snapshot
-	// reads: Offer commits take the write lock, SnapshotWindow the read lock.
-	specWorkers int
-	specMu      sync.RWMutex
-	specIn      chan *speculation
-	specOut     chan *speculation
-	specWg      sync.WaitGroup
-	specPool    sync.Pool
-	parkedSpecs map[int]*speculation
-	journal     specJournal
-	tileBuf     []int
 
 	submitted  atomic.Uint64
 	accepted   atomic.Uint64
@@ -375,11 +348,6 @@ type Engine struct {
 	recovered  atomic.Uint64
 	decided    atomic.Uint64
 	waitNs     atomic.Int64
-
-	speculated    atomic.Uint64
-	specCommitted atomic.Uint64
-	specAborted   atomic.Uint64
-	specRetried   atomic.Uint64
 
 	finishOnce sync.Once
 	result     *Result
@@ -402,7 +370,7 @@ func New(g *grid.Grid, opts Options) (*Engine, error) {
 		}
 		e.wal = w
 	}
-	e.start()
+	go e.loop()
 	return e, nil
 }
 
@@ -447,7 +415,7 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 		g: g, st: st, tl: tl, sk: sk, sess: sk.NewSession(), pk: pk,
 		horizon: opts.Horizon, pmax: opts.PMax, k: k, d: d,
 		inOrder: opts.InOrder, record: opts.RecordDecisions,
-		queue: queue, firstSeq: opts.FirstSeq,
+		firstSeq:   opts.FirstSeq,
 		gapTimeout: opts.GapTimeout,
 		inj:        opts.Injector,
 		maskEpoch:  -1,
@@ -481,18 +449,7 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if opts.ExpectPackets > 0 {
 		e.admitted = make([]detroute.Admitted, 0, opts.ExpectPackets)
 	}
-	e.specWorkers = opts.SpecWorkers
 	return e, nil
-}
-
-// start launches the consumer goroutines (the serial loop, or the
-// speculative pipeline).
-func (e *Engine) start() {
-	if e.specWorkers > 0 {
-		e.startSpec(e.queue)
-	} else {
-		go e.loop()
-	}
 }
 
 // Grid returns the engine's grid.
@@ -571,9 +528,8 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 
 // Stats returns a snapshot of the counters. Load order is part of the
 // contract (see the Stats type doc): outcome counters first — verdicts,
-// Shed, queue-full, the spec commit/abort pair — then Speculated, then
-// Submitted last, so the documented monotone-pair invariants hold for every
-// snapshot, not just quiescent ones.
+// Shed, queue-full — then Submitted last, so the documented monotone-pair
+// invariant holds for every snapshot, not just quiescent ones.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Accepted:          e.accepted.Load(),
@@ -583,14 +539,10 @@ func (e *Engine) Stats() Stats {
 		Shed:              e.shedCount.Load(),
 		Recovered:         e.recovered.Load(),
 		RejectedQueueFull: e.rejQFull.Load(),
-		SpecCommitted:     e.specCommitted.Load(),
-		SpecAborted:       e.specAborted.Load(),
-		SpecRetried:       e.specRetried.Load(),
 	}
 	if n := e.decided.Load(); n > 0 {
 		s.AvgWait = time.Duration(e.waitNs.Load() / int64(n))
 	}
-	s.Speculated = e.speculated.Load()
 	s.Submitted = e.submitted.Load()
 	s.QueueLen = len(e.in)
 	return s
@@ -701,8 +653,8 @@ func (e *Engine) process(p *pending) {
 	e.finalize(p, d)
 }
 
-// finalize is the single exit path of every consumer-loop decision (serial
-// and speculative): count it, record it, journal it, deliver it.
+// finalize is the single exit path of every consumer-loop decision: count
+// it, record it, journal it, deliver it.
 //
 //gridroute:hotpath
 func (e *Engine) finalize(p *pending, d Decision) {
@@ -767,7 +719,7 @@ func (e *Engine) decide(pkt *Packet) Decision {
 		ok = e.sess.LightestRouteInto(e.pk, src, r.Dst, wLo, wHi, e.pmax, &e.scratch)
 	}
 	if !ok {
-		e.pk.Offer(nil, 0) //gridlint:allow nil offer bumps the rejection counter only, no weight mutation
+		e.pk.Offer(nil, 0)
 		d.Verdict = RejectedNoRoute
 		return d
 	}
@@ -779,7 +731,7 @@ func (e *Engine) decide(pkt *Packet) Decision {
 		d.Verdict = Shed
 		return d
 	}
-	if !e.offerPath(e.scratch.Edges, e.scratch.Cost) {
+	if !e.pk.Offer(e.scratch.Edges, e.scratch.Cost) {
 		d.Verdict = RejectedCost
 		return d
 	}

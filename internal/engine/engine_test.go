@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"gridroute/internal/core"
 	"gridroute/internal/engine"
@@ -264,6 +265,71 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 	if len(r1.Schedules) != len(r1.Admitted) || len(r1.Outcomes) != len(r1.Admitted) {
 		t.Fatal("result slices not parallel to Admitted")
+	}
+}
+
+// TestEngineDrainLeak races Drain against 8 producers mid-flight and checks
+// the envelope ownership handoff never leaks: every Admit call returns (a
+// decision, queue-full, or ErrClosed — never a hang), every submitted
+// envelope is decided exactly once, and the engine still finishes cleanly.
+func TestEngineDrainLeak(t *testing.T) {
+	g, reqs, opts := workload(t, 48, 600, 128, 21)
+	opts.Queue = 8
+	eng, err := engine.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const producers = 8
+	var closed sync.WaitGroup
+	var submitted, refused uint64
+	var mu sync.Mutex
+	for p := 0; p < producers; p++ {
+		closed.Add(1)
+		go func(p int) {
+			defer closed.Done()
+			var sub, ref uint64
+			for i := p; i < len(reqs); i += producers {
+				_, err := eng.Admit(ctx, engine.PacketOf(&reqs[i]))
+				if err == engine.ErrClosed {
+					ref++
+					continue
+				}
+				if err != nil {
+					t.Errorf("admit: %v", err)
+					return
+				}
+				sub++
+			}
+			mu.Lock()
+			submitted += sub
+			refused += ref
+			mu.Unlock()
+		}(p)
+	}
+	// Drain while producers are still submitting.
+	time.Sleep(2 * time.Millisecond)
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	closed.Wait()
+	if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[0])); err != engine.ErrClosed {
+		t.Fatalf("Admit after Drain: %v", err)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	if s.Submitted != submitted {
+		t.Fatalf("engine counted %d submissions, producers made %d", s.Submitted, submitted)
+	}
+	if s.Decided()+s.RejectedQueueFull != s.Submitted {
+		t.Fatalf("envelope leak: decided %d + bounced %d != submitted %d",
+			s.Decided(), s.RejectedQueueFull, s.Submitted)
+	}
+	if submitted+refused != uint64(len(reqs)) {
+		t.Fatalf("producers lost calls: %d + %d != %d", submitted, refused, len(reqs))
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -26,11 +27,10 @@ func (e *GapError) Error() string {
 		e.Missing, e.Waited, e.Parked, e.SkippedTo)
 }
 
-// gapWatch is the watchdog timer state shared by the serial loop and the
-// speculative committer. The timer is (re)armed only when the stuck sequence
-// number changes, so it measures "no progress past nextSeq for GapTimeout" —
-// not "no arrivals for GapTimeout" — and a slow but progressing stream never
-// fires it.
+// gapWatch is the consumer loop's watchdog timer state. The timer is
+// (re)armed only when the stuck sequence number changes, so it measures "no
+// progress past nextSeq for GapTimeout" — not "no arrivals for GapTimeout" —
+// and a slow but progressing stream never fires it.
 type gapWatch struct {
 	timer    *time.Timer
 	armed    bool
@@ -55,40 +55,20 @@ func (w *gapWatch) arm(d time.Duration, nextSeq int) {
 	w.armed, w.armedSeq = true, nextSeq
 }
 
-// breakGap resolves a timed-out InOrder gap in the serial loop: record the
-// typed error, advance to the smallest parked seq and process the contiguous
-// run behind it.
+// breakGap resolves a timed-out InOrder gap: record the typed error,
+// advance to the smallest parked seq and process the contiguous run behind
+// it.
 func (e *Engine) breakGap() {
-	min, ok := minParkedKey(e.parked)
-	if !ok {
+	if len(e.parked) == 0 {
 		return
 	}
-	e.setErr(&GapError{Missing: e.nextSeq, SkippedTo: min, Parked: len(e.parked), Waited: e.gapTimeout})
-	e.nextSeq = min
-	p := e.parked[min]
-	delete(e.parked, min)
+	first := math.MaxInt
+	for s := range e.parked {
+		first = min(first, s)
+	}
+	e.setErr(&GapError{Missing: e.nextSeq, SkippedTo: first, Parked: len(e.parked), Waited: e.gapTimeout})
+	e.nextSeq = first
+	p := e.parked[first]
+	delete(e.parked, first)
 	e.processOrdered(p)
-}
-
-// breakSpecGap is breakGap for the speculative committer's parked set.
-func (e *Engine) breakSpecGap() {
-	min, ok := minParkedKey(e.parkedSpecs)
-	if !ok {
-		return
-	}
-	e.setErr(&GapError{Missing: e.nextSeq, SkippedTo: min, Parked: len(e.parkedSpecs), Waited: e.gapTimeout})
-	e.nextSeq = min
-	sp := e.parkedSpecs[min]
-	delete(e.parkedSpecs, min)
-	e.commitOrdered(sp)
-}
-
-func minParkedKey[V any](m map[int]V) (int, bool) {
-	min, ok := 0, false
-	for s := range m {
-		if !ok || s < min {
-			min, ok = s, true
-		}
-	}
-	return min, ok
 }

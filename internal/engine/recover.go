@@ -95,7 +95,7 @@ func Recover(g *grid.Grid, opts Options) (*Engine, Recovery, error) {
 	e.wal = w
 	e.recovered.Store(uint64(info.Decisions))
 	info.NextSeq = e.nextSeq
-	e.start()
+	go e.loop()
 	return e, info, nil
 }
 
@@ -157,7 +157,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if !e.pk.Offer(route.Edges, rec.Cost) { //gridlint:allow replay runs single-threaded before the workers start
+		if !e.pk.Offer(route.Edges, rec.Cost) {
 			return fmt.Errorf("engine: wal replay diverged at seq %d: packer rejected the logged route", rec.Seq)
 		}
 		r := grid.Request{
@@ -168,11 +168,11 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		e.accepted.Add(1)
 		e.watermark = rec.Arrival
 	case RejectedCost:
-		e.pk.Offer(nil, 0) //gridlint:allow replay runs single-threaded before the workers start
+		e.pk.Offer(nil, 0)
 		e.rejCost.Add(1)
 		e.watermark = rec.Arrival
 	case RejectedNoRoute:
-		e.pk.Offer(nil, 0) //gridlint:allow replay runs single-threaded before the workers start
+		e.pk.Offer(nil, 0)
 		e.rejNoRoute.Add(1)
 		e.watermark = rec.Arrival
 	case Shed:

@@ -28,10 +28,7 @@
 // flow(e)/c(e) is at most log₂(1 + 3·pmax).
 package ipp
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // EdgeID identifies an edge in the caller's graph. Callers choose their own
 // id scheme (lattice edges, interior edges of split tiles, …). In dense mode
@@ -79,10 +76,8 @@ type Packer struct {
 	// the edge ids whose weights changed in the most recent commit (reused
 	// buffer). Incremental consumers — the streaming engine's metrics, and
 	// warm-start DP re-relaxation — key off these instead of rescanning the
-	// weight universe. version is atomic so speculative readers can stamp a
-	// weight snapshot without holding the committer's lock; every mutation
-	// of the weight state itself still requires external synchronization.
-	version atomic.Uint64
+	// weight universe.
+	version uint64
 	last    []EdgeID
 }
 
@@ -195,7 +190,7 @@ func (p *Packer) Offer(path []EdgeID, cost float64) bool {
 
 //gridroute:hotpath
 func (p *Packer) commitDense(path []EdgeID) {
-	p.version.Add(1)
+	p.version++
 	p.last = p.last[:0]
 	for _, e := range path {
 		ce := p.cap(e)
@@ -219,7 +214,7 @@ func (p *Packer) commitDense(path []EdgeID) {
 
 //gridroute:hotpath
 func (p *Packer) commitSparse(path []EdgeID) {
-	p.version.Add(1)
+	p.version++
 	p.last = p.last[:0]
 	for _, e := range path {
 		ce := p.cap(e)
@@ -244,9 +239,7 @@ func (p *Packer) commitSparse(path []EdgeID) {
 // exactly one per accepted Offer, so a consumer holding weights derived from
 // version v knows the weight state is unchanged while Version() == v — the
 // contract incremental oracles (warm-start DP, streaming metrics) build on.
-// The load is atomic: speculative admission workers poll it lock-free to
-// decide whether their weight snapshot is still current.
-func (p *Packer) Version() uint64 { return p.version.Load() }
+func (p *Packer) Version() uint64 { return p.version }
 
 // LastCommitted returns the edge ids whose weights changed in the most
 // recent committed offer (the path minus its uncapacitated edges). The slice

@@ -95,20 +95,12 @@ type Session struct {
 	winLo   []int
 	winHi   []int
 	probe   []int
-	snapCur []int        // SnapshotWindow row odometer
+	snapCur []int        // snapshotWindow row odometer
 	path    lattice.Path // reused by LightestRouteInto
 
-	// Prepared-query geometry (PrepareQuery): the destination ray on the w
+	// Prepared-query geometry (prepareQuery): the destination ray on the w
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
-
-	// Snapshot-solve cache (SolveSnapshot): the window/source of the last
-	// snapshot relaxation. When the prepared query matches and the caller
-	// asserts the snapshot weights are unchanged, the DP is skipped.
-	specWinLo []int
-	specWinHi []int
-	specSrc   []int
-	specValid bool
 
 	// Warm-start cache (dense packers only): the DP solution of the last
 	// query stays valid while the packer's version is unchanged, and repairs
@@ -142,10 +134,6 @@ func (g *Graph) NewSession() *Session {
 		lastWinLo: make([]int, g.axes),
 		lastWinHi: make([]int, g.axes),
 		lastSrc:   make([]int, g.axes),
-
-		specWinLo: make([]int, g.axes),
-		specWinHi: make([]int, g.axes),
-		specSrc:   make([]int, g.axes),
 	}
 }
 
@@ -310,18 +298,15 @@ func (s *Session) LightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wL
 	return r
 }
 
-// PrepareQuery computes the weight-independent geometry of a lightest-route
+// prepareQuery computes the weight-independent geometry of a lightest-route
 // query: source/destination tiles, the destination ray on the w axis, and
 // the DP window, all stored in the session. It reports false when no legal
 // route can exist for purely geometric reasons (destination behind source,
-// empty w ray, tile budget exceeded) — exactly the weight-independent
-// no-route cases of LightestRouteInto, so a false here is a final verdict
-// regardless of packer state. After a true return the caller solves the
-// prepared window with LightestRouteInto (canonical weights) or
-// SnapshotWindow/SolveSnapshot (speculative weights).
+// empty w ray, tile budget exceeded), so a false here is a final verdict
+// regardless of packer state.
 //
 //gridroute:hotpath
-func (s *Session) PrepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) bool {
+func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) bool {
 	g := s.g
 	d := g.ST.G.D()
 	wa := d // the w axis index
@@ -409,11 +394,10 @@ func (s *Session) extractRoute(out *Route) bool {
 //
 //gridroute:hotpath
 func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, out *Route) bool {
-	if !s.PrepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
+	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
 	g := s.g
-	s.specValid = false // the DP state below reflects live, not snapshot, weights
 	if xs := pk.Weights(); xs != nil {
 		// Dense packer: AxisEdgeID(id, a) = id·axes+a matches RunFlat's edge
 		// layout, and the interior-edge weights form the contiguous tail of
@@ -443,13 +427,7 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 	return s.extractRoute(out)
 }
 
-// Window exposes the DP window prepared by the last PrepareQuery as views
-// into session scratch: valid until the next PrepareQuery, must not be
-// mutated. Speculation validation uses it to test committed edges for
-// overlap with the window a snapshot solve read.
-func (s *Session) Window() (lo, hi []int) { return s.winLo, s.winHi }
-
-// SnapshotWindow copies the weight rows covered by the prepared window from
+// snapshotWindow copies the weight rows covered by the prepared window from
 // the dense packer weight slice `from` into the caller's snapshot buffer
 // `into` (both laid out over the full edge universe, Universe() long). Only
 // the window's rows are touched, so a snapshot costs O(window), not
@@ -457,9 +435,8 @@ func (s *Session) Window() (lo, hi []int) { return s.winLo, s.winHi }
 // are themselves contiguous (AxisEdgeID stride), as are the interior-edge
 // weights in Downscaled mode, so each row is two copy calls.
 //
-//gridroute:rlock
 //gridroute:hotpath
-func (s *Session) SnapshotWindow(from, into []float64) {
+func (s *Session) snapshotWindow(from, into []float64) {
 	g := s.g
 	tb := g.Tl.TBox
 	axes := g.axes
@@ -488,38 +465,18 @@ func (s *Session) SnapshotWindow(from, into []float64) {
 	}
 }
 
-// PreparedUnchanged reports whether the window and source prepared by the
-// last PrepareQuery match the session's last snapshot solve. Together with
-// an unchanged packer version this lets a speculation worker skip both the
-// weight copy and the DP and go straight to route extraction.
-//
-//gridroute:hotpath
-func (s *Session) PreparedUnchanged() bool {
-	return s.specValid && equalInts(s.specWinLo, s.winLo) &&
-		equalInts(s.specWinHi, s.winHi) && equalInts(s.specSrc, s.srcTile)
-}
-
-// SolveSnapshot runs the lightest-route DP for the prepared query over a
+// solveSnapshot runs the lightest-route DP for the prepared query over a
 // snapshot weight slice (laid out like the packer's dense weights) and
-// extracts the route into out. When skipDP is true the caller asserts the
-// DP state already holds this exact solve (PreparedUnchanged and an
-// unchanged snapshot) and only extraction runs. The session's packer-keyed
-// warm cache is invalidated: the DP state now reflects snapshot, not live,
-// weights.
+// extracts the route into out. The session's packer-keyed warm cache is
+// invalidated: the DP state now reflects snapshot, not live, weights.
 //
 //gridroute:hotpath
-func (s *Session) SolveSnapshot(xs []float64, skipDP bool, out *Route) bool {
-	if !skipDP || !s.PreparedUnchanged() {
-		var nodeX []float64
-		if s.g.Mode == Downscaled {
-			nodeX = xs[s.g.Tl.TBox.Size()*s.g.axes:]
-		}
-		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
-		copy(s.specWinLo, s.winLo)
-		copy(s.specWinHi, s.winHi)
-		copy(s.specSrc, s.srcTile)
-		s.specValid = true
+func (s *Session) solveSnapshot(xs []float64, out *Route) bool {
+	var nodeX []float64
+	if s.g.Mode == Downscaled {
+		nodeX = xs[s.g.Tl.TBox.Size()*s.g.axes:]
 	}
+	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
 	s.lastValid = false
 	return s.extractRoute(out)
 }
@@ -533,21 +490,18 @@ func (s *Session) SolveSnapshot(xs []float64, skipDP bool, out *Route) bool {
 // outside the window may hold stale values from earlier calls — the DP never
 // reads outside the window, so they are harmless. Requires a dense packer.
 func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, buf []float64, out *Route) bool {
-	if !s.PrepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
+	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
 	xs := pk.Weights()
 	if xs == nil {
 		panic("sketch: LightestRouteMasked requires a dense packer")
 	}
-	s.SnapshotWindow(xs, buf)
+	s.snapshotWindow(xs, buf)
 	for _, e := range blocked {
 		buf[e] = math.Inf(1)
 	}
-	// The buffer was mutated after the copy: never let a later snapshot solve
-	// skip the DP on the strength of this one.
-	s.specValid = false
-	return s.SolveSnapshot(buf, false, out)
+	return s.solveSnapshot(buf, out)
 }
 
 // routeInto materializes a DP path as a sketch Route, reusing out's slices.

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -9,16 +8,17 @@ import (
 	"gridroute/internal/ipp"
 )
 
-// TestSnapshotSolveParity drives the speculative query API against the
-// canonical oracle under evolving weights: for every query,
-// PrepareQuery + SnapshotWindow + SolveSnapshot on a full-universe snapshot
-// buffer must produce exactly the route LightestRouteInto computes on the
-// live weights — the identity the engine's speculation commit rests on.
+// TestSnapshotSolveParity drives the snapshot solve behind
+// LightestRouteMasked against the canonical oracle under evolving weights:
+// for every query, prepareQuery + snapshotWindow + solveSnapshot on a
+// full-universe snapshot buffer must produce exactly the route
+// LightestRouteInto computes on the live weights — so an empty outage mask
+// routes exactly like no mask.
 func TestSnapshotSolveParity(t *testing.T) {
 	st, down, _ := lineSetup(32, 3, 3, 200, 4)
 	pk := ipp.NewDense(50, down.Cap, down.Universe())
 	live := down.NewSession()
-	spec := down.NewSession()
+	snap := down.NewSession()
 	xs := make([]float64, down.Universe())
 	var want, got Route
 	found := 0
@@ -31,13 +31,13 @@ func TestSnapshotSolveParity(t *testing.T) {
 		wLo, wHi := st.DestRay(r)
 		liveOK := live.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 50, &want)
 
-		prepOK := spec.PrepareQuery(src, r.Dst, wLo, wHi, 50)
+		prepOK := snap.prepareQuery(src, r.Dst, wLo, wHi, 50)
 		if prepOK {
-			spec.SnapshotWindow(pk.Weights(), xs)
+			snap.snapshotWindow(pk.Weights(), xs)
 		}
-		specOK := prepOK && spec.SolveSnapshot(xs, false, &got)
-		if liveOK != specOK {
-			t.Fatalf("q %d: live ok=%v, snapshot ok=%v", q, liveOK, specOK)
+		snapOK := prepOK && snap.solveSnapshot(xs, &got)
+		if liveOK != snapOK {
+			t.Fatalf("q %d: live ok=%v, snapshot ok=%v", q, liveOK, snapOK)
 		}
 		if !liveOK {
 			pk.Offer(nil, 0)
@@ -52,62 +52,6 @@ func TestSnapshotSolveParity(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no query found a route; parity exercised nothing")
-	}
-}
-
-// TestSnapshotSkipParity pins the speculation fast path: after a solve, an
-// identical prepared query with skipDP=true must extract the same route
-// without re-copying or re-relaxing; after the weights move and a fresh
-// snapshot is taken, skipDP=false must track the live answer again.
-func TestSnapshotSkipParity(t *testing.T) {
-	st, down, _ := lineSetup(32, 3, 3, 200, 4)
-	pk := ipp.NewDense(50, down.Cap, down.Universe())
-	sess := down.NewSession()
-	xs := make([]float64, down.Universe())
-	var first, again, moved Route
-
-	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{17}, Arrival: 1, Deadline: grid.InfDeadline}
-	src := st.SourcePoint(r)
-	wLo, wHi := st.DestRay(r)
-	if !sess.PrepareQuery(src, r.Dst, wLo, wHi, 50) {
-		t.Fatal("prepare failed")
-	}
-	sess.SnapshotWindow(pk.Weights(), xs)
-	if !sess.SolveSnapshot(xs, false, &first) {
-		t.Fatal("first solve failed")
-	}
-	if !sess.PreparedUnchanged() {
-		t.Fatal("PreparedUnchanged false immediately after its own solve")
-	}
-	// Re-prepare the identical query and skip the DP.
-	if !sess.PrepareQuery(src, r.Dst, wLo, wHi, 50) {
-		t.Fatal("re-prepare failed")
-	}
-	if !sess.SolveSnapshot(xs, true, &again) {
-		t.Fatal("skip solve failed")
-	}
-	if !reflect.DeepEqual(first.Edges, again.Edges) || first.Cost != again.Cost {
-		t.Fatalf("skip path diverges: %+v vs %+v", again, first)
-	}
-
-	// Commit the route, refresh the snapshot, and check the new cost is the
-	// live one (the first edge weights are now non-zero).
-	if !pk.Offer(first.Edges, first.Cost) {
-		t.Fatal("offer rejected a zero-cost path")
-	}
-	if !sess.PrepareQuery(src, r.Dst, wLo, wHi, 50) {
-		t.Fatal("third prepare failed")
-	}
-	sess.SnapshotWindow(pk.Weights(), xs)
-	if !sess.SolveSnapshot(xs, false, &moved) {
-		t.Fatal("post-commit solve failed")
-	}
-	wantCost := pk.Cost(moved.Edges)
-	if math.Abs(moved.Cost-wantCost) > 1e-12 {
-		t.Fatalf("post-commit snapshot cost %v, live cost %v", moved.Cost, wantCost)
-	}
-	if moved.Cost == first.Cost {
-		t.Fatal("commit did not move the cost; weight tracking not exercised")
 	}
 }
 
@@ -129,7 +73,7 @@ func TestSnapshotWindowCopiesOnlyWindow(t *testing.T) {
 	r := &grid.Request{Src: grid.Vec{9}, Dst: grid.Vec{20}, Arrival: 4, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
-	if !sess.PrepareQuery(src, r.Dst, wLo, wHi, 50) {
+	if !sess.prepareQuery(src, r.Dst, wLo, wHi, 50) {
 		t.Fatal("prepare failed")
 	}
 	const sentinel = -1.0
@@ -137,9 +81,9 @@ func TestSnapshotWindowCopiesOnlyWindow(t *testing.T) {
 	for i := range into {
 		into[i] = sentinel
 	}
-	sess.SnapshotWindow(from, into)
+	sess.snapshotWindow(from, into)
 
-	lo, hi := sess.Window()
+	lo, hi := sess.winLo, sess.winHi
 	axes := down.axes
 	base := down.Tl.TBox.Size() * axes
 	pt := make([]int, axes)
