@@ -52,17 +52,6 @@ func BenchmarkHotPath(b *testing.B) {
 			p.Offer(path, 0)
 		}
 	})
-	b.Run("PackerOfferSparse", func(b *testing.B) {
-		b.ReportAllocs()
-		caps := []float64{3, 5}
-		p := ipp.New(1<<30, func(e ipp.EdgeID) float64 { return caps[int(e)%2] })
-		path := []ipp.EdgeID{0, 1, 2, 3, 4, 5, 6, 7}
-		p.Offer(path, p.Cost(path))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Offer(path, 0)
-		}
-	})
 	b.Run("DPRunFlat", func(b *testing.B) {
 		b.ReportAllocs()
 		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
@@ -113,23 +102,6 @@ func BenchmarkHotPath(b *testing.B) {
 			if !dp.RerunFlat(seeds, edgeX, nil, 0) {
 				b.Fatal("warm rerun refused")
 			}
-		}
-	})
-	b.Run("DPRunClosure", func(b *testing.B) {
-		b.ReportAllocs()
-		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
-		edgeX := make([]float64, box.Size()*2)
-		rng := rand.New(rand.NewSource(1))
-		for i := range edgeX {
-			edgeX[i] = rng.Float64()
-		}
-		dp := box.NewDP()
-		src := []int{0, 0}
-		edgeW := func(id, a int) float64 { return edgeX[id*2+a] }
-		dp.Run(box.Lo, box.Hi, src, edgeW, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dp.Run(box.Lo, box.Hi, src, edgeW, nil)
 		}
 	})
 	b.Run("STPackerLightestPath", func(b *testing.B) {

@@ -8,8 +8,8 @@
 // append whose result is stored into a receiver field (dp.cost =
 // make(...)) grows a reusable buffer once and is allowed; the gates measure
 // the warm steady state, and so does hotalloc. Sites that allocate by
-// documented design (e.g. the sparse fallback closures in the sketch) are
-// exempted with //gridlint:allow <reason>.
+// documented design (say, a cold fallback branch inside a hot-path
+// function) are exempted with //gridlint:allow <reason>.
 package hotalloc
 
 import (

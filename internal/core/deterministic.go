@@ -87,7 +87,8 @@ type DetResult struct {
 }
 
 // RunDeterministic executes Algorithm 1 on the request sequence (which must
-// be sorted by arrival time). It handles deadlines, d ≥ 1, and B = 0.
+// be sorted by arrival time). It handles deadlines, B = 0, and grids of
+// dimension 1 ≤ d < detroute.MaxAxes; larger grids return an error.
 func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetResult, error) {
 	if i := grid.ValidateAll(g, reqs); i >= 0 {
 		return nil, fmt.Errorf("core: invalid request at index %d: %v", i, reqs[i])

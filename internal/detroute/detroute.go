@@ -94,6 +94,11 @@ type Stats struct {
 	Anomalies int
 }
 
+// MaxAxes is the largest number of space-time lattice axes (grid dimension
+// plus one) the router supports: its per-step grouping table has one slot
+// per travel axis.
+const MaxAxes = 8
+
 // Router runs detailed routing over one space-time lattice.
 type Router struct {
 	ST *spacetime.Graph
@@ -102,7 +107,7 @@ type Router struct {
 	// Scratch reused across nodes and steps.
 	in       []*pkt
 	outClaim []*pkt
-	byAxis   [8][]*pkt
+	byAxis   [MaxAxes][]*pkt
 	tileBuf  []int
 	tcBuf    []int
 	orgBuf   []int

@@ -28,7 +28,7 @@ func newHarness(n, b, c int, T int64, k int) *harness {
 	st := spacetime.New(g, T)
 	tl := tiling.New(st.Box, []int{k, k}, []int{0, 0})
 	sk := sketch.New(st, tl, sketch.Downscaled)
-	return &harness{g: g, st: st, sk: sk, pk: ipp.New(4*n+1, sk.Cap), rt: New(st, sk)}
+	return &harness{g: g, st: st, sk: sk, pk: ipp.NewDense(4*n+1, sk.Cap, sk.Universe()), rt: New(st, sk)}
 }
 
 func (h *harness) admit(t *testing.T, reqs []grid.Request) []Admitted {

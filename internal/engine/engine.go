@@ -383,6 +383,9 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if g.B == 0 && g.C < 3 {
 		return nil, fmt.Errorf("engine: bufferless variant requires c ≥ 3; got c=%d", g.C)
 	}
+	if g.D()+1 > detroute.MaxAxes {
+		return nil, fmt.Errorf("engine: detailed routing supports grids of dimension ≤ %d (detroute.MaxAxes = %d lattice axes); got d=%d", detroute.MaxAxes-1, detroute.MaxAxes, g.D())
+	}
 	if opts.Horizon <= 0 {
 		return nil, errors.New("engine: Options.Horizon must be positive (use spacetime.SuggestHorizon for batch workloads)")
 	}

@@ -3,12 +3,15 @@ package engine_test
 import (
 	"context"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gridroute/internal/core"
+	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
@@ -445,5 +448,40 @@ func TestEngineInvalidPackets(t *testing.T) {
 	}
 	if res.Stats.RejectedInvalid == 0 {
 		t.Fatal("no invalid rejections counted")
+	}
+}
+
+// TestEngineRefusesTooManyDimensions: detailed routing groups packets by
+// travel axis in a table of detroute.MaxAxes slots, so a grid with
+// d+1 > MaxAxes must fail at construction — New and Recover alike — with an
+// error naming the limit, instead of panicking in Finish. The largest
+// supported grid routes end to end.
+func TestEngineRefusesTooManyDimensions(t *testing.T) {
+	cube := func(d int) *grid.Grid {
+		dims := make([]int, d)
+		for i := range dims {
+			dims[i] = 2
+		}
+		return grid.New(dims, 3, 3)
+	}
+	top := cube(detroute.MaxAxes - 1)
+	far := make(grid.Vec, top.D())
+	for i := range far {
+		far[i] = 1
+	}
+	reqs := []grid.Request{{Src: make(grid.Vec, top.D()), Dst: far, Deadline: grid.InfDeadline}}
+	res, err := core.RunDeterministic(top, reqs, core.DetConfig{})
+	if err != nil || res.Throughput != 1 {
+		t.Fatalf("%d-D grid: err %v, want the one packet delivered", top.D(), err)
+	}
+
+	big := cube(detroute.MaxAxes)
+	opts := engine.Options{Horizon: 16, PMax: core.PMaxDet(big)}
+	if _, err := engine.New(big, opts); err == nil || !strings.Contains(err.Error(), "MaxAxes") {
+		t.Fatalf("New on a %d-D grid: err %v, want one naming detroute.MaxAxes", big.D(), err)
+	}
+	opts.WALPath = filepath.Join(t.TempDir(), "engine.wal")
+	if _, _, err := engine.Recover(big, opts); err == nil || !strings.Contains(err.Error(), "MaxAxes") {
+		t.Fatalf("Recover on a %d-D grid: err %v, want one naming detroute.MaxAxes", big.D(), err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 func constCap(c float64) CapFunc { return func(EdgeID) float64 { return c } }
 
 func TestSingleEdgeSaturates(t *testing.T) {
-	p := New(1, constCap(1))
+	p := NewDense(1, constCap(1), 1)
 	if !p.Offer([]EdgeID{0}, p.Cost([]EdgeID{0})) {
 		t.Fatal("first request should be accepted")
 	}
@@ -37,12 +37,12 @@ func TestSingleEdgeSaturates(t *testing.T) {
 
 func TestInfiniteCapacityEdgesStayFree(t *testing.T) {
 	inf := math.Inf(1)
-	p := New(4, func(e EdgeID) float64 {
+	p := NewDense(4, func(e EdgeID) float64 {
 		if e == 99 {
 			return inf
 		}
 		return 2
-	})
+	}, 100)
 	path := []EdgeID{1, 99}
 	for i := 0; i < 3; i++ {
 		p.Offer(path, p.Cost(path))
@@ -59,7 +59,7 @@ func TestInfiniteCapacityEdgesStayFree(t *testing.T) {
 }
 
 func TestNilPathRejects(t *testing.T) {
-	p := New(2, constCap(1))
+	p := NewDense(2, constCap(1), 1)
 	if p.Offer(nil, Inf()) {
 		t.Fatal("nil path must reject")
 	}
@@ -101,7 +101,7 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 	}
 	capFn := func(e EdgeID) float64 { return capArr[e] }
 	pmax := nx + ny // all source→dest paths fit
-	p := New(pmax, capFn)
+	p := NewDense(pmax, capFn, len(capArr))
 	dp := box.NewDP()
 
 	for i := 0; i < numReq; i++ {
@@ -109,8 +109,7 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 		dx, dy := sx+rng.Intn(nx-sx), sy+rng.Intn(ny-sy)
 		src := []int{sx, sy}
 		dst := []int{dx, dy}
-		dp.Run(src, []int{dx + 1, dy + 1}, src,
-			func(id, a int) float64 { return p.Weight(EdgeID(id*2 + a)) }, nil)
+		dp.RunFlat(src, []int{dx + 1, dy + 1}, src, p.Weights(), nil)
 		lp := dp.PathTo(dst)
 		if lp == nil {
 			t.Fatalf("no path in a full window")
@@ -135,7 +134,7 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 }
 
 func TestWeightMonotone(t *testing.T) {
-	p := New(8, constCap(2))
+	p := NewDense(8, constCap(2), 6)
 	path := []EdgeID{3, 4, 5}
 	last := 0.0
 	for i := 0; i < 10; i++ {
@@ -154,59 +153,8 @@ func TestPanicOnLongPath(t *testing.T) {
 			t.Fatal("expected panic for path longer than pmax")
 		}
 	}()
-	p := New(1, constCap(1))
+	p := NewDense(1, constCap(1), 3)
 	p.Offer([]EdgeID{1, 2}, 0)
-}
-
-// TestDenseMatchesSparse drives the same offer sequence through the map and
-// flat-array backends and requires bit-identical state: weights, flows,
-// primal value, counters.
-func TestDenseMatchesSparse(t *testing.T) {
-	const universe = 64
-	capArr := make([]float64, universe)
-	rng := rand.New(rand.NewSource(21))
-	for i := range capArr {
-		capArr[i] = float64(1 + rng.Intn(3))
-	}
-	capArr[7] = math.Inf(1) // one sink edge
-	capFn := func(e EdgeID) float64 { return capArr[e] }
-
-	sparse := New(6, capFn)
-	densePk := NewDense(6, capFn, universe)
-	if densePk.Weights() == nil || sparse.Weights() != nil {
-		t.Fatal("Weights() must expose the dense slice and nil for maps")
-	}
-	for i := 0; i < 300; i++ {
-		n := 1 + rng.Intn(6)
-		path := make([]EdgeID, n)
-		for j := range path {
-			path[j] = EdgeID(rng.Intn(universe))
-		}
-		c1 := sparse.Cost(path)
-		c2 := densePk.Cost(path)
-		if c1 != c2 {
-			t.Fatalf("offer %d: cost %v (sparse) != %v (dense)", i, c1, c2)
-		}
-		if sparse.Offer(path, c1) != densePk.Offer(path, c2) {
-			t.Fatalf("offer %d: accept decision diverged", i)
-		}
-	}
-	for e := 0; e < universe; e++ {
-		if sparse.Weight(EdgeID(e)) != densePk.Weight(EdgeID(e)) {
-			t.Fatalf("edge %d: weight %v != %v", e, sparse.Weight(EdgeID(e)), densePk.Weight(EdgeID(e)))
-		}
-		if sparse.Flow(EdgeID(e)) != densePk.Flow(EdgeID(e)) {
-			t.Fatalf("edge %d: flow diverged", e)
-		}
-	}
-	if sparse.PrimalValue() != densePk.PrimalValue() ||
-		sparse.Accepted() != densePk.Accepted() ||
-		sparse.Rejected() != densePk.Rejected() ||
-		sparse.MaxLoad() != densePk.MaxLoad() {
-		t.Fatalf("aggregate state diverged: primal %v/%v accepted %d/%d rejected %d/%d load %v/%v",
-			sparse.PrimalValue(), densePk.PrimalValue(), sparse.Accepted(), densePk.Accepted(),
-			sparse.Rejected(), densePk.Rejected(), sparse.MaxLoad(), densePk.MaxLoad())
-	}
 }
 
 // TestMemoizedWeightsBitIdentical replays the packer's weight recurrence with

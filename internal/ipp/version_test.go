@@ -6,51 +6,42 @@ import (
 	"testing"
 )
 
-// TestVersionAndLastCommitted pins the incremental-commit contract both
-// backends expose to streaming consumers: Version bumps exactly once per
+// TestVersionAndLastCommitted pins the incremental-commit contract the
+// packer exposes to streaming consumers: Version bumps exactly once per
 // accepted offer, and LastCommitted names the capacitated edges of that
 // offer in path order.
 func TestVersionAndLastCommitted(t *testing.T) {
-	capFn := func(e EdgeID) float64 {
+	p := NewDense(10, func(e EdgeID) float64 {
 		if e == 2 {
 			return math.Inf(1)
 		}
 		return 3
+	}, 4)
+	if p.Version() != 0 || len(p.LastCommitted()) != 0 {
+		t.Fatalf("fresh packer has version %d, last %v", p.Version(), p.LastCommitted())
 	}
-	for _, tc := range []struct {
-		name string
-		p    *Packer
-	}{
-		{"dense", NewDense(10, capFn, 4)},
-		{"sparse", New(10, capFn)},
-	} {
-		p := tc.p
-		if p.Version() != 0 || len(p.LastCommitted()) != 0 {
-			t.Fatalf("%s: fresh packer has version %d, last %v", tc.name, p.Version(), p.LastCommitted())
-		}
-		if !p.Offer([]EdgeID{0, 2, 1}, 0) {
-			t.Fatalf("%s: zero-cost offer rejected", tc.name)
-		}
-		if p.Version() != 1 {
-			t.Fatalf("%s: version %d after one accept", tc.name, p.Version())
-		}
-		// Edge 2 is uncapacitated: committed flow but no weight change.
-		if got := p.LastCommitted(); !reflect.DeepEqual(got, []EdgeID{0, 1}) {
-			t.Fatalf("%s: last committed %v, want [0 1]", tc.name, got)
-		}
+	if !p.Offer([]EdgeID{0, 2, 1}, 0) {
+		t.Fatal("zero-cost offer rejected")
+	}
+	if p.Version() != 1 {
+		t.Fatalf("version %d after one accept", p.Version())
+	}
+	// Edge 2 is uncapacitated: committed flow but no weight change.
+	if got := p.LastCommitted(); !reflect.DeepEqual(got, []EdgeID{0, 1}) {
+		t.Fatalf("last committed %v, want [0 1]", got)
+	}
 
-		// Rejections — nil path and over-threshold cost — leave both intact.
-		p.Offer(nil, 0)
-		p.Offer([]EdgeID{1}, 1.5)
-		if p.Version() != 1 || !reflect.DeepEqual(p.LastCommitted(), []EdgeID{0, 1}) {
-			t.Fatalf("%s: rejection moved incremental state: v=%d last=%v", tc.name, p.Version(), p.LastCommitted())
-		}
+	// Rejections — nil path and over-threshold cost — leave both intact.
+	p.Offer(nil, 0)
+	p.Offer([]EdgeID{1}, 1.5)
+	if p.Version() != 1 || !reflect.DeepEqual(p.LastCommitted(), []EdgeID{0, 1}) {
+		t.Fatalf("rejection moved incremental state: v=%d last=%v", p.Version(), p.LastCommitted())
+	}
 
-		if !p.Offer([]EdgeID{1}, p.Cost([]EdgeID{1})) {
-			t.Fatalf("%s: second offer rejected (cost %v)", tc.name, p.Cost([]EdgeID{1}))
-		}
-		if p.Version() != 2 || !reflect.DeepEqual(p.LastCommitted(), []EdgeID{1}) {
-			t.Fatalf("%s: after second accept v=%d last=%v", tc.name, p.Version(), p.LastCommitted())
-		}
+	if !p.Offer([]EdgeID{1}, p.Cost([]EdgeID{1})) {
+		t.Fatalf("second offer rejected (cost %v)", p.Cost([]EdgeID{1}))
+	}
+	if p.Version() != 2 || !reflect.DeepEqual(p.LastCommitted(), []EdgeID{1}) {
+		t.Fatalf("after second accept v=%d last=%v", p.Version(), p.LastCommitted())
 	}
 }

@@ -180,22 +180,16 @@ func (p *Path) Visit(fn func(pt []int)) {
 	}
 }
 
-// EdgeWeight gives the weight of the edge leaving node id along axis.
-type EdgeWeight func(id, axis int) float64
-
-// NodeWeight gives the weight charged for visiting node id (used to fold the
-// interior edges of split sketch nodes into the DP; see Sec. 5.1).
-type NodeWeight func(id int) float64
-
 // Inf is the cost of an unreachable node.
 var Inf = math.Inf(1)
 
 // DP computes lightest directed paths inside a window of a box. A DP value is
-// reusable across calls to Run; it grows its buffers as needed.
+// reusable across calls to RunFlat; it grows its buffers as needed.
 //
-// Path cost convention: cost(path) = Σ_nodes nodeW(v) + Σ_edges edgeW(e),
-// where the sum over nodes includes both endpoints. This matches the
-// {1,2,∞}-sketch-graph cost of a path s¹_in → s¹_out → … → sᴸ_out, which
+// Path cost convention: cost(path) = Σ_nodes nodeX[v] + Σ_edges edgeX[e],
+// where the sum over nodes includes both endpoints. Node weights fold the
+// interior edges of split sketch tiles into the DP (Sec. 5.1): this matches
+// the {1,2,∞}-sketch-graph cost of a path s¹_in → s¹_out → … → sᴸ_out, which
 // traverses the interior edge of every visited tile.
 type DP struct {
 	box    *Box
@@ -207,13 +201,11 @@ type DP struct {
 	cost   []float64
 	pred   []int8
 	srcAbs []int
-	pt     []int // odometer scratch
-	valid  bool
+	valid  bool // cost/pred hold a complete solution (RerunFlat precondition)
 
 	srcW       int     // window index of the source (meaningful when valid)
 	winBoxBase int     // box.Index(winLo): box id of the window origin
-	lastBound  float64 // relaxation bound of the last flat run (Inf = exact)
-	flatRun    bool    // last run used flat slices (RerunFlat precondition)
+	lastBound  float64 // relaxation bound of the last run (Inf = exact)
 
 	pool *Pool    // optional wavefront worker pool (nil = always serial)
 	par  parState // per-run parallel bookkeeping (reused)
@@ -223,14 +215,19 @@ type DP struct {
 	markEpoch uint32
 }
 
-// NewDP returns a DP bound to box.
+// NewDP returns a DP bound to box. Panics if the box has more than
+// maxParAxes axes: the kernels decode coordinates into fixed-size stack
+// scratch, and boxes are configuration.
 func (b *Box) NewDP() *DP {
 	d := len(b.Lo)
+	if d > maxParAxes {
+		panic(fmt.Sprintf("lattice: DP over %d axes exceeds maxParAxes = %d", d, maxParAxes))
+	}
 	return &DP{
 		box:   b,
 		winLo: make([]int, d), winHi: make([]int, d),
 		wdims: make([]int, d), wstr: make([]int, d),
-		srcAbs: make([]int, d), pt: make([]int, d),
+		srcAbs: make([]int, d),
 	}
 }
 
@@ -257,8 +254,7 @@ func (dp *DP) inWindow(p []int) bool {
 // It returns the window index of src, or ok=false when the window is empty
 // or src lies outside it. Buffers are reused across calls, so a warm DP
 // allocates nothing. The buffers are NOT reset here: the pull kernels (serial
-// and parallel) write every node themselves; only the push fallback and the
-// closure-based Run call resetState.
+// and parallel) write every node of the window themselves.
 //
 //gridroute:hotpath
 func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
@@ -301,82 +297,13 @@ func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
 	return dp.srcW, true
 }
 
-// resetState fills the window with the pre-relaxation state: every node
-// unreachable with no predecessor.
-//
-//gridroute:hotpath
-func (dp *DP) resetState() {
-	for i := range dp.cost {
-		dp.cost[i] = Inf
-		dp.pred[i] = -1
-	}
-}
-
-// Run computes lightest paths from src to every point of the window
-// [winLo, winHi) ∩ box. src must lie in the window. Edge and node weights are
-// consulted via box node ids. After Run, use CostAt and PathTo.
-//
-//gridroute:hotpath
-func (dp *DP) Run(winLo, winHi, src []int, edgeW EdgeWeight, nodeW NodeWeight) {
-	srcW, ok := dp.setupWindow(winLo, winHi, src)
-	if !ok {
-		return
-	}
-	dp.flatRun = false
-	dp.lastBound = Inf
-	dp.resetState()
-	if nodeW != nil {
-		dp.cost[srcW] = nodeW(dp.box.Index(src))
-	} else {
-		dp.cost[srcW] = 0
-	}
-
-	// Iterate window points in row-major (non-decreasing coordinate) order,
-	// which is a topological order of the DAG. Maintain the absolute point
-	// and the box id incrementally via an odometer.
-	d := dp.box.D()
-	pt := dp.pt
-	copy(pt, dp.winLo)
-	boxID := dp.box.Index(pt)
-	for w := 0; w < dp.wsize; w++ {
-		c := dp.cost[w]
-		if c < Inf {
-			// Relax outgoing edges.
-			for a := 0; a < d; a++ {
-				if pt[a]+1 >= dp.winHi[a] {
-					continue
-				}
-				nb := boxID + dp.box.stride[a]
-				nw := w + dp.wstr[a]
-				ec := c + edgeW(boxID, a)
-				if nodeW != nil {
-					ec += nodeW(nb)
-				}
-				if ec < dp.cost[nw] {
-					dp.cost[nw] = ec
-					dp.pred[nw] = int8(a)
-				}
-			}
-		}
-		// Odometer increment (row-major: last axis fastest).
-		for a := d - 1; a >= 0; a-- {
-			pt[a]++
-			boxID += dp.box.stride[a]
-			if pt[a] < dp.winHi[a] {
-				break
-			}
-			boxID -= dp.wdims[a] * dp.box.stride[a]
-			pt[a] = dp.winLo[a]
-		}
-	}
-}
-
-// RunFlat computes the same lightest paths as Run, reading weights from flat
-// slices instead of per-edge closures: the edge leaving node id along axis a
+// RunFlat computes lightest paths from src to every point of the window
+// [winLo, winHi) ∩ box; src must lie in the window. Weights are read from
+// flat slices indexed by box node id: the edge leaving node id along axis a
 // costs edgeX[id·D+a] (D = box.D()), and visiting node id costs nodeX[id]
 // (nil nodeX means zero node weights). This is the packing hot path: the
-// slices are an ipp dense packer's weight universe, indexed directly with no
-// call or hash per relaxation.
+// slices are an ipp packer's weight universe, indexed directly with no call
+// or hash per relaxation. After RunFlat, use CostAt and PathTo.
 //
 // When a Pool has been attached via SetPool and the window clears the pool's
 // crossover threshold, the relaxation runs on the pool's wavefront workers;
@@ -407,46 +334,37 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	if !ok {
 		return
 	}
-	dp.flatRun = true
 	dp.lastBound = bound
-	if p := dp.pool; p != nil && p.Workers() > 1 && dp.box.D() <= maxParAxes &&
+	if p := dp.pool; p != nil && p.Workers() > 1 &&
 		dp.wsize >= p.minWindow() && dp.wdims[0] >= 2 {
 		if dp.runFlatParallel(edgeX, nodeX, bound) {
 			return
 		}
 	}
 	// Serial pull sweep: every window node is computed from its (already
-	// final) predecessors and written exactly once, so the O(window) Inf/−1
-	// reset pass the push sweep needs disappears entirely — it was ~15% of
-	// a full run. Bit-identity with the push order is the same argument the
-	// parallel kernel rests on (see parallel.go's package comment). The
-	// push sweep remains only for d > maxParAxes, where the pull odometer's
-	// stack scratch runs out.
-	if dp.box.D() <= maxParAxes {
-		ps := &dp.par
-		ps.edgeX, ps.nodeX, ps.bound = edgeX, nodeX, bound
-		rows := dp.wdims[0]
-		ps.cols = dp.wsize / rows
-		if nodeX != nil {
-			dp.cost[srcW] = nodeX[dp.box.Index(src)]
-		} else {
-			dp.cost[srcW] = 0
-		}
-		dp.pred[srcW] = -1
-		if dp.box.D() == 2 {
-			dp.runPull2()
-		} else {
-			dp.runChunkGeneric(0, rows, 0, ps.cols)
-		}
-		return
-	}
-	dp.resetState()
+	// final) predecessors and written exactly once, so no O(window) Inf/−1
+	// reset pass is needed. The kernel map, by caller:
+	//   - runPull2 (2 axes, nodeX set): Downscaled sketch sessions — the
+	//     engine and core.RunDeterministic — on a line;
+	//   - runPull2NoNode (2 axes, nodeX nil): Raw sketch sessions
+	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
+	//   - runChunkGeneric (3 or more axes): Downscaled sessions and
+	//     STPacker on 2-D and 3-D grids.
+	ps := &dp.par
+	ps.edgeX, ps.nodeX, ps.bound = edgeX, nodeX, bound
+	rows := dp.wdims[0]
+	ps.cols = dp.wsize / rows
 	if nodeX != nil {
 		dp.cost[srcW] = nodeX[dp.box.Index(src)]
 	} else {
 		dp.cost[srcW] = 0
 	}
-	dp.runFlatGeneric(edgeX, nodeX, bound)
+	dp.pred[srcW] = -1
+	if dp.box.D() == 2 {
+		dp.runPull2()
+	} else {
+		dp.runChunkGeneric(0, rows, 0, ps.cols)
+	}
 }
 
 // runPull2 is the serial d == 2 pull sweep: runChunk2 over the whole window,
@@ -521,12 +439,12 @@ func (dp *DP) runPull2() {
 	}
 }
 
-// runPull2NoNode is runPull2 for nil node weights — every packing hot path
-// (the sketch session and the space-time packer index edge weights only).
-// Column 0 and the source's row are peeled so the steady-state inner loop
-// carries no per-node boundary, source, or nil checks; dp fields are hoisted
-// into locals because stores through cost/pred keep the compiler from
-// proving dp itself is unmodified.
+// runPull2NoNode is runPull2 for nil node weights: Raw sketch sessions and
+// the space-time packer, which index edge weights only. Column 0 and the
+// source's row are peeled so the steady-state inner loop carries no per-node
+// boundary, source, or nil checks; dp fields are hoisted into locals because
+// stores through cost/pred keep the compiler from proving dp itself is
+// unmodified.
 //
 // Beyond the dead-row cutoff, each row's scan terminates early at the alive
 // frontier. A cell is alive when its cost is < bound; a dead cell — Inf or a
@@ -705,49 +623,6 @@ func (dp *DP) fillDead(from, to int) {
 	}
 	for j := range pred {
 		pred[j] = -1
-	}
-}
-
-// runFlatGeneric is the any-dimension serial push kernel (the original
-// RunFlat sweep, with the relaxation cutoff generalized from Inf to bound).
-// It survives only as the d > maxParAxes fallback; every d ≤ maxParAxes
-// window takes the pull path above.
-//
-//gridroute:hotpath
-func (dp *DP) runFlatGeneric(edgeX, nodeX []float64, bound float64) {
-	d := dp.box.D()
-	pt := dp.pt
-	copy(pt, dp.winLo)
-	boxID := dp.winBoxBase
-	for w := 0; w < dp.wsize; w++ {
-		c := dp.cost[w]
-		if c < bound {
-			base := boxID * d
-			for a := 0; a < d; a++ {
-				if pt[a]+1 >= dp.winHi[a] {
-					continue
-				}
-				nb := boxID + dp.box.stride[a]
-				nw := w + dp.wstr[a]
-				ec := c + edgeX[base+a]
-				if nodeX != nil {
-					ec += nodeX[nb]
-				}
-				if ec < dp.cost[nw] {
-					dp.cost[nw] = ec
-					dp.pred[nw] = int8(a)
-				}
-			}
-		}
-		for a := d - 1; a >= 0; a-- {
-			pt[a]++
-			boxID += dp.box.stride[a]
-			if pt[a] < dp.winHi[a] {
-				break
-			}
-			boxID -= dp.wdims[a] * dp.box.stride[a]
-			pt[a] = dp.winLo[a]
-		}
 	}
 }
 
@@ -972,12 +847,13 @@ func (dp *DP) heapPop() int32 {
 // propagating to successors only when the stored cost or predecessor
 // actually changed — so the repaired state is bit-identical to a cold rerun.
 // maxFrontier caps the dirty set (≤ 0 picks wsize/8 + 64); on overflow, or
-// when no flat run is cached, RerunFlat returns false and invalidates the
-// DP: the caller must fall back to a full RunFlat.
+// when no run is cached (a fresh DP, or a last run over an empty window),
+// RerunFlat returns false and invalidates the DP: the caller must fall back
+// to a full RunFlat.
 //
 //gridroute:hotpath
 func (dp *DP) RerunFlat(seeds []int, edgeX, nodeX []float64, maxFrontier int) bool {
-	if !dp.valid || !dp.flatRun {
+	if !dp.valid {
 		return false
 	}
 	if maxFrontier <= 0 {

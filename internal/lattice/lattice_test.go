@@ -3,6 +3,7 @@ package lattice
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,35 +89,60 @@ func TestPathEndVisit(t *testing.T) {
 	}
 }
 
-// bruteLightest computes the lightest path cost by Bellman-Ford-style
-// relaxation over the whole box (reference implementation).
-func bruteLightest(b *Box, src, dst []int, ew EdgeWeight, nw NodeWeight) float64 {
-	cost := make([]float64, b.Size())
-	for i := range cost {
-		cost[i] = math.Inf(1)
+// refLightest is the test oracle every DP kernel is checked against: a naive
+// push sweep over the window [winLo, winHi) ∩ b in row-major order (a
+// topological order), relaxing the in-window out-edges of every reachable
+// node with a strict <. It returns the clipped window as a box, whose ids
+// are window indices, with costs and predecessor axes laid out like DP's
+// own buffers; win is nil when the window is empty or misses src.
+func refLightest(b *Box, winLo, winHi, src []int, edgeX, nodeX []float64) (win *Box, cost []float64, pred []int8) {
+	d := b.D()
+	lo, hi := make([]int, d), make([]int, d)
+	for i := range lo {
+		lo[i], hi[i] = max(winLo[i], b.Lo[i]), min(winHi[i], b.Hi[i])
+		if hi[i] <= lo[i] || src[i] < lo[i] || src[i] >= hi[i] {
+			return nil, nil, nil
+		}
 	}
-	srcID := b.Index(src)
-	if nw != nil {
-		cost[srcID] = nw(srcID)
+	win = NewBox(lo, hi)
+	cost, pred = make([]float64, win.Size()), make([]int8, win.Size())
+	for w := range cost {
+		cost[w], pred[w] = Inf, -1
 	}
-	// Row-major order is topological.
-	for id := 0; id < b.Size(); id++ {
-		if math.IsInf(cost[id], 1) {
+	cost[win.Index(src)] = 0
+	if nodeX != nil {
+		cost[win.Index(src)] = nodeX[b.Index(src)]
+	}
+	p := make([]int, d)
+	for w := range cost {
+		if cost[w] == Inf {
 			continue
 		}
-		for a := 0; a < b.D(); a++ {
-			if n, ok := b.Step(id, a); ok {
-				c := cost[id] + ew(id, a)
-				if nw != nil {
-					c += nw(n)
-				}
-				if c < cost[n] {
-					cost[n] = c
-				}
+		id := b.Index(win.Point(w, p))
+		for a := 0; a < d; a++ {
+			nw, ok := win.Step(w, a)
+			if !ok {
+				continue
+			}
+			ec := cost[w] + edgeX[id*d+a]
+			if nodeX != nil {
+				ec += nodeX[id+b.Stride(a)]
+			}
+			if ec < cost[nw] {
+				cost[nw], pred[nw] = ec, int8(a)
 			}
 		}
 	}
-	return cost[b.Index(dst)]
+	return win, cost, pred
+}
+
+// filled returns a weight slice of n copies of v.
+func filled(n int, v float64) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = v
+	}
+	return x
 }
 
 func TestDPAgainstBruteForce(t *testing.T) {
@@ -130,16 +156,14 @@ func TestDPAgainstBruteForce(t *testing.T) {
 			hi[i] = lo[i] + 2 + rng.Intn(5)
 		}
 		b := NewBox(lo, hi)
-		ew := make([]float64, b.Size()*d)
-		for i := range ew {
-			ew[i] = rng.Float64()
+		edgeX := make([]float64, b.Size()*d)
+		for i := range edgeX {
+			edgeX[i] = rng.Float64()
 		}
-		nwArr := make([]float64, b.Size())
-		for i := range nwArr {
-			nwArr[i] = rng.Float64() * 0.3
+		nodeX := make([]float64, b.Size())
+		for i := range nodeX {
+			nodeX[i] = rng.Float64() * 0.3
 		}
-		edgeW := func(id, a int) float64 { return ew[id*d+a] }
-		nodeW := func(id int) float64 { return nwArr[id] }
 
 		src := append([]int(nil), lo...)
 		dst := make([]int, d)
@@ -147,11 +171,11 @@ func TestDPAgainstBruteForce(t *testing.T) {
 			dst[i] = lo[i] + rng.Intn(hi[i]-lo[i])
 		}
 		dp := b.NewDP()
-		dp.Run(lo, hi, src, edgeW, nodeW)
+		dp.RunFlat(lo, hi, src, edgeX, nodeX)
 		got := dp.CostAt(dst)
-		want := bruteLightest(b, src, dst, edgeW, nodeW)
-		if math.Abs(got-want) > 1e-9 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			t.Fatalf("trial %d: dp=%v brute=%v (src=%v dst=%v)", trial, got, want, src, dst)
+		win, cost, _ := refLightest(b, lo, hi, src, edgeX, nodeX)
+		if want := cost[win.Index(dst)]; got != want {
+			t.Fatalf("trial %d: dp=%v reference=%v (src=%v dst=%v)", trial, got, want, src, dst)
 		}
 		if !math.IsInf(got, 1) {
 			p := dp.PathTo(dst)
@@ -164,11 +188,11 @@ func TestDPAgainstBruteForce(t *testing.T) {
 			// Recompute cost along the path.
 			var c float64
 			cur := append([]int(nil), p.Start...)
-			c += nodeW(b.Index(cur))
+			c += nodeX[b.Index(cur)]
 			for _, a := range p.Axes {
-				c += edgeW(b.Index(cur), int(a))
+				c += edgeX[b.Index(cur)*d+int(a)]
 				cur[a]++
-				c += nodeW(b.Index(cur))
+				c += nodeX[b.Index(cur)]
 			}
 			if math.Abs(c-got) > 1e-9 {
 				t.Fatalf("path cost %v != dp cost %v", c, got)
@@ -186,8 +210,7 @@ func TestDPAgainstBruteForce(t *testing.T) {
 func TestDPWindowRestricts(t *testing.T) {
 	b := NewBox([]int{0, 0}, []int{10, 10})
 	dp := b.NewDP()
-	unit := func(id, a int) float64 { return 1 }
-	dp.Run([]int{0, 0}, []int{5, 5}, []int{0, 0}, unit, nil)
+	dp.RunFlat([]int{0, 0}, []int{5, 5}, []int{0, 0}, filled(b.Size()*2, 1), nil)
 	if dp.CostAt([]int{4, 4}) != 8 {
 		t.Fatalf("cost = %v, want 8", dp.CostAt([]int{4, 4}))
 	}
@@ -202,7 +225,7 @@ func TestDPWindowRestricts(t *testing.T) {
 func TestDPSourceOutsideWindow(t *testing.T) {
 	b := NewBox([]int{0}, []int{4})
 	dp := b.NewDP()
-	dp.Run([]int{2}, []int{4}, []int{0}, func(id, a int) float64 { return 0 }, nil)
+	dp.RunFlat([]int{2}, []int{4}, []int{0}, filled(b.Size(), 0), nil)
 	if !math.IsInf(dp.CostAt([]int{3}), 1) {
 		t.Fatal("invalid run should report Inf")
 	}
@@ -211,17 +234,36 @@ func TestDPSourceOutsideWindow(t *testing.T) {
 func TestDPReuse(t *testing.T) {
 	b := NewBox([]int{0, 0}, []int{6, 6})
 	dp := b.NewDP()
-	unit := func(id, a int) float64 { return 1 }
-	dp.Run([]int{0, 0}, []int{6, 6}, []int{0, 0}, unit, nil)
+	unit := filled(b.Size()*2, 1)
+	dp.RunFlat([]int{0, 0}, []int{6, 6}, []int{0, 0}, unit, nil)
 	first := dp.CostAt([]int{5, 5})
-	dp.Run([]int{1, 1}, []int{4, 4}, []int{1, 1}, unit, nil)
+	dp.RunFlat([]int{1, 1}, []int{4, 4}, []int{1, 1}, unit, nil)
 	if dp.CostAt([]int{3, 3}) != 4 {
 		t.Fatalf("after reuse cost = %v, want 4", dp.CostAt([]int{3, 3}))
 	}
-	dp.Run([]int{0, 0}, []int{6, 6}, []int{0, 0}, unit, nil)
+	dp.RunFlat([]int{0, 0}, []int{6, 6}, []int{0, 0}, unit, nil)
 	if dp.CostAt([]int{5, 5}) != first {
 		t.Fatalf("reuse changed result: %v vs %v", dp.CostAt([]int{5, 5}), first)
 	}
+}
+
+// TestNewDPRefusesTooManyAxes: the kernels decode coordinates into
+// maxParAxes-sized stack scratch, so NewDP must refuse a larger box up front
+// with a message naming the limit, not index out of range mid-run.
+func TestNewDPRefusesTooManyAxes(t *testing.T) {
+	lo, hi := make([]int, maxParAxes), make([]int, maxParAxes)
+	for i := range hi {
+		hi[i] = 2
+	}
+	NewBox(lo, hi).NewDP() // at the limit: accepted
+	big := NewBox(append(lo, 0), append(hi, 2))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "maxParAxes") {
+			t.Fatalf("NewDP over %d axes: panic %q, want one naming maxParAxes", big.D(), msg)
+		}
+	}()
+	big.NewDP()
 }
 
 func TestFloorDiv(t *testing.T) {
@@ -253,7 +295,7 @@ func TestHopsEqualL1Quick(t *testing.T) {
 	b := NewBox([]int{0, 0, 0}, []int{4, 4, 4})
 	dp := b.NewDP()
 	rng := rand.New(rand.NewSource(3))
-	ew := func(id, a int) float64 { return rng.Float64() }
+	edgeX := make([]float64, b.Size()*3)
 	f := func(sx, sy, sz, dx, dy, dz uint8) bool {
 		s := []int{int(sx % 4), int(sy % 4), int(sz % 4)}
 		d := []int{int(dx % 4), int(dy % 4), int(dz % 4)}
@@ -262,7 +304,10 @@ func TestHopsEqualL1Quick(t *testing.T) {
 				s[i], d[i] = d[i], s[i]
 			}
 		}
-		dp.Run(b.Lo, b.Hi, s, ew, nil)
+		for i := range edgeX {
+			edgeX[i] = rng.Float64()
+		}
+		dp.RunFlat(b.Lo, b.Hi, s, edgeX, nil)
 		p := dp.PathTo(d)
 		return p != nil && p.Len() == L1(s, d)
 	}
@@ -271,64 +316,37 @@ func TestHopsEqualL1Quick(t *testing.T) {
 	}
 }
 
-// TestRunFlatMatchesRun checks that the flat-slice DP produces exactly the
-// same costs and predecessors as the closure-based DP for random weight
-// assignments, with and without node weights.
-func TestRunFlatMatchesRun(t *testing.T) {
+// TestRunFlatMatchesReference checks RunFlat against the naive push sweep
+// bit for bit — every window cost and predecessor — for random weights, with
+// and without node weights, over boxes of 1 to 5 axes: lines up to the
+// 5-axis space-time boxes of 4-D scenario grids. Odd trials pass a window
+// overhanging the box on every side, so the clipping is checked too.
+func TestRunFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		d := 2 + rng.Intn(2)
-		lo := make([]int, d)
-		hi := make([]int, d)
-		for i := range lo {
-			lo[i] = rng.Intn(3) - 1
-			hi[i] = lo[i] + 2 + rng.Intn(4)
-		}
-		b := NewBox(lo, hi)
-		edgeX := make([]float64, b.Size()*d)
-		nodeX := make([]float64, b.Size())
-		for i := range edgeX {
-			edgeX[i] = rng.Float64()
-		}
-		for i := range nodeX {
-			nodeX[i] = rng.Float64()
+	for trial := 0; trial < 60; trial++ {
+		d := 1 + rng.Intn(5)
+		b, edgeX, nodeX := randomBoxWeights(rng, d, 5)
+		winLo, winHi, src := randomWindow(rng, b)
+		if trial%2 == 1 {
+			for i := range winLo {
+				winLo[i], winHi[i] = b.Lo[i]-1, b.Hi[i]+1
+			}
 		}
 		var useNode []float64
-		if trial%2 == 0 {
+		if trial%4 < 2 {
 			useNode = nodeX
 		}
-		var nodeW NodeWeight
-		if useNode != nil {
-			nodeW = func(id int) float64 { return nodeX[id] }
+		dp := b.NewDP()
+		dp.RunFlat(winLo, winHi, src, edgeX, useNode)
+		win, cost, pred := refLightest(b, winLo, winHi, src, edgeX, useNode)
+		if !dp.valid || dp.wsize != win.Size() {
+			t.Fatalf("trial %d (d=%d): valid=%v wsize=%d, reference window has %d nodes",
+				trial, d, dp.valid, dp.wsize, win.Size())
 		}
-
-		src := make([]int, d)
-		for i := range src {
-			src[i] = lo[i] + rng.Intn(hi[i]-lo[i])
-		}
-		dpA := b.NewDP()
-		dpB := b.NewDP()
-		dpA.Run(lo, hi, src, func(id, a int) float64 { return edgeX[id*d+a] }, nodeW)
-		dpB.RunFlat(lo, hi, src, edgeX, useNode)
-
-		probe := make([]int, d)
-		for id := 0; id < b.Size(); id++ {
-			b.Point(id, probe)
-			ca, cb := dpA.CostAt(probe), dpB.CostAt(probe)
-			if ca != cb {
-				t.Fatalf("trial %d point %v: Run cost %v != RunFlat cost %v", trial, probe, ca, cb)
-			}
-			if ca == Inf {
-				continue
-			}
-			pa, pb := dpA.PathTo(probe), dpB.PathTo(probe)
-			if len(pa.Axes) != len(pb.Axes) {
-				t.Fatalf("trial %d point %v: path lengths differ", trial, probe)
-			}
-			for j := range pa.Axes {
-				if pa.Axes[j] != pb.Axes[j] {
-					t.Fatalf("trial %d point %v: paths diverge at step %d", trial, probe, j)
-				}
+		for w := range cost {
+			if dp.cost[w] != cost[w] || dp.pred[w] != pred[w] {
+				t.Fatalf("trial %d (d=%d) node %v: RunFlat (%v,%d) != reference (%v,%d)",
+					trial, d, win.Point(w, nil), dp.cost[w], dp.pred[w], cost[w], pred[w])
 			}
 		}
 	}

@@ -10,15 +10,16 @@
 // are no per-wavefront barriers — the bands stream diagonally across the
 // window like a systolic array.
 //
-// Bit-identity with the serial sweep: the parallel kernel relaxes by
-// *pulling* — each node computes min over its in-window predecessors, axes
-// in ascending order, strict < — and every node is written by exactly one
-// worker. The serial push sweep processes a node's predecessors in ascending
-// window-index order, which is exactly ascending axis order (window strides
-// decrease with axis), and overwrites only on strict improvement; both
-// therefore keep the lowest-axis predecessor on cost ties, and both evaluate
-// the identical float expression cost(u) + edgeX[...] (+ nodeX[...]). The
-// source node is initialized up front and skipped by every chunk.
+// Bit-identity with the serial sweep: both kernels relax by *pulling* — each
+// node computes min over its in-window predecessors, axes in ascending order,
+// strict < — and every node is written by exactly one worker. Both also
+// match a naive push sweep (the tests' reference): pushing in row-major
+// order visits a node's predecessors in ascending window-index order, which
+// is exactly ascending axis order (window strides decrease with axis), and
+// overwrites only on strict improvement; so all three keep the lowest-axis
+// predecessor on cost ties, and all evaluate the identical float expression
+// cost(u) + edgeX[...] (+ nodeX[...]). The source node is initialized up
+// front and skipped by every chunk.
 package lattice
 
 import (
@@ -27,9 +28,10 @@ import (
 	"sync/atomic"
 )
 
-// maxParAxes bounds the dimensionality the parallel and incremental kernels
-// handle with stack scratch; higher-dimensional boxes (unused in practice)
-// fall back to the serial generic kernel.
+// maxParAxes bounds the number of axes of a DP's box: the generic pull
+// kernel and RerunFlat decode window coordinates into stack scratch of this
+// size, and NewDP refuses larger boxes. Scenario grids have at most 4
+// spatial axes, so their space-time boxes have at most 5.
 const maxParAxes = 16
 
 // DefaultMinWindow is the window-size crossover below which an attached Pool

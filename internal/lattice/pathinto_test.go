@@ -26,7 +26,7 @@ func TestPathIntoMatchesPathTo(t *testing.T) {
 			ew[i] = rng.Float64()
 		}
 		dp := b.NewDP()
-		dp.Run(lo, hi, lo, func(id, a int) float64 { return ew[id*d+a] }, nil)
+		dp.RunFlat(lo, hi, lo, ew, nil)
 
 		// Probe several destinations per DP so the reused Path shrinks and
 		// grows across calls.

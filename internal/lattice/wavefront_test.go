@@ -64,7 +64,7 @@ func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 }
 
 // TestWavefrontMatchesSerial: the parallel pull kernel must produce
-// bit-identical costs AND predecessors to the serial push sweep, for every
+// bit-identical costs AND predecessors to the serial sweep, for every
 // pool width, window shape, and source position — including windows far
 // below any realistic crossover (MinWindow=1 forces the parallel path).
 func TestWavefrontMatchesSerial(t *testing.T) {
@@ -219,14 +219,23 @@ func TestRerunFlatOverflowFallback(t *testing.T) {
 	requireIdentical(t, "recover", cold, dp)
 }
 
-// TestRerunFlatRequiresFlatRun: closure-based Run leaves no flat weights to
-// pull from, so RerunFlat must refuse.
+// TestRerunFlatRequiresFlatRun: RerunFlat repairs a cached solution, so it
+// must refuse when there is none — on a fresh DP, and after a run whose
+// window clipped to nothing, even if an earlier run had succeeded.
 func TestRerunFlatRequiresFlatRun(t *testing.T) {
 	b := NewBox([]int{0, 0}, []int{4, 4})
+	edgeX := make([]float64, b.Size()*2)
 	dp := b.NewDP()
-	dp.Run(b.Lo, b.Hi, b.Lo, func(id, a int) float64 { return 1 }, nil)
-	if dp.RerunFlat([]int{1}, make([]float64, b.Size()*2), nil, 0) {
-		t.Fatal("RerunFlat after closure Run must return false")
+	if dp.RerunFlat([]int{1}, edgeX, nil, 0) {
+		t.Fatal("RerunFlat on a fresh DP must return false")
+	}
+	dp.RunFlat(b.Lo, b.Hi, b.Lo, edgeX, nil)
+	if !dp.RerunFlat([]int{1}, edgeX, nil, 0) {
+		t.Fatal("RerunFlat after a full run refused")
+	}
+	dp.RunFlat([]int{4, 0}, []int{6, 4}, []int{4, 0}, edgeX, nil)
+	if dp.RerunFlat([]int{1}, edgeX, nil, 0) {
+		t.Fatal("RerunFlat after a run over an empty window must return false")
 	}
 }
 

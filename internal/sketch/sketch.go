@@ -102,11 +102,11 @@ type Session struct {
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
 
-	// Warm-start cache (dense packers only): the DP solution of the last
-	// query stays valid while the packer's version is unchanged, and repairs
-	// incrementally when exactly one path committed since — the committed
-	// edges (ipp.LastCommitted) seed a re-relaxation frontier instead of a
-	// full window sweep. Any window/source/packer mismatch, a multi-commit
+	// Warm-start cache: the DP solution of the last query stays valid while
+	// the packer's version is unchanged, and repairs incrementally when
+	// exactly one path committed since — the committed edges
+	// (ipp.LastCommitted) seed a re-relaxation frontier instead of a full
+	// window sweep. Any window/source/packer mismatch, a multi-commit
 	// delta, or a frontier overflow falls back to the full RunFlat.
 	warm      bool
 	lastPk    *ipp.Packer
@@ -203,6 +203,18 @@ func (s *Session) warmRun(pk *ipp.Packer, xs, nodeX []float64) bool {
 // is laid out so the lightest-path DP can index it directly (RunFlat).
 func (g *Graph) Universe() int {
 	return g.Tl.TBox.Size() * (g.axes + 1)
+}
+
+// nodeWeights returns RunFlat's node-weight slice for a weight universe xs:
+// the interior-edge tail in Downscaled mode, nil in Raw mode. The head of xs
+// is already RunFlat's edge layout, since AxisEdgeID(id, a) = id·axes+a.
+//
+//gridroute:hotpath
+func (g *Graph) nodeWeights(xs []float64) []float64 {
+	if g.Mode != Downscaled {
+		return nil
+	}
+	return xs[g.Tl.TBox.Size()*g.axes:]
 }
 
 // AxisEdgeID returns the ipp edge id of the inter-tile edge leaving tileID
@@ -397,38 +409,22 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	g := s.g
-	if xs := pk.Weights(); xs != nil {
-		// Dense packer: AxisEdgeID(id, a) = id·axes+a matches RunFlat's edge
-		// layout, and the interior-edge weights form the contiguous tail of
-		// the universe — exactly RunFlat's node-weight slice.
-		var nodeX []float64
-		if g.Mode == Downscaled {
-			nodeX = xs[g.Tl.TBox.Size()*g.axes:]
-		}
-		if !s.warmRun(pk, xs, nodeX) {
-			s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
-		}
-		if s.warm {
-			s.lastPk, s.lastVer, s.lastValid = pk, pk.Version(), true
-			copy(s.lastWinLo, s.winLo)
-			copy(s.lastWinHi, s.winHi)
-			copy(s.lastSrc, s.srcTile)
-		}
-	} else {
-		var nodeW lattice.NodeWeight
-		if g.Mode == Downscaled {
-			nodeW = func(id int) float64 { return pk.Weight(g.InteriorEdgeID(id)) } //gridlint:allow closure-mode fallback: cold path, flat kernels serve steady state
-		}
-		edgeW := func(id, a int) float64 { return pk.Weight(g.AxisEdgeID(id, a)) } //gridlint:allow closure-mode fallback: cold path, flat kernels serve steady state
-		s.dp.Run(s.winLo, s.winHi, s.srcTile, edgeW, nodeW)
-		s.lastValid = false // closure runs leave no flat state to warm-start
+	xs := pk.Weights()
+	nodeX := s.g.nodeWeights(xs)
+	if !s.warmRun(pk, xs, nodeX) {
+		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
+	}
+	if s.warm {
+		s.lastPk, s.lastVer, s.lastValid = pk, pk.Version(), true
+		copy(s.lastWinLo, s.winLo)
+		copy(s.lastWinHi, s.winHi)
+		copy(s.lastSrc, s.srcTile)
 	}
 	return s.extractRoute(out)
 }
 
 // snapshotWindow copies the weight rows covered by the prepared window from
-// the dense packer weight slice `from` into the caller's snapshot buffer
+// the packer weight slice `from` into the caller's snapshot buffer
 // `into` (both laid out over the full edge universe, Universe() long). Only
 // the window's rows are touched, so a snapshot costs O(window), not
 // O(universe). The axis-edge weights of a contiguous last-axis run of tiles
@@ -466,38 +462,30 @@ func (s *Session) snapshotWindow(from, into []float64) {
 }
 
 // solveSnapshot runs the lightest-route DP for the prepared query over a
-// snapshot weight slice (laid out like the packer's dense weights) and
+// snapshot weight slice (laid out like the packer's weights) and
 // extracts the route into out. The session's packer-keyed warm cache is
 // invalidated: the DP state now reflects snapshot, not live, weights.
 //
 //gridroute:hotpath
 func (s *Session) solveSnapshot(xs []float64, out *Route) bool {
-	var nodeX []float64
-	if s.g.Mode == Downscaled {
-		nodeX = xs[s.g.Tl.TBox.Size()*s.g.axes:]
-	}
-	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
+	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
 	s.lastValid = false
 	return s.extractRoute(out)
 }
 
 // LightestRouteMasked is LightestRouteInto under a resource-outage mask: the
-// query is solved over a snapshot of the dense packer weights in which every
+// query is solved over a snapshot of the packer weights in which every
 // blocked edge id costs +Inf, so no route can traverse a failed resource.
 // Reported costs remain true live costs — a masked edge can only appear on an
 // infinite-cost route, which extraction rejects. buf must be Universe() long;
 // only the prepared window's rows are (re)written per call, and entries
 // outside the window may hold stale values from earlier calls — the DP never
-// reads outside the window, so they are harmless. Requires a dense packer.
+// reads outside the window, so they are harmless.
 func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, buf []float64, out *Route) bool {
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	xs := pk.Weights()
-	if xs == nil {
-		panic("sketch: LightestRouteMasked requires a dense packer")
-	}
-	s.snapshotWindow(xs, buf)
+	s.snapshotWindow(pk.Weights(), buf)
 	for _, e := range blocked {
 		buf[e] = math.Inf(1)
 	}

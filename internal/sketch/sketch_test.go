@@ -63,7 +63,7 @@ func TestEdgeIDRoundTrip(t *testing.T) {
 
 func TestLightestRouteStraightLine(t *testing.T) {
 	st, down, _ := lineSetup(32, 2, 2, 200, 4)
-	pk := ipp.New(100, down.Cap)
+	pk := ipp.NewDense(100, down.Cap, down.Universe())
 	r := &grid.Request{Src: grid.Vec{1}, Dst: grid.Vec{9}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
@@ -87,7 +87,7 @@ func TestLightestRouteStraightLine(t *testing.T) {
 
 func TestLightestRouteRespectsDeadlineRay(t *testing.T) {
 	st, down, _ := lineSetup(32, 2, 2, 200, 4)
-	pk := ipp.New(100, down.Cap)
+	pk := ipp.NewDense(100, down.Cap, down.Universe())
 	// Tight deadline: only earliest copies qualify.
 	r := &grid.Request{Src: grid.Vec{1}, Dst: grid.Vec{9}, Arrival: 0, Deadline: 9}
 	src := st.SourcePoint(r)
@@ -109,7 +109,7 @@ func TestLightestRouteRespectsDeadlineRay(t *testing.T) {
 
 func TestMaxTilesBudget(t *testing.T) {
 	st, down, _ := lineSetup(64, 2, 2, 400, 4)
-	pk := ipp.New(1000, down.Cap)
+	pk := ipp.NewDense(1000, down.Cap, down.Universe())
 	r := &grid.Request{Src: grid.Vec{0}, Dst: grid.Vec{40}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
@@ -125,7 +125,7 @@ func TestMaxTilesBudget(t *testing.T) {
 
 func TestWeightsDivertRoutes(t *testing.T) {
 	st, down, _ := lineSetup(16, 3, 3, 200, 4)
-	pk := ipp.New(50, down.Cap)
+	pk := ipp.NewDense(50, down.Cap, down.Universe())
 	r := &grid.Request{Src: grid.Vec{1}, Dst: grid.Vec{9}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
@@ -155,7 +155,7 @@ func TestWeightsDivertRoutes(t *testing.T) {
 
 func TestRouteTilesConsistent(t *testing.T) {
 	st, _, raw := lineSetup(32, 1, 1, 200, 8)
-	pk := ipp.New(100, raw.Cap)
+	pk := ipp.NewDense(100, raw.Cap, raw.Universe())
 	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{20}, Arrival: 3, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
@@ -193,7 +193,7 @@ func TestGrid2DRoute(t *testing.T) {
 	if got := sk.Cap(sk.InteriorEdgeID(0)); got != 3 {
 		t.Fatalf("2-d interior cap = %v, want 3", got)
 	}
-	pk := ipp.New(100, sk.Cap)
+	pk := ipp.NewDense(100, sk.Cap, sk.Universe())
 	r := &grid.Request{Src: grid.Vec{0, 1}, Dst: grid.Vec{6, 5}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
