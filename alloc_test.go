@@ -243,32 +243,6 @@ func TestDPRerunFlatWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestDPWavefrontWarmAllocFree: the parallel band pipeline reuses its
-// progress counters and band table — a warm parallel RunFlat must not
-// allocate on the submitting goroutine or in the workers.
-func TestDPWavefrontWarmAllocFree(t *testing.T) {
-	skipIfRace(t)
-	pool := lattice.NewPool(2)
-	defer pool.Close()
-	pool.MinWindow = 1
-	b := lattice.NewBox([]int{0, 0}, []int{24, 24})
-	edgeX := make([]float64, b.Size()*2)
-	rng := rand.New(rand.NewSource(44))
-	for i := range edgeX {
-		edgeX[i] = rng.Float64()
-	}
-	dp := b.NewDP()
-	dp.SetPool(pool)
-	src := []int{0, 0}
-	dp.RunFlat(b.Lo, b.Hi, src, edgeX, nil)
-	allocs := testing.AllocsPerRun(50, func() {
-		dp.RunFlat(b.Lo, b.Hi, src, edgeX, nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm parallel RunFlat allocates %v/run, want 0", allocs)
-	}
-}
-
 // TestSTPackerLightestPathWarmAllocFree: the Theorem 13 / dual-bound oracle's
 // path search (DP + destination-ray scan) allocates only the returned path
 // once warm (1 Path struct + 1 coord slice + 1 axes slice, plus the source

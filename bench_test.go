@@ -314,36 +314,6 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	})
 }
 
-// BenchmarkDPWavefront measures the pipelined parallel DP kernel at a few
-// pool widths against the same window the serial DPRunFlat benchmark sweeps.
-// It is deliberately outside the CI perf gate's filter: on a single-CPU
-// runner the timing is scheduler-dominated; on multicore hardware it is the
-// speedup evidence for the crossover guidance in README "Performance".
-func BenchmarkDPWavefront(b *testing.B) {
-	box := lattice.NewBox([]int{0, 0}, []int{96, 96})
-	edgeX := make([]float64, box.Size()*2)
-	rng := rand.New(rand.NewSource(1))
-	for i := range edgeX {
-		edgeX[i] = rng.Float64()
-	}
-	src := []int{0, 0}
-	for _, workers := range []int{2, 4, 8} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			pool := lattice.NewPool(workers)
-			defer pool.Close()
-			pool.MinWindow = 1
-			dp := box.NewDP()
-			dp.SetPool(pool)
-			dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
-			}
-		})
-	}
-}
-
 // --- Table 1 -----------------------------------------------------------------
 
 func BenchmarkTable1PriorAlgorithms(b *testing.B) {

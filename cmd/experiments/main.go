@@ -13,7 +13,6 @@
 //	go run ./cmd/experiments                 # full sweep (a few minutes)
 //	go run ./cmd/experiments -quick          # small sweep (seconds)
 //	go run ./cmd/experiments -quick -j 4     # same tables, 4 workers
-//	go run ./cmd/experiments -dp-workers 4   # parallel admission DP, same tables
 //	go run ./cmd/experiments -run 'T[12]'    # only experiments matching the regexp
 //	go run ./cmd/experiments -timeout 2m     # per-experiment attempt timeout
 //	go run ./cmd/experiments -subtimeout 20s # per-sub-case timeout inside sweeps
@@ -50,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"gridroute/internal/core"
 	"gridroute/internal/experiments"
 	"gridroute/internal/shard"
 )
@@ -89,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	artifact := fs.String("artifact", "", "shard artifact output file (default shard-<i>-of-<m>.json; only with -shard)")
 	merge := fs.Bool("merge", false, "merge the shard artifacts given as arguments into canonical markdown/JSON instead of running experiments")
 	stableJSON := fs.Bool("stable-json", false, "omit timing/machine-dependent fields (durations, workers) from -json so outputs diff byte-identically across runs; implied by -merge")
-	dpWorkers := fs.Int("dp-workers", 1, "wavefront workers per admission DP (1 = serial; results are bit-identical at any setting)")
 	// Honour the standard `--` end-of-flags terminator before any
 	// re-parsing below can swallow it: everything after it is positional.
 	var files, terminated []string
@@ -134,7 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// to work while doing nothing.
 		shapers := map[string]bool{"quick": true, "run": true, "j": true, "timeout": true,
 			"subtimeout": true, "retries": true, "list": true, "cpuprofile": true,
-			"memprofile": true, "dp-workers": true}
+			"memprofile": true}
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			if shapers[f.Name] && conflict == "" {
@@ -189,11 +186,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-
-	// DP parallelism is a pure throughput knob (decisions are
-	// bit-identical), set process-wide so every DetConfig literal in the
-	// registry picks it up.
-	core.SetDefaultDPWorkers(*dpWorkers)
 
 	exps, err := experiments.Select(*runPat)
 	if err != nil {

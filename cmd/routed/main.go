@@ -40,7 +40,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -125,7 +124,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	throttle := fs.Duration("throttle", 0, "pause between submissions per producer (paces the feed)")
 	statsEvery := fs.Duration("stats", 0, "live counter interval on stderr (0 = off)")
 	jsonPath := fs.String("json", "", "write the metrics JSON to this file instead of stdout")
-	dpWorkers := fs.Int("dp-workers", runtime.NumCPU(), "wavefront workers for the admission DP (1 = serial; decisions are identical at any setting)")
 	walPath := fs.String("wal", "", "write-ahead decision log path; an existing non-empty log is recovered first")
 	walSync := fs.Int("wal-sync", 0, "WAL fsync batch size in decisions (0 = default)")
 	declogPath := fs.String("declog", "", "write the final decision log (seq verdict cost tiles per line) to this file")
@@ -191,7 +189,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// InOrder keeps the decision sequence (and therefore every metric
 		// below) independent of producer interleaving.
 		InOrder:         true,
-		DPWorkers:       *dpWorkers,
 		RecordDecisions: *declogPath != "",
 		GapTimeout:      *gapTimeout,
 		Injector:        inj,

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
@@ -22,29 +21,6 @@ type DetConfig struct {
 	PMax int
 	// TileSide overrides k (0 = ⌈log₂(1+3·pmax)⌉).
 	TileSide int
-	// DPWorkers sizes the wavefront pool the admission DP runs on
-	// (engine.Options.DPWorkers). 0 uses the process default set by
-	// SetDefaultDPWorkers; ≤ 1 after defaulting keeps the DP serial.
-	// Decisions are bit-identical at every setting.
-	DPWorkers int
-}
-
-// defaultDPWorkers is the process-wide DP parallelism applied when
-// DetConfig.DPWorkers is 0. It exists so experiment drivers with many
-// literal DetConfig{...} sites can set parallelism once, at flag-parse
-// time, without threading a value through every call.
-var defaultDPWorkers atomic.Int32
-
-// SetDefaultDPWorkers sets the DPWorkers value used by zero-valued
-// DetConfig fields. n ≤ 1 means serial (the initial default).
-func SetDefaultDPWorkers(n int) { defaultDPWorkers.Store(int32(n)) }
-
-// dpWorkersOf resolves a config's DPWorkers against the process default.
-func dpWorkersOf(cfg *DetConfig) int {
-	if cfg.DPWorkers != 0 {
-		return cfg.DPWorkers
-	}
-	return int(defaultDPWorkers.Load())
 }
 
 // ReqOutcome is the per-request result of the deterministic algorithm.
@@ -121,7 +97,6 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 	eng, err := engine.New(g, engine.Options{
 		Horizon: horizon, PMax: pmax, TileSide: k,
 		Queue: 1, ExpectPackets: len(reqs),
-		DPWorkers: dpWorkersOf(&cfg),
 	})
 	if err != nil {
 		return nil, err

@@ -38,7 +38,6 @@ import (
 	"gridroute/internal/fault"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
-	"gridroute/internal/lattice"
 	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 	"gridroute/internal/tiling"
@@ -157,12 +156,6 @@ type Options struct {
 	// Result.Decisions (queue-full rejections are not recorded: they never
 	// reach the loop).
 	RecordDecisions bool
-	// DPWorkers sizes the wavefront worker pool the sketch session's
-	// lightest-path DP runs on: windows above the crossover threshold relax
-	// in parallel across DPWorkers bands, bit-identically to the serial
-	// sweep, so every decision (and all downstream output) is independent of
-	// the setting. ≤ 1 disables the pool.
-	DPWorkers int
 	// NoWarmStart disables incremental DP reuse between successive admits
 	// (sketch.Session warm start). Warm and cold engines decide identically;
 	// the switch exists for parity tests and benchmarks.
@@ -292,7 +285,6 @@ type Engine struct {
 	sk      *sketch.Graph
 	sess    *sketch.Session
 	pk      *ipp.Packer
-	dpPool  *lattice.Pool
 	horizon int64
 	pmax    int
 	k       int
@@ -392,6 +384,9 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if opts.PMax <= 0 {
 		return nil, errors.New("engine: Options.PMax must be positive (use core.PMaxDet for the paper's bound)")
 	}
+	if opts.TileSide < 0 {
+		return nil, errors.New("engine: Options.TileSide must not be negative (0 derives k from PMax)")
+	}
 	k := opts.TileSide
 	if k == 0 {
 		k = ipp.K(opts.PMax)
@@ -433,10 +428,6 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	}
 	if opts.InOrder {
 		e.parked = make(map[int]*pending)
-	}
-	if opts.DPWorkers > 1 {
-		e.dpPool = lattice.NewPool(opts.DPWorkers)
-		e.sess.SetDPPool(e.dpPool)
 	}
 	if opts.NoWarmStart {
 		e.sess.SetWarmStart(false)

@@ -378,25 +378,6 @@ func TestEngineWarmStartParity(t *testing.T) {
 	}
 }
 
-// TestEngineDPWorkersParity: the engine must make bit-identical decisions at
-// any DPWorkers setting — the wavefront pool is a pure throughput knob.
-func TestEngineDPWorkersParity(t *testing.T) {
-	g, reqs, opts := workload(t, 48, 200, 96, 17)
-	opts.RecordDecisions = true
-	_, serialRes := stream(t, g, reqs, opts)
-	for _, workers := range []int{2, 4} {
-		popts := opts
-		popts.DPWorkers = workers
-		_, parRes := stream(t, g, reqs, popts)
-		if !reflect.DeepEqual(stripWait(serialRes.Decisions), stripWait(parRes.Decisions)) {
-			t.Fatalf("DPWorkers=%d decision log diverges from serial", workers)
-		}
-		if parRes.MaxLoad != serialRes.MaxLoad || parRes.Throughput != serialRes.Throughput {
-			t.Fatalf("DPWorkers=%d result diverges", workers)
-		}
-	}
-}
-
 // TestEngineInvalidPackets checks that infeasible and out-of-order packets
 // are rejected without perturbing the packer state: a valid stream with
 // garbage interleaved decides the valid packets exactly as a clean stream.
@@ -483,5 +464,33 @@ func TestEngineRefusesTooManyDimensions(t *testing.T) {
 	opts.WALPath = filepath.Join(t.TempDir(), "engine.wal")
 	if _, _, err := engine.Recover(big, opts); err == nil || !strings.Contains(err.Error(), "MaxAxes") {
 		t.Fatalf("Recover on a %d-D grid: err %v, want one naming detroute.MaxAxes", big.D(), err)
+	}
+}
+
+// TestEngineRejectsBadOptions: out-of-range sizing options must fail New and
+// Recover with an error naming the option, not panic further into
+// construction (a negative tile side reaches tiling.New otherwise).
+func TestEngineRejectsBadOptions(t *testing.T) {
+	g := grid.New([]int{4, 4}, 3, 3)
+	pmax := core.PMaxDet(g)
+	cases := []struct {
+		field string
+		opts  engine.Options
+	}{
+		{"Horizon", engine.Options{Horizon: 0, PMax: pmax}},
+		{"Horizon", engine.Options{Horizon: -1, PMax: pmax}},
+		{"PMax", engine.Options{Horizon: 16, PMax: 0}},
+		{"PMax", engine.Options{Horizon: 16, PMax: -1}},
+		{"TileSide", engine.Options{Horizon: 16, PMax: pmax, TileSide: -1}},
+	}
+	for _, c := range cases {
+		opts := c.opts
+		if _, err := engine.New(g, opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("New(%+v): err %v, want one naming Options.%s", opts, err, c.field)
+		}
+		opts.WALPath = filepath.Join(t.TempDir(), "engine.wal")
+		if _, _, err := engine.Recover(g, opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("Recover(%+v): err %v, want one naming Options.%s", opts, err, c.field)
+		}
 	}
 }

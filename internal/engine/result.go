@@ -126,10 +126,6 @@ func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Unlock()
 	select {
 	case <-e.done:
-		// The consumer loop has exited; no further DP runs can be submitted,
-		// so the wavefront pool (if any) can be torn down. Close is nil-safe
-		// and idempotent, matching Drain's own contract.
-		e.dpPool.Close()
 		// The loop was the only WAL writer and it is gone (loop exit
 		// happens-before the done close), so the log can be flushed and
 		// closed here. A clean Drain leaves a fully-synced log with no torn

@@ -207,21 +207,34 @@ type DP struct {
 	winBoxBase int     // box.Index(winLo): box id of the window origin
 	lastBound  float64 // relaxation bound of the last run (Inf = exact)
 
-	pool *Pool    // optional wavefront worker pool (nil = always serial)
-	par  parState // per-run parallel bookkeeping (reused)
+	sweep sweepArgs // arguments of the current run's pull kernel
 
 	heap      []int32  // RerunFlat frontier: binary min-heap of window ids
 	mark      []uint32 // epoch-stamped in-frontier marks
 	markEpoch uint32
 }
 
+// maxAxes bounds the number of axes of a DP's box: the generic pull kernel
+// and RerunFlat decode window coordinates into stack scratch of this size,
+// and NewDP refuses larger boxes. Scenario grids have at most 4 spatial
+// axes, so their space-time boxes have at most 5.
+const maxAxes = 16
+
+// sweepArgs holds the arguments of a DP's pull kernel for the current run.
+type sweepArgs struct {
+	edgeX []float64
+	nodeX []float64
+	bound float64
+	cols  int // flattened rest-space size (wsize / wdims[0])
+}
+
 // NewDP returns a DP bound to box. Panics if the box has more than
-// maxParAxes axes: the kernels decode coordinates into fixed-size stack
+// maxAxes axes: the kernels decode coordinates into fixed-size stack
 // scratch, and boxes are configuration.
 func (b *Box) NewDP() *DP {
 	d := len(b.Lo)
-	if d > maxParAxes {
-		panic(fmt.Sprintf("lattice: DP over %d axes exceeds maxParAxes = %d", d, maxParAxes))
+	if d > maxAxes {
+		panic(fmt.Sprintf("lattice: DP over %d axes exceeds maxAxes = %d", d, maxAxes))
 	}
 	return &DP{
 		box:   b,
@@ -253,8 +266,8 @@ func (dp *DP) inWindow(p []int) bool {
 // setupWindow clips the window to the box and sizes the cost/pred buffers.
 // It returns the window index of src, or ok=false when the window is empty
 // or src lies outside it. Buffers are reused across calls, so a warm DP
-// allocates nothing. The buffers are NOT reset here: the pull kernels (serial
-// and parallel) write every node of the window themselves.
+// allocates nothing. The buffers are NOT reset here: the pull kernels write
+// every node of the window themselves.
 //
 //gridroute:hotpath
 func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
@@ -305,10 +318,6 @@ func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
 // slices are an ipp packer's weight universe, indexed directly with no call
 // or hash per relaxation. After RunFlat, use CostAt and PathTo.
 //
-// When a Pool has been attached via SetPool and the window clears the pool's
-// crossover threshold, the relaxation runs on the pool's wavefront workers;
-// results are bit-identical to the serial sweep (see parallel.go).
-//
 //gridroute:hotpath
 func (dp *DP) RunFlat(winLo, winHi, src []int, edgeX, nodeX []float64) {
 	dp.runFlatBounded(winLo, winHi, src, edgeX, nodeX, Inf)
@@ -335,25 +344,21 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 		return
 	}
 	dp.lastBound = bound
-	if p := dp.pool; p != nil && p.Workers() > 1 &&
-		dp.wsize >= p.minWindow() && dp.wdims[0] >= 2 {
-		if dp.runFlatParallel(edgeX, nodeX, bound) {
-			return
-		}
-	}
-	// Serial pull sweep: every window node is computed from its (already
-	// final) predecessors and written exactly once, so no O(window) Inf/−1
-	// reset pass is needed. The kernel map, by caller:
+	// Pull sweep: every window node is computed from its (already final)
+	// predecessors and written exactly once, so no O(window) Inf/−1 reset
+	// pass is needed. Each node takes the min over its in-window
+	// predecessors, axes in ascending order, strict <; that is also the
+	// order in which a naive row-major push sweep (the tests' reference)
+	// reaches it, so both keep the lowest-axis predecessor on cost ties. The
+	// source is written up front and skipped by the kernels. The kernel map,
+	// by caller:
 	//   - runPull2 (2 axes, nodeX set): Downscaled sketch sessions — the
 	//     engine and core.RunDeterministic — on a line;
 	//   - runPull2NoNode (2 axes, nodeX nil): Raw sketch sessions
 	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
 	//   - runChunkGeneric (3 or more axes): Downscaled sessions and
 	//     STPacker on 2-D and 3-D grids.
-	ps := &dp.par
-	ps.edgeX, ps.nodeX, ps.bound = edgeX, nodeX, bound
-	rows := dp.wdims[0]
-	ps.cols = dp.wsize / rows
+	dp.sweep = sweepArgs{edgeX: edgeX, nodeX: nodeX, bound: bound, cols: dp.wsize / dp.wdims[0]}
 	if nodeX != nil {
 		dp.cost[srcW] = nodeX[dp.box.Index(src)]
 	} else {
@@ -363,31 +368,30 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	if dp.box.D() == 2 {
 		dp.runPull2()
 	} else {
-		dp.runChunkGeneric(0, rows, 0, ps.cols)
+		dp.runChunkGeneric()
 	}
 }
 
-// runPull2 is the serial d == 2 pull sweep: runChunk2 over the whole window,
-// plus a dead-row cutoff the banded parallel kernel cannot take. Once a row at
-// or past the source's row ends with every cost ≥ bound, every later row is
+// runPull2 is the d == 2 pull sweep with a dead-row cutoff. Once a row at or
+// past the source's row ends with every cost ≥ bound, every later row is
 // all-Inf — a candidate pulled from the dead row is pruned by the bound gate,
 // and a within-row candidate is Inf by induction along the row — so the
 // remainder is bulk-filled with the exact values (Inf, −1) the full sweep
-// would compute. Results are bit-identical to runChunk2 over the window; the
-// payoff is on saturated bounded runs (the Theorem 13 oracle at bound = 1),
-// where the reachable region collapses to a few rows near the source and the
-// fill is several times cheaper per node than the pull.
+// would compute. Results are bit-identical to pulling every node of the
+// window; the payoff is on saturated bounded runs (the Theorem 13 oracle at
+// bound = 1), where the reachable region collapses to a few rows near the
+// source and the fill is several times cheaper per node than the pull.
 //
 //gridroute:hotpath
 func (dp *DP) runPull2() {
-	if dp.par.nodeX == nil {
+	if dp.sweep.nodeX == nil {
 		dp.runPull2NoNode()
 		return
 	}
-	ps := &dp.par
+	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
-	edgeX, nodeX, bound := ps.edgeX, ps.nodeX, ps.bound
-	cols := ps.cols
+	edgeX, nodeX, bound := sw.edgeX, sw.nodeX, sw.bound
+	cols := sw.cols
 	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
 	rows := dp.wdims[0]
 	srcW := dp.srcW
@@ -459,10 +463,10 @@ func (dp *DP) runPull2() {
 //
 //gridroute:hotpath
 func (dp *DP) runPull2NoNode() {
-	ps := &dp.par
+	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
-	edgeX, bound := ps.edgeX, ps.bound
-	cols := ps.cols
+	edgeX, bound := sw.edgeX, sw.bound
+	cols := sw.cols
 	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
 	rows := dp.wdims[0]
 	srcW := dp.srcW
@@ -626,6 +630,70 @@ func (dp *DP) fillDead(from, to int) {
 	}
 }
 
+// runChunkGeneric is the pull sweep for any number of axes ≤ maxAxes: each
+// row's rest-space coordinates (axes 1..d−1) live in stack scratch and are
+// advanced with an odometer.
+//
+//gridroute:hotpath
+func (dp *DP) runChunkGeneric() {
+	sw := &dp.sweep
+	cost, pred := dp.cost, dp.pred
+	edgeX, nodeX, bound := sw.edgeX, sw.nodeX, sw.bound
+	cols := sw.cols
+	d := dp.box.D()
+	rows := dp.wdims[0]
+	for i := 0; i < rows; i++ {
+		var off [maxAxes]int
+		bID := dp.winBoxBase + i*dp.box.stride[0]
+		w := i * cols
+		for c := 0; c < cols; c++ {
+			if w == dp.srcW {
+				goto next
+			}
+			{
+				best, bp := Inf, int8(-1)
+				if i > 0 {
+					if pc := cost[w-cols]; pc < bound {
+						ec := pc + edgeX[(bID-dp.box.stride[0])*d]
+						if nodeX != nil {
+							ec += nodeX[bID]
+						}
+						if ec < best {
+							best, bp = ec, 0
+						}
+					}
+				}
+				for a := 1; a < d; a++ {
+					if off[a] == 0 {
+						continue
+					}
+					if pc := cost[w-dp.wstr[a]]; pc < bound {
+						ec := pc + edgeX[(bID-dp.box.stride[a])*d+a]
+						if nodeX != nil {
+							ec += nodeX[bID]
+						}
+						if ec < best {
+							best, bp = ec, int8(a)
+						}
+					}
+				}
+				cost[w], pred[w] = best, bp
+			}
+		next:
+			w++
+			for a := d - 1; a >= 1; a-- {
+				off[a]++
+				bID += dp.box.stride[a]
+				if off[a] < dp.wdims[a] {
+					break
+				}
+				bID -= dp.wdims[a] * dp.box.stride[a]
+				off[a] = 0
+			}
+		}
+	}
+}
+
 // CostAt returns the lightest-path cost from the source to p, or Inf if p is
 // outside the window or unreachable.
 //
@@ -721,13 +789,6 @@ func (dp *DP) PathInto(p []int, out *Path) bool {
 	return true
 }
 
-// SetPool attaches (or, with nil, detaches) a wavefront worker pool. RunFlat
-// and RunFlatBounded consult it on every call: windows at or above the pool's
-// crossover threshold relax in parallel, smaller ones stay serial. The
-// results are bit-identical either way, so a pool can be attached to any DP
-// without changing observable behaviour.
-func (dp *DP) SetPool(p *Pool) { dp.pool = p }
-
 // boxToWin maps a box node id to its window index, reporting false when the
 // node lies outside the current window.
 //
@@ -763,7 +824,7 @@ func (dp *DP) pullNode(w int, edgeX, nodeX []float64) (float64, int8) {
 	best, bp := Inf, int8(-1)
 	bID := dp.winBoxBase
 	rem := w
-	var off [maxParAxes]int
+	var off [maxAxes]int
 	for a := 0; a < d; a++ {
 		off[a] = rem / dp.wstr[a]
 		rem %= dp.wstr[a]

@@ -248,10 +248,10 @@ func TestDPReuse(t *testing.T) {
 }
 
 // TestNewDPRefusesTooManyAxes: the kernels decode coordinates into
-// maxParAxes-sized stack scratch, so NewDP must refuse a larger box up front
+// maxAxes-sized stack scratch, so NewDP must refuse a larger box up front
 // with a message naming the limit, not index out of range mid-run.
 func TestNewDPRefusesTooManyAxes(t *testing.T) {
-	lo, hi := make([]int, maxParAxes), make([]int, maxParAxes)
+	lo, hi := make([]int, maxAxes), make([]int, maxAxes)
 	for i := range hi {
 		hi[i] = 2
 	}
@@ -259,8 +259,8 @@ func TestNewDPRefusesTooManyAxes(t *testing.T) {
 	big := NewBox(append(lo, 0), append(hi, 2))
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "maxParAxes") {
-			t.Fatalf("NewDP over %d axes: panic %q, want one naming maxParAxes", big.D(), msg)
+		if !strings.Contains(msg, "maxAxes") {
+			t.Fatalf("NewDP over %d axes: panic %q, want one naming maxAxes", big.D(), msg)
 		}
 	}()
 	big.NewDP()
@@ -320,7 +320,10 @@ func TestHopsEqualL1Quick(t *testing.T) {
 // bit for bit — every window cost and predecessor — for random weights, with
 // and without node weights, over boxes of 1 to 5 axes: lines up to the
 // 5-axis space-time boxes of 4-D scenario grids. Odd trials pass a window
-// overhanging the box on every side, so the clipping is checked too.
+// overhanging the box on every side, so the clipping is checked too. Each
+// trial then runs a second random window on the same DP: setupWindow does
+// not reset cost/pred, so state from the first, often larger, run must not
+// leak through.
 func TestRunFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
@@ -337,16 +340,21 @@ func TestRunFlatMatchesReference(t *testing.T) {
 			useNode = nodeX
 		}
 		dp := b.NewDP()
-		dp.RunFlat(winLo, winHi, src, edgeX, useNode)
-		win, cost, pred := refLightest(b, winLo, winHi, src, edgeX, useNode)
-		if !dp.valid || dp.wsize != win.Size() {
-			t.Fatalf("trial %d (d=%d): valid=%v wsize=%d, reference window has %d nodes",
-				trial, d, dp.valid, dp.wsize, win.Size())
-		}
-		for w := range cost {
-			if dp.cost[w] != cost[w] || dp.pred[w] != pred[w] {
-				t.Fatalf("trial %d (d=%d) node %v: RunFlat (%v,%d) != reference (%v,%d)",
-					trial, d, win.Point(w, nil), dp.cost[w], dp.pred[w], cost[w], pred[w])
+		for run := 0; run < 2; run++ {
+			if run == 1 {
+				winLo, winHi, src = randomWindow(rng, b)
+			}
+			dp.RunFlat(winLo, winHi, src, edgeX, useNode)
+			win, cost, pred := refLightest(b, winLo, winHi, src, edgeX, useNode)
+			if !dp.valid || dp.wsize != win.Size() {
+				t.Fatalf("trial %d run %d (d=%d): valid=%v wsize=%d, reference window has %d nodes",
+					trial, run, d, dp.valid, dp.wsize, win.Size())
+			}
+			for w := range cost {
+				if dp.cost[w] != cost[w] || dp.pred[w] != pred[w] {
+					t.Fatalf("trial %d run %d (d=%d) node %v: RunFlat (%v,%d) != reference (%v,%d)",
+						trial, run, d, win.Point(w, nil), dp.cost[w], dp.pred[w], cost[w], pred[w])
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package lattice
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -42,8 +41,8 @@ func randomWindow(rng *rand.Rand, b *Box) (winLo, winHi, src []int) {
 }
 
 // requireIdentical compares the full window state of two DPs bit for bit —
-// the contract every alternative kernel (parallel, bounded-below-bound,
-// incremental) must satisfy against the serial reference.
+// the contract an incremental RerunFlat repair must satisfy against a cold
+// RunFlat.
 func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 	t.Helper()
 	if ref.valid != got.valid {
@@ -57,42 +56,8 @@ func requireIdentical(t *testing.T, tag string, ref, got *DP) {
 	}
 	for w := 0; w < ref.wsize; w++ {
 		if ref.cost[w] != got.cost[w] || ref.pred[w] != got.pred[w] {
-			t.Fatalf("%s: node %d: cost/pred (%v,%d) != serial (%v,%d)",
+			t.Fatalf("%s: node %d: cost/pred (%v,%d) != reference (%v,%d)",
 				tag, w, got.cost[w], got.pred[w], ref.cost[w], ref.pred[w])
-		}
-	}
-}
-
-// TestWavefrontMatchesSerial: the parallel pull kernel must produce
-// bit-identical costs AND predecessors to the serial sweep, for every
-// pool width, window shape, and source position — including windows far
-// below any realistic crossover (MinWindow=1 forces the parallel path).
-func TestWavefrontMatchesSerial(t *testing.T) {
-	for _, workers := range []int{2, 3, 8} {
-		pool := NewPool(workers)
-		defer pool.Close()
-		pool.MinWindow = 1
-		rng := rand.New(rand.NewSource(int64(97 + workers)))
-		for trial := 0; trial < 60; trial++ {
-			d := 2 + rng.Intn(2)
-			b, edgeX, nodeX := randomBoxWeights(rng, d, 8)
-			winLo, winHi, src := randomWindow(rng, b)
-			var useNode []float64
-			if trial%2 == 0 {
-				useNode = nodeX
-			}
-			ref := b.NewDP()
-			ref.RunFlat(winLo, winHi, src, edgeX, useNode)
-			par := b.NewDP()
-			par.SetPool(pool)
-			par.RunFlat(winLo, winHi, src, edgeX, useNode)
-			requireIdentical(t, "parallel", ref, par)
-			// Reuse the same DP with a different window: stale state from the
-			// previous (possibly larger) run must not leak through.
-			winLo2, winHi2, src2 := randomWindow(rng, b)
-			ref.RunFlat(winLo2, winHi2, src2, edgeX, useNode)
-			par.RunFlat(winLo2, winHi2, src2, edgeX, useNode)
-			requireIdentical(t, "parallel-reuse", ref, par)
 		}
 	}
 }
@@ -236,65 +201,5 @@ func TestRerunFlatRequiresFlatRun(t *testing.T) {
 	dp.RunFlat([]int{4, 0}, []int{6, 4}, []int{4, 0}, edgeX, nil)
 	if dp.RerunFlat([]int{1}, edgeX, nil, 0) {
 		t.Fatal("RerunFlat after a run over an empty window must return false")
-	}
-}
-
-// TestPoolSharedAcrossDPs: one pool, many DPs relaxing concurrently — the
-// pipelined band scheduling must neither deadlock nor corrupt results. Run
-// under -race in CI.
-func TestPoolSharedAcrossDPs(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	pool.MinWindow = 1
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(300 + g)))
-			for trial := 0; trial < 25; trial++ {
-				d := 2 + rng.Intn(2)
-				b, edgeX, nodeX := randomBoxWeights(rng, d, 7)
-				winLo, winHi, src := randomWindow(rng, b)
-				ref := b.NewDP()
-				ref.RunFlat(winLo, winHi, src, edgeX, nodeX)
-				par := b.NewDP()
-				par.SetPool(pool)
-				par.RunFlat(winLo, winHi, src, edgeX, nodeX)
-				requireIdentical(t, "shared-pool", ref, par)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestPoolCloseIdempotent: Close is nil-safe and repeatable — the engine
-// calls it from an idempotent Drain.
-func TestPoolCloseIdempotent(t *testing.T) {
-	var nilPool *Pool
-	nilPool.Close()
-	p := NewPool(3)
-	p.Close()
-	p.Close()
-}
-
-// TestBoundedParallelMatches: bound and pool compose — below the bound the
-// parallel bounded run is still bit-exact vs the serial bounded run.
-func TestBoundedParallelMatches(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	pool.MinWindow = 1
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
-		d := 2 + rng.Intn(2)
-		b, edgeX, nodeX := randomBoxWeights(rng, d, 7)
-		winLo, winHi, src := randomWindow(rng, b)
-		bound := rng.Float64() * 3
-		ref := b.NewDP()
-		ref.RunFlatBounded(winLo, winHi, src, edgeX, nodeX, bound)
-		par := b.NewDP()
-		par.SetPool(pool)
-		par.RunFlatBounded(winLo, winHi, src, edgeX, nodeX, bound)
-		requireIdentical(t, "bounded-parallel", ref, par)
 	}
 }

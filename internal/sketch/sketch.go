@@ -146,11 +146,6 @@ func (s *Session) SetWarmStart(on bool) {
 	s.lastValid = false
 }
 
-// SetDPPool attaches a wavefront worker pool to the session's DP: queries
-// whose windows clear the pool's crossover run the relaxation in parallel,
-// bit-identically to the serial sweep.
-func (s *Session) SetDPPool(p *lattice.Pool) { s.dp.SetPool(p) }
-
 func equalInts(a, b []int) bool {
 	for i := range a {
 		if a[i] != b[i] {
