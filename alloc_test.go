@@ -205,44 +205,6 @@ func TestEngineAdmitCancelNoLeak(t *testing.T) {
 	}
 }
 
-// TestDPRerunFlatWarmAllocFree: incremental re-relaxation — heap, epoch
-// marks and frontier all live in the DP — must not allocate once warm.
-func TestDPRerunFlatWarmAllocFree(t *testing.T) {
-	skipIfRace(t)
-	b := lattice.NewBox([]int{0, 0}, []int{24, 24})
-	edgeX := make([]float64, b.Size()*2)
-	rng := rand.New(rand.NewSource(43))
-	for i := range edgeX {
-		edgeX[i] = rng.Float64()
-	}
-	dp := b.NewDP()
-	src := []int{0, 0}
-	dp.RunFlat(b.Lo, b.Hi, src, edgeX, nil)
-	tile := b.Index([]int{20, 20})
-	head, _ := b.Step(tile, 0)
-	seeds := []int{head}
-	e := tile * 2
-	w0 := edgeX[e]
-	if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-		t.Fatal("warm rerun refused")
-	}
-	flip := false
-	allocs := testing.AllocsPerRun(100, func() {
-		if flip {
-			edgeX[e] = w0 + 0.9
-		} else {
-			edgeX[e] = w0
-		}
-		flip = !flip
-		if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-			t.Fatal("warm rerun refused")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm RerunFlat allocates %v/run, want 0", allocs)
-	}
-}
-
 // TestSTPackerLightestPathWarmAllocFree: the Theorem 13 / dual-bound oracle's
 // path search (DP + destination-ray scan) allocates only the returned path
 // once warm (1 Path struct + 1 coord slice + 1 axes slice, plus the source

@@ -29,6 +29,7 @@ import (
 	"gridroute/internal/optbound"
 	"gridroute/internal/render"
 	"gridroute/internal/scenario"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 	"gridroute/internal/tiling"
 )
@@ -68,40 +69,47 @@ func BenchmarkHotPath(b *testing.B) {
 			dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
 		}
 	})
-	b.Run("DPRerunFlat", func(b *testing.B) {
-		// Incremental repair after a single edge-weight change — the kernel
-		// behind the engine's warm-start admit path. The weight toggles
-		// between two values so every iteration does real repair work.
+	b.Run("SketchQueryCold", func(b *testing.B) {
+		// One cold admission query (SetWarmStart(false): the DP always runs)
+		// on the stream workload's geometry. A 16×16 grid with B = c = 3
+		// fits in one spatial tile (k = 18), so every DP window is a 1×1×L
+		// chain of tiles. The first 2000 packets are admitted first, so the
+		// timed query solves over committed weights.
 		b.ReportAllocs()
-		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
-		edgeX := make([]float64, box.Size()*2)
-		rng := rand.New(rand.NewSource(1))
-		for i := range edgeX {
-			edgeX[i] = rng.Float64()
+		g, reqs, err := scenario.Generate("uniform", map[string]float64{
+			"d": 2, "n": 16, "reqs": 20000, "maxt": 5000, "seed": 1,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		dp := box.NewDP()
-		src := []int{0, 0}
-		dp.RunFlat(box.Lo, box.Hi, src, edgeX, nil)
-		// An edge near the sink keeps the dirty cone small, matching the
-		// sparse-commit shape RerunFlat is built for.
-		tile := box.Index([]int{40, 40})
-		head, _ := box.Step(tile, 0)
-		seeds := []int{head}
-		e := tile*2 + 0
-		w0 := edgeX[e]
-		if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-			b.Fatal("warm rerun refused")
+		st := spacetime.New(g, spacetime.SuggestHorizon(g, reqs, 3))
+		pmax := core.PMaxDet(g)
+		side := []int{ipp.K(pmax), ipp.K(pmax), ipp.K(pmax)}
+		sk := sketch.New(st, tiling.New(st.Box, side, make([]int, 3)), sketch.Downscaled)
+		pk := ipp.NewDense(2*pmax+1, sk.Cap, sk.Universe())
+		sess := sk.NewSession()
+		sess.SetWarmStart(false)
+		var out sketch.Route
+		src := make([]int, 3)
+		query := func(r *grid.Request) bool {
+			st.ToLattice(r.Src, r.Arrival, src)
+			wLo, wHi := st.DestRay(r)
+			return sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, pmax, &out)
+		}
+		for i := range reqs[:2000] {
+			if query(&reqs[i]) {
+				pk.Offer(out.Edges, out.Cost)
+			} else {
+				pk.Offer(nil, 0)
+			}
+		}
+		r := &reqs[2000]
+		if !query(r) {
+			b.Fatal("no route for the timed query")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				edgeX[e] = w0 + 0.7
-			} else {
-				edgeX[e] = w0
-			}
-			if !dp.RerunFlat(seeds, edgeX, nil, 0) {
-				b.Fatal("warm rerun refused")
-			}
+			query(r)
 		}
 	})
 	b.Run("STPackerLightestPath", func(b *testing.B) {
@@ -254,9 +262,9 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
 	})
-	// WarmStart is Saturated with incremental DP reuse left on (the default
-	// engine configuration): repeated queries of an unchanged packer hit the
-	// version-delta-0 path and skip the DP outright.
+	// WarmStart is Saturated with DP reuse left on (the default engine
+	// configuration): repeated queries of an unchanged packer skip the DP
+	// outright.
 	b.Run("WarmStart", func(b *testing.B) {
 		b.ReportAllocs()
 		eng := newEngine(b, false)

@@ -12,6 +12,8 @@
 // Every delivered schedule is re-verified one packet at a time through
 // netsim's incremental replayer — the same admit-order the engine saw — and
 // the violation count is part of the metrics (a correct run reports 0).
+// After the metrics are written, a run with replay violations or outside
+// Theorem 1's bounds exits 1, interrupted or not.
 //
 // Fault tolerance: -wal journals every decision to a checksummed write-ahead
 // log and, when the log already exists, recovers from it first — replaying
@@ -109,9 +111,9 @@ func main() {
 }
 
 // run is main minus process-global state: it streams the scenario through
-// the engine and returns the exit code (0 complete, 1 runtime error, 2 usage
-// error, 130 interrupted-with-partial-metrics). Cancelling ctx triggers the
-// graceful drain.
+// the engine and returns the exit code (0 complete, 1 runtime error or
+// failed check, 2 usage error, 130 interrupted-with-partial-metrics).
+// Cancelling ctx triggers the graceful drain.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("routed", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -383,10 +385,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "routed: done in %s — decided %d/%d, accepted %d, delivered %d, replay violations %d%s\n",
 		time.Since(start).Round(time.Millisecond), s.Decided(), len(reqs), s.Accepted, res.Throughput, violations,
 		map[bool]string{true: " (partial: interrupted)", false: ""}[interrupted])
+	if err := checkRun(&m); err != nil {
+		fmt.Fprintln(stderr, "routed: check failed:", err)
+		return 1
+	}
 	if interrupted {
 		return 130
 	}
 	return 0
+}
+
+// checkRun returns an error naming the first check the run's metrics fail:
+// a delivered schedule that replays with violations, or a breach of
+// Theorem 1 of Even–Medina (arXiv:1407.4498) — an edge load above
+// log₂(1+3·pmax), or a primal value above twice the accepted count (with
+// the same 1e-9 float slack as the end-to-end benchmark's check).
+func checkRun(m *metrics) error {
+	switch {
+	case m.ReplayViolations > 0:
+		return fmt.Errorf("replay_violations %d > 0", m.ReplayViolations)
+	case m.MaxLoad > m.LoadBound:
+		return fmt.Errorf("max_load %g > load_bound %g (Theorem 1)", m.MaxLoad, m.LoadBound)
+	case m.PrimalValue > 2*float64(m.Accepted)+1e-9:
+		return fmt.Errorf("primal_value %g > 2·accepted = %d (Theorem 1)", m.PrimalValue, 2*m.Accepted)
+	}
+	return nil
 }
 
 // produceOne submits one request, honoring the fault schedule and retrying

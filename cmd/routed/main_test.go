@@ -198,3 +198,32 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRun: each failed check exits the run with an error naming it;
+// values on a bound pass.
+func TestCheckRun(t *testing.T) {
+	ok := metrics{Accepted: 10, MaxLoad: 2, LoadBound: 3, PrimalValue: 12}
+	cases := []struct {
+		name string
+		edit func(*metrics)
+		want string // substring of the error; "" for no error
+	}{
+		{"clean", func(*metrics) {}, ""},
+		{"on the bounds", func(m *metrics) { m.MaxLoad, m.PrimalValue = 3, 20 }, ""},
+		{"replay violation", func(m *metrics) { m.ReplayViolations = 1 }, "replay_violations"},
+		{"load over bound", func(m *metrics) { m.MaxLoad = 3.5 }, "max_load"},
+		{"primal over twice accepted", func(m *metrics) { m.PrimalValue = 20.5 }, "primal_value"},
+		{"nothing accepted", func(m *metrics) { m.Accepted, m.PrimalValue = 0, 0.5 }, "primal_value"},
+	}
+	for _, c := range cases {
+		m := ok
+		c.edit(&m)
+		err := checkRun(&m)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}

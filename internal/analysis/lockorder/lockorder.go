@@ -2,9 +2,9 @@
 // that declares them, every element write to a //gridroute:versioned field
 // (the IPP weight state) must be preceded, in the same function, by a bump
 // of the receiver's version counter (<x>.version++). The sketch session's
-// warm-start DP trusts an unchanged ipp.Version to mean unchanged weights
-// and repairs from ipp.LastCommitted, so a weight write that skips the bump
-// would silently serve a route solved against stale weights.
+// warm-start skip trusts an unchanged ipp.Version to mean unchanged weights,
+// so a weight write that skips the bump would silently serve a route solved
+// against stale weights.
 //
 // The analyzer keeps its historical name from when it also checked the
 // locking between the committer and a concurrent admission pipeline; the

@@ -156,9 +156,11 @@ type Options struct {
 	// Result.Decisions (queue-full rejections are not recorded: they never
 	// reach the loop).
 	RecordDecisions bool
-	// NoWarmStart disables incremental DP reuse between successive admits
-	// (sketch.Session warm start). Warm and cold engines decide identically;
-	// the switch exists for parity tests and benchmarks.
+	// NoWarmStart turns off the sketch session's warm-start skip, which
+	// reuses the last DP solution when an admit has the previous one's
+	// window and source and no path committed in between. Warm and cold
+	// engines decide identically; the switch exists for parity tests and
+	// benchmarks.
 	NoWarmStart bool
 	// SpecWorkers is ignored: the engine always decides on its single
 	// consumer loop.

@@ -337,16 +337,16 @@ func TestEngineDrainLeak(t *testing.T) {
 }
 
 // TestEngineWarmStartParity is the engine-level warm-start gate: the default
-// engine (incremental DP reuse on) must produce exactly the decision log —
-// verdicts, costs, admitted set, certificates — of an engine with
-// NoWarmStart, across a workload dense enough to hit the delta-0 skip,
-// the delta-1 incremental rerun, and the window-change cache miss. Runs
-// with -count=3 under -race in CI.
+// engine (DP reuse on) must produce exactly the decision log — verdicts,
+// costs, admitted set, certificates — of an engine with NoWarmStart,
+// across a workload dense enough to hit the unchanged-version skip, the
+// full rerun after a commit, and the window-change cache miss. Runs with
+// -count=3 under -race in CI.
 func TestEngineWarmStartParity(t *testing.T) {
 	g, reqs, opts := workload(t, 48, 300, 64, 13)
 	opts.RecordDecisions = true
-	// Duplicate bursts: consecutive identical packets (fresh seqs) force the
-	// version-delta-0 and delta-1 warm paths repeatedly.
+	// Duplicate bursts: consecutive identical packets (fresh seqs) hit the
+	// same window again, after a reject (skip) or an accept (rerun).
 	burst := make([]grid.Request, 0, 2*len(reqs))
 	nextID := 0
 	for i := range reqs {

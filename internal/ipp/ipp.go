@@ -65,13 +65,10 @@ type Packer struct {
 	primalZ     float64 // Σ z_i
 	maxLoad     float64
 
-	// Incremental commit state: version counts committed paths, last holds
-	// the edge ids whose weights changed in the most recent commit (reused
-	// buffer). Incremental consumers — the streaming engine's metrics, and
-	// warm-start DP re-relaxation — key off these instead of rescanning the
-	// weight universe.
+	// version counts committed paths: a consumer holding weights derived
+	// from version v — the sketch session's warm-start skip — knows they are
+	// current while it is unchanged.
 	version uint64
-	last    []EdgeID
 }
 
 // NewDense creates a packer for paths of at most pmax edges whose edge state
@@ -157,7 +154,6 @@ func (p *Packer) Offer(path []EdgeID, cost float64) bool {
 //gridroute:hotpath
 func (p *Packer) commit(path []EdgeID) {
 	p.version++
-	p.last = p.last[:0]
 	for _, e := range path {
 		ce := p.cap(e)
 		f := p.flows[e] + 1
@@ -170,7 +166,6 @@ func (p *Packer) commit(path []EdgeID) {
 		old := p.xs[e]
 		nw := old*g + add
 		p.xs[e] = nw
-		p.last = append(p.last, e)
 		p.primalEdges += (nw - old) * ce
 		if load := float64(f) / ce; load > p.maxLoad {
 			p.maxLoad = load
@@ -181,14 +176,8 @@ func (p *Packer) commit(path []EdgeID) {
 // Version returns the number of committed paths so far. It increases by
 // exactly one per accepted Offer, so a consumer holding weights derived from
 // version v knows the weight state is unchanged while Version() == v — the
-// contract incremental oracles (warm-start DP, streaming metrics) build on.
+// contract the sketch session's warm-start skip builds on.
 func (p *Packer) Version() uint64 { return p.version }
-
-// LastCommitted returns the edge ids whose weights changed in the most
-// recent committed offer (the path minus its uncapacitated edges). The slice
-// is a view into a reused buffer: valid until the next accepted Offer, must
-// not be mutated. It is empty before the first accept.
-func (p *Packer) LastCommitted() []EdgeID { return p.last }
 
 // Accepted returns the number of routed requests (the dual objective).
 func (p *Packer) Accepted() int { return p.accepted }

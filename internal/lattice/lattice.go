@@ -192,32 +192,26 @@ var Inf = math.Inf(1)
 // the {1,2,∞}-sketch-graph cost of a path s¹_in → s¹_out → … → sᴸ_out, which
 // traverses the interior edge of every visited tile.
 type DP struct {
-	box    *Box
-	winLo  []int
-	winHi  []int
-	wdims  []int
-	wstr   []int
-	wsize  int
-	cost   []float64
-	pred   []int8
-	srcAbs []int
-	valid  bool // cost/pred hold a complete solution (RerunFlat precondition)
+	box   *Box
+	winLo []int
+	winHi []int
+	wdims []int
+	wstr  []int
+	wsize int
+	cost  []float64
+	pred  []int8
+	valid bool // the last run's window was non-empty and held src: cost/pred are its solution
 
-	srcW       int     // window index of the source (meaningful when valid)
-	winBoxBase int     // box.Index(winLo): box id of the window origin
-	lastBound  float64 // relaxation bound of the last run (Inf = exact)
+	srcW       int // window index of the source (meaningful when valid)
+	winBoxBase int // box.Index(winLo): box id of the window origin
 
 	sweep sweepArgs // arguments of the current run's pull kernel
-
-	heap      []int32  // RerunFlat frontier: binary min-heap of window ids
-	mark      []uint32 // epoch-stamped in-frontier marks
-	markEpoch uint32
 }
 
 // maxAxes bounds the number of axes of a DP's box: the generic pull kernel
-// and RerunFlat decode window coordinates into stack scratch of this size,
-// and NewDP refuses larger boxes. Scenario grids have at most 4 spatial
-// axes, so their space-time boxes have at most 5.
+// advances each row's coordinates in stack scratch of this size, and NewDP
+// refuses larger boxes. Scenario grids have at most 4 spatial axes, so
+// their space-time boxes have at most 5.
 const maxAxes = 16
 
 // sweepArgs holds the arguments of a DP's pull kernel for the current run.
@@ -225,7 +219,6 @@ type sweepArgs struct {
 	edgeX []float64
 	nodeX []float64
 	bound float64
-	cols  int // flattened rest-space size (wsize / wdims[0])
 }
 
 // NewDP returns a DP bound to box. Panics if the box has more than
@@ -240,7 +233,6 @@ func (b *Box) NewDP() *DP {
 		box:   b,
 		winLo: make([]int, d), winHi: make([]int, d),
 		wdims: make([]int, d), wstr: make([]int, d),
-		srcAbs: make([]int, d),
 	}
 }
 
@@ -303,7 +295,6 @@ func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
 		dp.valid = false
 		return 0, false
 	}
-	copy(dp.srcAbs, src)
 	dp.winBoxBase = dp.box.Index(dp.winLo)
 	dp.valid = true
 	dp.srcW = dp.winIndex(src)
@@ -343,86 +334,105 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	if !ok {
 		return
 	}
-	dp.lastBound = bound
 	// Pull sweep: every window node is computed from its (already final)
 	// predecessors and written exactly once, so no O(window) Inf/−1 reset
 	// pass is needed. Each node takes the min over its in-window
 	// predecessors, axes in ascending order, strict <; that is also the
 	// order in which a naive row-major push sweep (the tests' reference)
 	// reaches it, so both keep the lowest-axis predecessor on cost ties. The
-	// source is written up front and skipped by the kernels. The kernel map,
-	// by caller:
-	//   - runPull2 (2 axes, nodeX set): Downscaled sketch sessions — the
-	//     engine and core.RunDeterministic — on a line;
-	//   - runPull2NoNode (2 axes, nodeX nil): Raw sketch sessions
-	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
-	//   - runChunkGeneric (3 or more axes): Downscaled sessions and
-	//     STPacker on 2-D and 3-D grids.
-	dp.sweep = sweepArgs{edgeX: edgeX, nodeX: nodeX, bound: bound, cols: dp.wsize / dp.wdims[0]}
+	// source is written up front and skipped by the kernels.
+	dp.sweep = sweepArgs{edgeX: edgeX, nodeX: nodeX, bound: bound}
 	if nodeX != nil {
 		dp.cost[srcW] = nodeX[dp.box.Index(src)]
 	} else {
 		dp.cost[srcW] = 0
 	}
 	dp.pred[srcW] = -1
-	if dp.box.D() == 2 {
-		dp.runPull2()
-	} else {
-		dp.runChunkGeneric()
+	// The kernel follows the window's shape, not the box's: an axis of
+	// extent 1 carries no in-window edge, so a window with at most two axes
+	// of extent > 1 is a rows × cols grid over them, stored row-major. The
+	// kernel map, by caller:
+	//   - runPull2 (≤ 2 such axes, nodeX set): Downscaled sketch sessions —
+	//     the engine and core.RunDeterministic — on a line, and on grids
+	//     whose route windows are chains or planes of tiles (a 16×16 grid
+	//     with k = 18 is one spatial tile, so every window is a 1×1×L chain);
+	//   - runPull2NoNode (≤ 2 such axes, nodeX nil): Raw sketch sessions
+	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
+	//   - runChunkGeneric (3 or more such axes): Downscaled sessions and
+	//     STPacker on 2-D and 3-D grids.
+	ra, ca, n := -1, -1, 0
+	for a, w := range dp.wdims {
+		if w > 1 {
+			ra, ca, n = ca, a, n+1
+		}
 	}
+	switch {
+	case n > 2:
+		dp.runChunkGeneric()
+	case n > 0:
+		dp.runPull2(ra, ca)
+	}
+	// n == 0: the window is the source alone, already written.
 }
 
-// runPull2 is the d == 2 pull sweep with a dead-row cutoff. Once a row at or
-// past the source's row ends with every cost ≥ bound, every later row is
-// all-Inf — a candidate pulled from the dead row is pruned by the bound gate,
-// and a within-row candidate is Inf by induction along the row — so the
-// remainder is bulk-filled with the exact values (Inf, −1) the full sweep
-// would compute. Results are bit-identical to pulling every node of the
-// window; the payoff is on saturated bounded runs (the Theorem 13 oracle at
-// bound = 1), where the reachable region collapses to a few rows near the
-// source and the fill is several times cheaper per node than the pull.
+// runPull2 is the pull sweep over a window whose only axes of extent > 1
+// are the row axis ra and the column axis ca > ra (ra < 0: a single row),
+// with a dead-row cutoff. Edge weights are read at the box's edge stride D,
+// and pred stores the real axis ids. Once a row at or past the source's row
+// ends with every cost ≥ bound, every later row is all-Inf — a candidate
+// pulled from the dead row is pruned by the bound gate, and a within-row
+// candidate is Inf by induction along the row — so the remainder is
+// bulk-filled with the exact values (Inf, −1) the full sweep would compute.
+// Results are bit-identical to pulling every node of the window; the payoff
+// is on saturated bounded runs (the Theorem 13 oracle at bound = 1), where
+// the reachable region collapses to a few rows near the source and the fill
+// is several times cheaper per node than the pull.
 //
 //gridroute:hotpath
-func (dp *DP) runPull2() {
+func (dp *DP) runPull2(ra, ca int) {
 	if dp.sweep.nodeX == nil {
-		dp.runPull2NoNode()
+		dp.runPull2NoNode(ra, ca)
 		return
 	}
 	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
 	edgeX, nodeX, bound := sw.edgeX, sw.nodeX, sw.bound
-	cols := sw.cols
-	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
-	rows := dp.wdims[0]
+	d := dp.box.D()
+	rows, bsR := 1, 0
+	if ra >= 0 {
+		rows, bsR = dp.wdims[ra], dp.box.stride[ra]
+	}
+	cols, bsC := dp.wdims[ca], dp.box.stride[ca]
+	predR, predC := int8(ra), int8(ca)
 	srcW := dp.srcW
 	srcRow := srcW / cols
 	for i := 0; i < rows; i++ {
 		alive := false
 		w := i * cols
-		bID := dp.winBoxBase + i*bs0
+		bID := dp.winBoxBase + i*bsR
 		for c := 0; c < cols; c++ {
 			if w == srcW {
 				if cost[w] < bound {
 					alive = true
 				}
 				w++
-				bID += bs1
+				bID += bsC
 				continue
 			}
 			best, bp := Inf, int8(-1)
 			if i > 0 {
 				if pc := cost[w-cols]; pc < bound {
-					ec := pc + edgeX[(bID-bs0)*2] + nodeX[bID]
+					ec := pc + edgeX[(bID-bsR)*d+ra] + nodeX[bID]
 					if ec < best {
-						best, bp = ec, 0
+						best, bp = ec, predR
 					}
 				}
 			}
 			if c > 0 {
 				if pc := cost[w-1]; pc < bound {
-					ec := pc + edgeX[(bID-bs1)*2+1] + nodeX[bID]
+					ec := pc + edgeX[(bID-bsC)*d+ca] + nodeX[bID]
 					if ec < best {
-						best, bp = ec, 1
+						best, bp = ec, predC
 					}
 				}
 			}
@@ -431,7 +441,7 @@ func (dp *DP) runPull2() {
 				alive = true
 			}
 			w++
-			bID += bs1
+			bID += bsC
 		}
 		// Rows before the source's row are legitimately all-Inf — the
 		// up-front source write revives row srcRow, so the induction only
@@ -462,13 +472,17 @@ func (dp *DP) runPull2() {
 // roughly the reachable-below-bound region's.
 //
 //gridroute:hotpath
-func (dp *DP) runPull2NoNode() {
+func (dp *DP) runPull2NoNode(ra, ca int) {
 	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
 	edgeX, bound := sw.edgeX, sw.bound
-	cols := sw.cols
-	bs0, bs1 := dp.box.stride[0], dp.box.stride[1]
-	rows := dp.wdims[0]
+	d := dp.box.D()
+	rows, bsR := 1, 0
+	if ra >= 0 {
+		rows, bsR = dp.wdims[ra], dp.box.stride[ra]
+	}
+	cols, bsC := dp.wdims[ca], dp.box.stride[ca]
+	predR, predC := int8(ra), int8(ca)
 	srcW := dp.srcW
 	srcRow, srcCol := srcW/cols, srcW%cols
 	srcAlive := cost[srcW] < bound
@@ -480,7 +494,7 @@ func (dp *DP) runPull2NoNode() {
 		maxA := -1   // last alive column written in this row
 		stop := cols // first column of the row's dead remainder
 		w := i * cols
-		bID := dp.winBoxBase + i*bs0
+		bID := dp.winBoxBase + i*bsR
 		// Column 0: no horizontal predecessor.
 		if w == srcW {
 			if srcAlive {
@@ -490,8 +504,8 @@ func (dp *DP) runPull2NoNode() {
 			best, bp := Inf, int8(-1)
 			if i > 0 {
 				if pc := cost[w-cols]; pc < bound {
-					if ec := pc + edgeX[(bID-bs0)*2]; ec < best {
-						best, bp = ec, 0
+					if ec := pc + edgeX[(bID-bsR)*d+ra]; ec < best {
+						best, bp = ec, predR
 					}
 				}
 			}
@@ -506,12 +520,12 @@ func (dp *DP) runPull2NoNode() {
 		// The inner loops carry the just-written cell in `left` (sparing the
 		// cost[w−1] reload) and advance the two edgeX indices by strength
 		// reduction: a +1 column step moves the vertical-pull index
-		// (bID−bs0)·2 and the horizontal-pull index (bID−bs1)·2+1 by 2·bs1
-		// each.
+		// (bID−bsR)·D+ra and the horizontal-pull index (bID−bsC)·D+ca by
+		// bsC·D each.
 		left := cost[w-1]
-		vE := (dp.winBoxBase + i*bs0 + bs1 - bs0) * 2
-		hE := (dp.winBoxBase+i*bs0)*2 + 1
-		bs12 := bs1 * 2
+		vE := (bID+bsC-bsR)*d + ra
+		hE := bID*d + ca
+		step := bsC * d
 		switch {
 		case stop < cols:
 			// Row died at column 0.
@@ -526,21 +540,21 @@ func (dp *DP) runPull2NoNode() {
 					}
 					left = cost[w]
 					w++
-					vE += bs12
-					hE += bs12
+					vE += step
+					hE += step
 					continue
 				}
 				best, bp := Inf, int8(-1)
 				if i > 0 {
 					if pc := cost[w-cols]; pc < bound {
 						if ec := pc + edgeX[vE]; ec < best {
-							best, bp = ec, 0
+							best, bp = ec, predR
 						}
 					}
 				}
 				if left < bound {
 					if ec := left + edgeX[hE]; ec < best {
-						best, bp = ec, 1
+						best, bp = ec, predC
 					}
 				}
 				cost[w], pred[w] = best, bp
@@ -552,8 +566,8 @@ func (dp *DP) runPull2NoNode() {
 					break
 				}
 				w++
-				vE += bs12
-				hE += bs12
+				vE += step
+				hE += step
 			}
 		case i == 0:
 			// Top row without the source: horizontal prefix only.
@@ -561,7 +575,7 @@ func (dp *DP) runPull2NoNode() {
 				best, bp := Inf, int8(-1)
 				if left < bound {
 					if ec := left + edgeX[hE]; ec < best {
-						best, bp = ec, 1
+						best, bp = ec, predC
 					}
 				}
 				cost[w], pred[w] = best, bp
@@ -573,7 +587,7 @@ func (dp *DP) runPull2NoNode() {
 					break
 				}
 				w++
-				hE += bs12
+				hE += step
 			}
 		default:
 			// Steady state: both predecessors exist, the source is
@@ -582,12 +596,12 @@ func (dp *DP) runPull2NoNode() {
 				best, bp := Inf, int8(-1)
 				if pc := cost[w-cols]; pc < bound {
 					if ec := pc + edgeX[vE]; ec < best {
-						best, bp = ec, 0
+						best, bp = ec, predR
 					}
 				}
 				if left < bound {
 					if ec := left + edgeX[hE]; ec < best {
-						best, bp = ec, 1
+						best, bp = ec, predC
 					}
 				}
 				cost[w], pred[w] = best, bp
@@ -599,8 +613,8 @@ func (dp *DP) runPull2NoNode() {
 					break
 				}
 				w++
-				vE += bs12
-				hE += bs12
+				vE += step
+				hE += step
 			}
 		}
 		if stop < cols {
@@ -639,9 +653,9 @@ func (dp *DP) runChunkGeneric() {
 	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
 	edgeX, nodeX, bound := sw.edgeX, sw.nodeX, sw.bound
-	cols := sw.cols
 	d := dp.box.D()
 	rows := dp.wdims[0]
+	cols := dp.wsize / rows
 	for i := 0; i < rows; i++ {
 		var off [maxAxes]int
 		bID := dp.winBoxBase + i*dp.box.stride[0]
@@ -708,9 +722,11 @@ func (dp *DP) CostAt(p []int) float64 {
 // MinCostRay returns the least cost over the points obtained from p by
 // ranging p[axis] over [lo, hi], together with the coordinate achieving it
 // (ties resolve to the lowest coordinate, like an ascending CostAt scan with
-// a strict comparison). Out-of-window coordinates contribute Inf. This is
-// the sink-side scan of a packer's Offer — one windowed slice walk instead
-// of a winIndex odometer per probe.
+// a strict comparison). Out-of-window coordinates contribute Inf, and a DP
+// whose last run was over an empty window reports (Inf, lo). This is the
+// destination-ray scan of both lightest-path oracles, optbound.STPacker and
+// sketch route extraction: one strided walk over the window buffer instead
+// of a window check and a winIndex dot product per probe.
 //
 //gridroute:hotpath
 func (dp *DP) MinCostRay(p []int, axis, lo, hi int) (best float64, bestAt int) {
@@ -786,194 +802,6 @@ func (dp *DP) PathInto(p []int, out *Path) bool {
 	}
 	// cur is now the source.
 	out.Start, out.Axes = cur, axes
-	return true
-}
-
-// boxToWin maps a box node id to its window index, reporting false when the
-// node lies outside the current window.
-//
-//gridroute:hotpath
-func (dp *DP) boxToWin(bid int) (int, bool) {
-	w := 0
-	for a := 0; a < dp.box.D(); a++ {
-		c := dp.box.Lo[a] + (bid/dp.box.stride[a])%dp.box.dims[a]
-		if c < dp.winLo[a] || c >= dp.winHi[a] {
-			return 0, false
-		}
-		w += (c - dp.winLo[a]) * dp.wstr[a]
-	}
-	return w, true
-}
-
-// pullNode recomputes the value of window node w from its in-window
-// predecessors, evaluating exactly the expressions the full flat sweep
-// evaluates (same float operation order, same strict-< tie-break with axes
-// considered in ascending order, same relaxation bound), so an unchanged
-// node reproduces its stored cost and predecessor bit for bit.
-//
-//gridroute:hotpath
-func (dp *DP) pullNode(w int, edgeX, nodeX []float64) (float64, int8) {
-	if w == dp.srcW {
-		if nodeX != nil {
-			return nodeX[dp.box.Index(dp.srcAbs)], -1
-		}
-		return 0, -1
-	}
-	d := dp.box.D()
-	bound := dp.lastBound
-	best, bp := Inf, int8(-1)
-	bID := dp.winBoxBase
-	rem := w
-	var off [maxAxes]int
-	for a := 0; a < d; a++ {
-		off[a] = rem / dp.wstr[a]
-		rem %= dp.wstr[a]
-		bID += off[a] * dp.box.stride[a]
-	}
-	for a := 0; a < d; a++ {
-		if off[a] == 0 {
-			continue
-		}
-		pc := dp.cost[w-dp.wstr[a]]
-		if pc >= bound {
-			continue
-		}
-		ec := pc + edgeX[(bID-dp.box.stride[a])*d+a]
-		if nodeX != nil {
-			ec += nodeX[bID]
-		}
-		if ec < best {
-			best, bp = ec, int8(a)
-		}
-	}
-	return best, bp
-}
-
-// heapPush inserts w into the frontier min-heap.
-//
-//gridroute:hotpath
-func (dp *DP) heapPush(w int32) {
-	h := append(dp.heap, w)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	dp.heap = h
-}
-
-// heapPop removes and returns the smallest window index in the frontier.
-//
-//gridroute:hotpath
-func (dp *DP) heapPop() int32 {
-	h := dp.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	dp.heap = h
-	return top
-}
-
-// RerunFlat incrementally repairs the last flat run after a sparse weight
-// change, instead of re-relaxing the whole window. seeds are the box node
-// ids whose value may have changed directly: the head of every lattice edge
-// whose edgeX entry changed, plus every node whose nodeX entry changed
-// (seeds outside the window are ignored). The window, source, and weight
-// slices must be those of the last RunFlat/RunFlatBounded call, with only
-// the seeded entries modified.
-//
-// The frontier is processed in ascending window-index order (a topological
-// order), pulling each node's value fresh from its predecessors and
-// propagating to successors only when the stored cost or predecessor
-// actually changed — so the repaired state is bit-identical to a cold rerun.
-// maxFrontier caps the dirty set (≤ 0 picks wsize/8 + 64); on overflow, or
-// when no run is cached (a fresh DP, or a last run over an empty window),
-// RerunFlat returns false and invalidates the DP: the caller must fall back
-// to a full RunFlat.
-//
-//gridroute:hotpath
-func (dp *DP) RerunFlat(seeds []int, edgeX, nodeX []float64, maxFrontier int) bool {
-	if !dp.valid {
-		return false
-	}
-	if maxFrontier <= 0 {
-		maxFrontier = dp.wsize/8 + 64
-	}
-	if cap(dp.mark) < dp.wsize {
-		dp.mark = make([]uint32, dp.wsize)
-		dp.markEpoch = 0
-	}
-	dp.mark = dp.mark[:dp.wsize]
-	dp.markEpoch++
-	if dp.markEpoch == 0 { // wrapped: one real clear every 2^32 reruns
-		for i := range dp.mark {
-			dp.mark[i] = 0
-		}
-		dp.markEpoch = 1
-	}
-	dp.heap = dp.heap[:0]
-	pushed := 0
-	for _, bid := range seeds {
-		w, ok := dp.boxToWin(bid)
-		if !ok || dp.mark[w] == dp.markEpoch {
-			continue
-		}
-		dp.mark[w] = dp.markEpoch
-		if pushed++; pushed > maxFrontier {
-			dp.valid = false
-			return false
-		}
-		dp.heapPush(int32(w))
-	}
-	d := dp.box.D()
-	for len(dp.heap) > 0 {
-		w := int(dp.heapPop())
-		c, p := dp.pullNode(w, edgeX, nodeX)
-		if c == dp.cost[w] && p == dp.pred[w] {
-			continue // unchanged: successors cannot be affected through w
-		}
-		dp.cost[w] = c
-		dp.pred[w] = p
-		rem := w
-		for a := 0; a < d; a++ {
-			off := rem / dp.wstr[a]
-			rem %= dp.wstr[a]
-			if off+1 >= dp.wdims[a] {
-				continue
-			}
-			nw := w + dp.wstr[a]
-			if dp.mark[nw] == dp.markEpoch {
-				continue
-			}
-			dp.mark[nw] = dp.markEpoch
-			if pushed++; pushed > maxFrontier {
-				dp.valid = false
-				return false
-			}
-			dp.heapPush(int32(nw))
-		}
-	}
 	return true
 }
 

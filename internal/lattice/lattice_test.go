@@ -1,7 +1,9 @@
 package lattice
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -316,6 +318,78 @@ func TestHopsEqualL1Quick(t *testing.T) {
 	}
 }
 
+// randomBoxWeights builds a random box of dimension d with edge and node
+// weight slices.
+func randomBoxWeights(rng *rand.Rand, d, maxDim int) (*Box, []float64, []float64) {
+	lo := make([]int, d)
+	hi := make([]int, d)
+	for i := range lo {
+		lo[i] = rng.Intn(5) - 2
+		hi[i] = lo[i] + 2 + rng.Intn(maxDim-1)
+	}
+	b := NewBox(lo, hi)
+	edgeX := make([]float64, b.Size()*d)
+	nodeX := make([]float64, b.Size())
+	for i := range edgeX {
+		edgeX[i] = rng.Float64()
+	}
+	for i := range nodeX {
+		nodeX[i] = rng.Float64() * 0.3
+	}
+	return b, edgeX, nodeX
+}
+
+// randomWindow picks a random non-empty sub-window and a source inside it.
+func randomWindow(rng *rand.Rand, b *Box) (winLo, winHi, src []int) {
+	d := b.D()
+	winLo = make([]int, d)
+	winHi = make([]int, d)
+	src = make([]int, d)
+	for i := 0; i < d; i++ {
+		winLo[i] = b.Lo[i] + rng.Intn(b.Dim(i))
+		winHi[i] = winLo[i] + 1 + rng.Intn(b.Hi[i]-winLo[i])
+		src[i] = winLo[i] + rng.Intn(winHi[i]-winLo[i])
+	}
+	return winLo, winHi, src
+}
+
+// lowRankWindow picks a random sub-window whose axes of extent > 1 are
+// exactly the set bits of wide (every axis of b must have extent ≥ 2), and a
+// source inside it: the window shapes RunFlat sends to the 2-axis kernels
+// when wide has at most two bits.
+func lowRankWindow(rng *rand.Rand, b *Box, wide uint) (winLo, winHi, src []int) {
+	d := b.D()
+	winLo, winHi, src = make([]int, d), make([]int, d), make([]int, d)
+	for i := 0; i < d; i++ {
+		if wide&(1<<i) == 0 {
+			winLo[i] = b.Lo[i] + rng.Intn(b.Dim(i))
+			winHi[i] = winLo[i] + 1
+		} else {
+			winLo[i] = b.Lo[i] + rng.Intn(b.Dim(i)-1)
+			winHi[i] = winLo[i] + 2 + rng.Intn(b.Hi[i]-winLo[i]-1)
+		}
+		src[i] = winLo[i] + rng.Intn(winHi[i]-winLo[i])
+	}
+	return winLo, winHi, src
+}
+
+// requireReference runs dp over the window and checks every window cost and
+// predecessor against the naive push sweep bit for bit.
+func requireReference(t *testing.T, tag string, dp *DP, b *Box, winLo, winHi, src []int, edgeX, nodeX []float64) {
+	t.Helper()
+	dp.RunFlat(winLo, winHi, src, edgeX, nodeX)
+	win, cost, pred := refLightest(b, winLo, winHi, src, edgeX, nodeX)
+	if !dp.valid || dp.wsize != win.Size() {
+		t.Fatalf("%s: valid=%v wsize=%d, reference window has %d nodes", tag, dp.valid, dp.wsize, win.Size())
+	}
+	for w := range cost {
+		if dp.cost[w] != cost[w] || dp.pred[w] != pred[w] {
+			t.Fatalf("%s node %v: RunFlat (%v,%d) != reference (%v,%d)",
+				tag, win.Point(w, nil), dp.cost[w], dp.pred[w], cost[w], pred[w])
+		}
+	}
+}
+
 // TestRunFlatMatchesReference checks RunFlat against the naive push sweep
 // bit for bit — every window cost and predecessor — for random weights, with
 // and without node weights, over boxes of 1 to 5 axes: lines up to the
@@ -324,6 +398,12 @@ func TestHopsEqualL1Quick(t *testing.T) {
 // trial then runs a second random window on the same DP: setupWindow does
 // not reset cost/pred, so state from the first, often larger, run must not
 // leak through.
+//
+// The low-rank cases pin the kernel choice by window shape: in 3-, 4- and
+// 5-axis boxes, windows with 0, 1 or 2 axes of extent > 1, at every axis
+// position, run on the 2-axis kernels, which must read edges at the box's
+// stride and store the real axis ids in pred. A 1×1×150 chain is the
+// shape of every route window on a grid that fits in one spatial tile.
 func TestRunFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
@@ -344,18 +424,151 @@ func TestRunFlatMatchesReference(t *testing.T) {
 			if run == 1 {
 				winLo, winHi, src = randomWindow(rng, b)
 			}
-			dp.RunFlat(winLo, winHi, src, edgeX, useNode)
-			win, cost, pred := refLightest(b, winLo, winHi, src, edgeX, useNode)
-			if !dp.valid || dp.wsize != win.Size() {
-				t.Fatalf("trial %d run %d (d=%d): valid=%v wsize=%d, reference window has %d nodes",
-					trial, run, d, dp.valid, dp.wsize, win.Size())
+			requireReference(t, fmt.Sprintf("trial %d run %d (d=%d)", trial, run, d), dp, b, winLo, winHi, src, edgeX, useNode)
+		}
+	}
+
+	for d := 3; d <= 5; d++ {
+		b, edgeX, nodeX := randomBoxWeights(rng, d, 5)
+		dp := b.NewDP()
+		for wide := uint(0); wide < 1<<d; wide++ {
+			if bits.OnesCount(wide) > 2 {
+				continue
 			}
-			for w := range cost {
-				if dp.cost[w] != cost[w] || dp.pred[w] != pred[w] {
-					t.Fatalf("trial %d run %d (d=%d) node %v: RunFlat (%v,%d) != reference (%v,%d)",
-						trial, run, d, win.Point(w, nil), dp.cost[w], dp.pred[w], cost[w], pred[w])
-				}
+			winLo, winHi, src := lowRankWindow(rng, b, wide)
+			for _, useNode := range [][]float64{nil, nodeX} {
+				tag := fmt.Sprintf("d=%d wide=%0*b window [%v,%v) src %v node=%v", d, d, wide, winLo, winHi, src, useNode != nil)
+				requireReference(t, tag, dp, b, winLo, winHi, src, edgeX, useNode)
 			}
 		}
+	}
+
+	chain := NewBox([]int{0, 0, 0}, []int{2, 3, 160})
+	edgeX, nodeX := make([]float64, chain.Size()*3), make([]float64, chain.Size())
+	for i := range edgeX {
+		edgeX[i] = rng.Float64()
+	}
+	for i := range nodeX {
+		nodeX[i] = rng.Float64() * 0.3
+	}
+	dp := chain.NewDP()
+	for _, useNode := range [][]float64{nil, nodeX} {
+		requireReference(t, fmt.Sprintf("1x1x150 chain node=%v", useNode != nil), dp, chain,
+			[]int{1, 2, 5}, []int{2, 3, 155}, []int{1, 2, 5}, edgeX, useNode)
+	}
+}
+
+// TestRunFlatBoundedExact: below the bound the bounded sweep is bit-exact;
+// at or above it, reported costs never dip below the bound (so a caller
+// testing cost < bound gets exactly the unbounded answer). Odd trials use a
+// window with at most two axes of extent > 1, which checks the 2-axis
+// kernels' dead-row and alive-frontier cutoffs on low-rank windows of
+// 3- to 5-axis boxes.
+func TestRunFlatBoundedExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 120; trial++ {
+		d := 2 + rng.Intn(4)
+		b, edgeX, nodeX := randomBoxWeights(rng, d, 7)
+		winLo, winHi, src := randomWindow(rng, b)
+		if trial%2 == 1 {
+			wide := uint(1)<<rng.Intn(d) | uint(1)<<rng.Intn(d)
+			winLo, winHi, src = lowRankWindow(rng, b, wide)
+		}
+		var useNode []float64
+		if trial%4 < 2 {
+			useNode = nodeX
+		}
+		ref := b.NewDP()
+		ref.RunFlat(winLo, winHi, src, edgeX, useNode)
+		bound := rng.Float64() * 4
+		bdp := b.NewDP()
+		bdp.RunFlatBounded(winLo, winHi, src, edgeX, useNode, bound)
+		if !ref.valid {
+			continue
+		}
+		for w := 0; w < ref.wsize; w++ {
+			switch {
+			case ref.cost[w] < bound:
+				if bdp.cost[w] != ref.cost[w] || bdp.pred[w] != ref.pred[w] {
+					t.Fatalf("trial %d node %d below bound %v: (%v,%d) != exact (%v,%d)",
+						trial, w, bound, bdp.cost[w], bdp.pred[w], ref.cost[w], ref.pred[w])
+				}
+			case bdp.cost[w] < bound:
+				t.Fatalf("trial %d node %d: bounded cost %v < bound %v but exact is %v",
+					trial, w, bdp.cost[w], bound, ref.cost[w])
+			}
+		}
+	}
+}
+
+// TestMinCostRayMatchesCostAtScan checks the one-walk destination-ray scan
+// against an ascending strict-< CostAt scan: same least cost, and — when it
+// is finite — the same lowest coordinate achieving it. Every fourth trial
+// has zero weights, so reachable costs tie; rays overhang the window at both
+// ends, and the fixed coordinates sometimes fall one step outside it.
+func TestMinCostRayMatchesCostAtScan(t *testing.T) {
+	scan := func(dp *DP, p []int, axis, lo, hi int) (float64, int) {
+		q := append([]int(nil), p...)
+		best, bestAt := Inf, lo
+		for x := lo; x <= hi; x++ {
+			q[axis] = x
+			if c := dp.CostAt(q); c < best {
+				best, bestAt = c, x
+			}
+		}
+		return best, bestAt
+	}
+	check := func(tag string, dp *DP, p []int, axis, lo, hi int) {
+		t.Helper()
+		want, wantAt := scan(dp, p, axis, lo, hi)
+		got, gotAt := dp.MinCostRay(p, axis, lo, hi)
+		if got != want || (want != Inf && gotAt != wantAt) {
+			t.Fatalf("%s: MinCostRay(%v, axis %d, [%d,%d]) = (%v,%d), CostAt scan (%v,%d)",
+				tag, p, axis, lo, hi, got, gotAt, want, wantAt)
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	finite := 0
+	for trial := 0; trial < 80; trial++ {
+		d := 1 + rng.Intn(5)
+		b, edgeX, nodeX := randomBoxWeights(rng, d, 6)
+		if trial%4 == 0 {
+			edgeX, nodeX = make([]float64, len(edgeX)), nil
+		} else if trial%2 == 0 {
+			nodeX = nil
+		}
+		winLo, winHi, src := randomWindow(rng, b)
+		dp := b.NewDP()
+		dp.RunFlat(winLo, winHi, src, edgeX, nodeX)
+		for q := 0; q < 12; q++ {
+			axis := rng.Intn(d)
+			p := make([]int, d)
+			for i := range p {
+				p[i] = winLo[i] - 1 + rng.Intn(winHi[i]-winLo[i]+2)
+			}
+			lo := winLo[axis] - 2 + rng.Intn(winHi[axis]-winLo[axis]+2)
+			hi := lo - 1 + rng.Intn(winHi[axis]-lo+3)
+			check(fmt.Sprintf("trial %d query %d", trial, q), dp, p, axis, lo, hi)
+			if c, _ := dp.MinCostRay(p, axis, lo, hi); c != Inf {
+				finite++
+			}
+		}
+	}
+	if finite == 0 {
+		t.Fatal("no query found a finite cost; the test exercised nothing")
+	}
+
+	// A DP whose last run was over an empty window holds no solution, even
+	// for a ray the previous run covered.
+	b := NewBox([]int{0, 0}, []int{4, 4})
+	dp := b.NewDP()
+	dp.RunFlat(b.Lo, b.Hi, b.Lo, make([]float64, b.Size()*2), nil)
+	if c, at := dp.MinCostRay([]int{2, 0}, 1, 0, 3); c != 0 || at != 0 {
+		t.Fatalf("zero-weight ray: (%v,%d), want (0,0)", c, at)
+	}
+	dp.RunFlat([]int{4, 0}, []int{6, 4}, []int{4, 0}, make([]float64, b.Size()*2), nil)
+	check("after an empty window", dp, []int{2, 0}, 1, 0, 3)
+	if c, _ := dp.MinCostRay([]int{2, 0}, 1, 0, 3); c != Inf {
+		t.Fatalf("after an empty window: cost %v, want Inf", c)
 	}
 }

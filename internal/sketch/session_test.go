@@ -90,11 +90,11 @@ func TestSessionsIndependent(t *testing.T) {
 
 // TestSessionWarmStartParity drives a warm-start session and a cold session
 // through the same query/commit sequence and requires identical routes. The
-// sequence deliberately hits every warm path: repeated identical queries
-// with no commit between them (version delta 0 — the DP is skipped
-// entirely), re-queries of the same window right after an accepted commit
-// (delta 1 — incremental RerunFlat), window changes (cache miss), and long
-// streaks that saturate edges (reject after reject, still delta 0).
+// sequence deliberately hits every warm-start branch: repeated identical
+// queries with no commit between them (unchanged version — the DP is
+// skipped entirely), re-queries of the same window right after an accepted
+// commit (version moved — full rerun), window changes (cache miss), and
+// long streaks that saturate edges (reject after reject, still a skip).
 func TestSessionWarmStartParity(t *testing.T) {
 	st, down, _ := lineSetup(32, 3, 3, 200, 4)
 	pkWarm := ipp.NewDense(50, down.Cap, down.Universe())
@@ -111,8 +111,7 @@ func TestSessionWarmStartParity(t *testing.T) {
 			Arrival: int64(q / 3), Deadline: grid.InfDeadline,
 		}
 		// Each request repeats several times in a row: the repeats after an
-		// accept are the delta-1 incremental path, the repeats after a reject
-		// are the delta-0 skip path.
+		// accept rerun the DP, the repeats after a reject skip it.
 		for rep := 0; rep < 6; rep++ {
 			queries = append(queries, r)
 		}
@@ -145,7 +144,7 @@ func TestSessionWarmStartParity(t *testing.T) {
 		}
 	}
 	if accepted == 0 {
-		t.Fatal("no accepts: the delta-1 incremental path was never exercised")
+		t.Fatal("no accepts: the rerun after a commit was never exercised")
 	}
 	if pkWarm.Version() != pkCold.Version() || pkWarm.Accepted() != pkCold.Accepted() {
 		t.Fatalf("packer states diverged: warm v%d/%d cold v%d/%d",

@@ -102,12 +102,12 @@ type Session struct {
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
 
-	// Warm-start cache: the DP solution of the last query stays valid while
-	// the packer's version is unchanged, and repairs incrementally when
-	// exactly one path committed since — the committed edges
-	// (ipp.LastCommitted) seed a re-relaxation frontier instead of a full
-	// window sweep. Any window/source/packer mismatch, a multi-commit
-	// delta, or a frontier overflow falls back to the full RunFlat.
+	// Warm-start cache: the DP solution of the last query answers the next
+	// one outright when the packer, window and source match and no path has
+	// committed since (an unchanged ipp.Version means unchanged weights).
+	// Anything else runs the full RunFlat: in Downscaled mode every accepted
+	// route pays the interior edge of its source tile, so a commit changes
+	// every cost of a window that shares its source.
 	warm      bool
 	lastPk    *ipp.Packer
 	lastVer   uint64
@@ -115,7 +115,6 @@ type Session struct {
 	lastWinHi []int
 	lastSrc   []int
 	lastValid bool
-	dirtyBuf  []int
 }
 
 // NewSession creates a fresh query session over the graph.
@@ -137,10 +136,11 @@ func (g *Graph) NewSession() *Session {
 	}
 }
 
-// SetWarmStart toggles incremental DP reuse between successive queries
-// (default on). Warm and cold sessions answer every query identically — the
-// incremental repair is bit-exact — so this exists for benchmarks, parity
-// tests, and as an escape hatch.
+// SetWarmStart toggles DP reuse between successive queries (default on):
+// a warm session skips the DP when the packer version, window and source
+// are those of its last query. Warm and cold sessions answer every query
+// identically — a skipped run would recompute the same solution — so this
+// exists for benchmarks, parity tests, and as an escape hatch.
 func (s *Session) SetWarmStart(on bool) {
 	s.warm = on
 	s.lastValid = false
@@ -155,41 +155,15 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// warmRun tries to satisfy the current query (window/source already in
-// s.winLo/s.winHi/s.srcTile) from the cached DP solution. It reports true
-// when the cached state is current — either untouched (version delta 0: skip
-// the DP entirely) or repaired in place via RerunFlat (delta 1). False means
-// the caller must run the full sweep.
+// warmHit reports whether the cached DP solution already answers the
+// current query (window/source already in s.winLo/s.winHi/s.srcTile): same
+// packer, window and source as the last query, and no commit since.
 //
 //gridroute:hotpath
-func (s *Session) warmRun(pk *ipp.Packer, xs, nodeX []float64) bool {
-	if !s.warm || !s.lastValid || pk != s.lastPk ||
-		!equalInts(s.lastWinLo, s.winLo) || !equalInts(s.lastWinHi, s.winHi) ||
-		!equalInts(s.lastSrc, s.srcTile) {
-		return false
-	}
-	switch pk.Version() - s.lastVer {
-	case 0:
-		return true // no commit since: weights, and so the solution, unchanged
-	case 1:
-		seeds := s.dirtyBuf[:0]
-		for _, e := range pk.LastCommitted() {
-			tile, axis, interior := s.g.DecodeEdge(e)
-			if interior {
-				// Interior (node) weight: every path through the tile repays
-				// its visit cost, so the tile's own value is dirty.
-				seeds = append(seeds, tile)
-				continue
-			}
-			if head, ok := s.g.Tl.TBox.Step(tile, axis); ok {
-				seeds = append(seeds, head)
-			}
-		}
-		s.dirtyBuf = seeds
-		return s.dp.RerunFlat(seeds, xs, nodeX, 0)
-	default:
-		return false
-	}
+func (s *Session) warmHit(pk *ipp.Packer) bool {
+	return s.warm && s.lastValid && pk == s.lastPk && pk.Version() == s.lastVer &&
+		equalInts(s.lastWinLo, s.winLo) && equalInts(s.lastWinHi, s.winHi) &&
+		equalInts(s.lastSrc, s.srcTile)
 }
 
 // Universe returns the size of the sketch graph's ipp edge-id space:
@@ -371,17 +345,9 @@ func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 //gridroute:hotpath
 func (s *Session) extractRoute(out *Route) bool {
 	wa := s.g.ST.G.D()
-	best := math.Inf(1)
-	bestW := 0
 	probe := s.probe
 	copy(probe, s.dstTile)
-	for w := s.rayLo; w <= s.rayHi; w++ {
-		probe[wa] = w
-		if c := s.dp.CostAt(probe); c < best {
-			best = c
-			bestW = w
-		}
-	}
+	best, bestW := s.dp.MinCostRay(probe, wa, s.rayLo, s.rayHi)
 	if math.IsInf(best, 1) {
 		return false
 	}
@@ -404,10 +370,9 @@ func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	xs := pk.Weights()
-	nodeX := s.g.nodeWeights(xs)
-	if !s.warmRun(pk, xs, nodeX) {
-		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, nodeX)
+	if !s.warmHit(pk) {
+		xs := pk.Weights()
+		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
 	}
 	if s.warm {
 		s.lastPk, s.lastVer, s.lastValid = pk, pk.Version(), true
