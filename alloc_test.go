@@ -12,6 +12,7 @@ import (
 
 	"gridroute/internal/core"
 	"gridroute/internal/engine"
+	"gridroute/internal/fault"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
 	"gridroute/internal/lattice"
@@ -122,50 +123,55 @@ func saturateEngine(t *testing.T, opts engine.Options) (*engine.Engine, engine.P
 	}
 }
 
-// TestEngineAdmitWarmAllocFree: the streaming admit path — envelope pool,
-// bounded queue, consumer loop, warm sketch session query, packer offer,
-// reply — must not allocate once warm. The gate pins the saturated
-// cost-reject steady state with warm-start reuse disabled, so the FULL DP
-// query runs on every admit (the warm-start skip has its own gate below);
-// the accept path additionally retains the route into chunked arenas, which
-// is amortized O(1) per accept but not 0.
+// checkAdmitAllocFree runs saturateEngine's steady state once per admit
+// path and fails the test if either allocates. "inline" has no injector, so
+// a lone producer's Admit decides on its own goroutine (envelope pool, warm
+// sketch session query, packer offer, buffered reply); "loop" attaches an
+// empty fault.Injector, which keeps every Admit on the queued path
+// (envelope pool, bounded queue, consumer loop, the same decide, reply).
+func checkAdmitAllocFree(t *testing.T, opts engine.Options) {
+	t.Helper()
+	for _, path := range []string{"inline", "loop"} {
+		o := opts
+		if path == "loop" {
+			o.Injector = fault.NewInjector(nil)
+		}
+		eng, pkt := saturateEngine(t, o)
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(200, func() {
+			dec, err := eng.Admit(ctx, pkt)
+			if err != nil || dec.Verdict != engine.RejectedCost {
+				t.Fatalf("%s: steady state broken: %+v, %v", path, dec, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm engine Admit allocates %v/run, want 0", path, allocs)
+		}
+		if err := eng.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineAdmitWarmAllocFree: the streaming admit path must not allocate
+// once warm, on both the inline and the queued path (see
+// checkAdmitAllocFree). The gate pins the saturated cost-reject steady state
+// with warm-start reuse disabled, so the FULL DP query runs on every admit
+// (the warm-start skip has its own gate below); the accept path additionally
+// retains the route into chunked arenas, which is amortized O(1) per accept
+// but not 0.
 func TestEngineAdmitWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
-	eng, pkt := saturateEngine(t, engine.Options{NoWarmStart: true})
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := eng.Admit(ctx, pkt)
-		if err != nil || dec.Verdict != engine.RejectedCost {
-			t.Fatalf("steady state broken: %+v, %v", dec, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm engine Admit allocates %v/run, want 0", allocs)
-	}
-	if err := eng.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
+	checkAdmitAllocFree(t, engine.Options{NoWarmStart: true})
 }
 
 // TestEngineAdmitWarmStartAllocFree: the same gate for the default engine
 // configuration — repeated queries against an unchanged packer take the
-// version-delta-0 warm-start path (no DP at all) and must stay 0-alloc.
+// version-delta-0 warm-start path (no DP at all) and must stay 0-alloc on
+// both paths.
 func TestEngineAdmitWarmStartAllocFree(t *testing.T) {
 	skipIfRace(t)
-	eng, pkt := saturateEngine(t, engine.Options{})
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := eng.Admit(ctx, pkt)
-		if err != nil || dec.Verdict != engine.RejectedCost {
-			t.Fatalf("steady state broken: %+v, %v", dec, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm-start engine Admit allocates %v/run, want 0", allocs)
-	}
-	if err := eng.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
+	checkAdmitAllocFree(t, engine.Options{})
 }
 
 // TestEngineAdmitCancelNoLeak: the leak audit for abandoned waits. An Admit

@@ -147,11 +147,14 @@ func BenchmarkHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineAdmit measures the streaming admission path end to end:
-// envelope pool → bounded queue → consumer loop → warm sketch query → packer
-// offer → reply. The packets/sec custom metric is the engine's headline in
-// the BENCH_hotpath.json trajectory (recorded via cmd/benchjson). Mixed
-// streams varying src/dst pairs (accepts until the packer fills, then cost
+// BenchmarkEngineAdmit measures the streaming admission path end to end.
+// The one-producer cases find the engine idle on every admit, so each runs
+// the inline path on the benchmark goroutine: envelope pool → warm sketch
+// query → packer offer → buffered reply. FanIn mostly takes the queued
+// path: envelope pool → bounded queue → consumer loop → the same decide →
+// reply. The packets/sec custom metric is the engine's headline in the
+// BENCH_hotpath.json trajectory (recorded via cmd/benchjson). Mixed streams
+// varying src/dst pairs (accepts until the packer fills, then cost
 // rejects); Saturated pins the cost-reject steady state, which is the
 // 0-alloc path gated by alloc_test.go.
 func BenchmarkEngineAdmit(b *testing.B) {
@@ -285,9 +288,10 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
 	})
-	// FanIn drives the serial consumer loop from 4×GOMAXPROCS blocking
-	// producers (the b.RunParallel fan-in keeps the admission queue full,
-	// unlike the one-at-a-time loops above, whose in-flight depth is 1).
+	// FanIn drives the engine from 4×GOMAXPROCS blocking producers. The
+	// b.RunParallel fan-in keeps packets in flight, so at procs ≥ 2 most
+	// admits queue for the consumer loop; only an admit that finds the
+	// engine idle decides inline, as every admit of the loops above does.
 	// Deliberately outside the CI perf gate's filter: timings are
 	// GOMAXPROCS-dependent by design, and benchjson labels the entries with
 	// the procs value instead of merging them with the serial baseline.

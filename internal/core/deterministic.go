@@ -93,7 +93,9 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 	// producer streams the (already arrival-sorted) requests through Admit,
 	// which issues exactly the LightestRoute/Offer sequence of the old
 	// in-line loop — results are byte-identical, and the engine's warm
-	// sketch/packer state is built once, not per request.
+	// sketch/packer state is built once, not per request. With one
+	// producer nothing else is ever in flight, so every Admit decides on
+	// this goroutine, without a hand-off to the engine's consumer loop.
 	eng, err := engine.New(g, engine.Options{
 		Horizon: horizon, PMax: pmax, TileSide: k,
 		Queue: 1, ExpectPackets: len(reqs),

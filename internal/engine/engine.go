@@ -9,8 +9,12 @@
 // sequence through Admit issues exactly the same LightestRoute/Offer call
 // sequence as the old in-line loop, so batch results are byte-identical.
 // What the Engine adds is a concurrency boundary: any number of producer
-// goroutines may call Admit concurrently; a single consumer goroutine owns
-// the mutable routing state and decides packets strictly one at a time.
+// goroutines may call Admit concurrently, and packets are decided strictly
+// one at a time under one mutex (decideMu) that guards the mutable routing
+// state. A packet submitted while nothing else is in flight is decided on
+// the submitting goroutine; every other packet goes through the bounded
+// queue to a consumer goroutine, which also owns InOrder parking and the
+// gap watchdog.
 //
 // Backpressure is real, not simulated: the admission queue is a bounded
 // channel sized by Options.Queue, and a packet arriving at a full queue is
@@ -60,14 +64,14 @@ const (
 	// packer.
 	RejectedInvalid
 	// RejectedQueueFull: the bounded admission queue was full at submission
-	// time (backpressure). Queue-full packets never reach the consumer loop
-	// and are absent from the decision log.
+	// time (backpressure). Queue-full packets never reach the decider and
+	// are absent from the decision log.
 	RejectedQueueFull
 	// Shed: the overload-degradation policy (Options.Shed) dropped the
 	// packet — deadline-aware early shedding or adaptive threshold
 	// tightening under sustained queue pressure. Shed packets reach the
-	// consumer loop (so they appear in the decision log and advance the
-	// arrival watermark) but never mutate the packer's weights.
+	// decider (so they appear in the decision log and advance the arrival
+	// watermark) but never mutate the packer's weights.
 	Shed
 )
 
@@ -139,12 +143,13 @@ type Options struct {
 	// TileSide is the tile side k; 0 derives ⌈log₂(1+3·pmax)⌉.
 	TileSide int
 	// Queue bounds the admission queue (the engine's ingress buffer);
-	// 0 means DefaultQueue. Admit rejects with RejectedQueueFull when full.
+	// 0 means DefaultQueue. Only packets that find another packet in flight
+	// enter the queue. Admit rejects with RejectedQueueFull when full.
 	Queue int
 	// ExpectPackets pre-sizes the accepted-packet arenas. Purely an
 	// optimization: the arenas grow in chunks regardless.
 	ExpectPackets int
-	// InOrder makes the consumer loop decide packets in strictly increasing
+	// InOrder makes the engine decide packets in strictly increasing
 	// Seq order, parking early arrivals — the mode that makes the decision
 	// log deterministic under concurrent producers. Every Seq from FirstSeq
 	// upward must then be submitted exactly once; a gap stalls later
@@ -152,9 +157,9 @@ type Options struct {
 	InOrder bool
 	// FirstSeq is the first sequence number in InOrder mode (default 0).
 	FirstSeq int
-	// RecordDecisions retains every consumer-loop decision for
-	// Result.Decisions (queue-full rejections are not recorded: they never
-	// reach the loop).
+	// RecordDecisions retains every decision for Result.Decisions
+	// (queue-full rejections are not recorded: they never reach the
+	// decider).
 	RecordDecisions bool
 	// NoWarmStart turns off the sketch session's warm-start skip, which
 	// reuses the last DP solution when an admit has the previous one's
@@ -162,8 +167,8 @@ type Options struct {
 	// engines decide identically; the switch exists for parity tests and
 	// benchmarks.
 	NoWarmStart bool
-	// SpecWorkers is ignored: the engine always decides on its single
-	// consumer loop.
+	// SpecWorkers is ignored: the engine always decides packets one at a
+	// time.
 	//
 	// Deprecated: the speculative admission pipeline it sized was removed
 	// (it was slower than the serial loop at 2 procs).
@@ -186,11 +191,11 @@ type Options struct {
 	// independent of queue pressure, which is what the determinism gates
 	// assume.
 	Shed *ShedPolicy
-	// WALPath, when non-empty, journals every consumer-loop decision to an
-	// append-only checksummed write-ahead log at this path (see
-	// internal/engine/wal). A crashed engine restarted with Recover replays
-	// the log and continues with a byte-identical decision stream. New
-	// truncates any existing file; use Recover to resume one.
+	// WALPath, when non-empty, journals every decision to an append-only
+	// checksummed write-ahead log at this path (see internal/engine/wal). A
+	// crashed engine restarted with Recover replays the log and continues
+	// with a byte-identical decision stream. New truncates any existing
+	// file; use Recover to resume one.
 	WALPath string
 	// WALSyncEvery is the WAL fsync batch size (decisions per fsync);
 	// 0 means wal.DefaultSyncEvery. A crash loses at most the unsynced
@@ -228,11 +233,12 @@ type Stats struct {
 	// startup (Recover); they are also included in Submitted and in their
 	// verdict counters, but not in AvgWait.
 	Recovered uint64
-	// QueueLen is the number of packets waiting in the admission queue.
+	// QueueLen is the number of packets waiting in the admission queue
+	// (packets decided on their submitter's goroutine never enter it).
 	QueueLen int
 	// AvgWait is the mean submission-to-decision latency over decided
 	// packets (queue-full rejections excluded: they are decided at the
-	// gate, not by the loop).
+	// gate, not by the decider).
 	AvgWait time.Duration
 }
 
@@ -242,8 +248,8 @@ func (s Stats) Rejected() uint64 {
 	return s.RejectedCost + s.RejectedNoRoute + s.RejectedInvalid + s.RejectedQueueFull
 }
 
-// Decided is the number of packets that reached the consumer loop and were
-// decided on their merits (shed packets reach the loop too, but are
+// Decided is the number of packets that reached the decider and were
+// decided on their merits (shed packets reach the decider too, but are
 // accounted in Shed: Submitted = Decided + Shed + RejectedQueueFull after
 // drain).
 func (s Stats) Decided() uint64 {
@@ -263,9 +269,11 @@ const (
 
 // pending is the envelope of one in-flight admission: the packet (with
 // engine-owned coordinate copies), the submission timestamp, a reply channel
-// and a delivery state. Envelopes are pooled; ownership passes submit → loop
-// → submitter, and exactly one side returns each envelope to the pool: the
-// submitter after consuming the reply, or — when the submitter's ctx was
+// and a delivery state. Envelopes are pooled; ownership passes submit →
+// decider → submitter, where the decider is the loop for a queued packet and
+// the submitter itself for an inline one (which then finds its decision in
+// the buffered reply). Exactly one side returns each envelope to the pool:
+// the submitter after consuming the reply, or — when the submitter's ctx was
 // cancelled and its CAS to envAbandoned won — the loop at delivery time, so
 // a cancelled Admit leaks nothing and a reply can never bleed into a
 // recycled envelope.
@@ -300,12 +308,12 @@ type Engine struct {
 	inj        *fault.Injector
 	shed       *shedState
 
-	// Write-ahead log state (loop-owned after start; see recover.go).
+	// Write-ahead log state (decideMu-guarded after start; see recover.go).
 	wal      *wal.Writer
 	walRec   wal.Record
 	walRoute sketch.Route
 
-	// Resource-outage mask cache (loop-owned; see outage.go).
+	// Resource-outage mask cache (decideMu-guarded; see outage.go).
 	maskEpoch int
 	maskEdges []ipp.EdgeID
 	maskBuf   []float64
@@ -321,8 +329,15 @@ type Engine struct {
 
 	pool sync.Pool
 
-	// Consumer-loop state (owned by the loop goroutine; read by Finish only
-	// after done is closed).
+	// inflight counts packets submitted and not yet decided: queued, parked
+	// or being decided. Admit decides inline only when it moves 0 → 1.
+	inflight atomic.Int64
+
+	// decideMu guards the decider state: the session and the packer above,
+	// the WAL writer, the shed and mask state, and the fields below. The
+	// loop holds it per packet and an inline Admit for its one decision;
+	// Finish reads the fields only after done is closed.
+	decideMu  sync.Mutex
 	nextSeq   int
 	parked    map[int]*pending
 	watermark int64
@@ -458,12 +473,18 @@ func (e *Engine) Params() (horizon int64, pmax, k int) { return e.horizon, e.pma
 // bounded queue rejects it, or ctx is done. It is safe to call from any
 // number of goroutines. After Drain has begun it returns ErrClosed.
 //
-// On ctx cancellation Admit returns promptly with ctx.Err(), but the packet
-// may still be decided (and, if accepted, routed) later: cancellation
-// abandons the wait, not the submission. The pooled envelope is reclaimed by
-// whichever side loses the delivery race (see pending), so a cancelled Admit
-// leaks nothing; if the decision already landed when cancellation is
-// observed, Admit returns it instead of the error.
+// When no other packet is in flight, Admit decides the packet on the
+// calling goroutine instead of handing it to the consumer loop; the
+// decision is the same either way.
+//
+// On ctx cancellation a queued packet's Admit returns promptly with
+// ctx.Err(), but the packet may still be decided (and, if accepted, routed)
+// later: cancellation abandons the wait, not the submission. The pooled
+// envelope is reclaimed by whichever side loses the delivery race (see
+// pending), so a cancelled Admit leaks nothing; if the decision already
+// landed when cancellation is observed, Admit returns it instead of the
+// error. An inline decision is not interrupted: once it has started, Admit
+// returns it even if ctx is cancelled meanwhile.
 //
 //gridroute:hotpath
 func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
@@ -476,10 +497,11 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 	p.enq = time.Now() //gridlint:allow metrics-only latency stamp (Decision.Wait), never reaches the log
 	p.state.Store(envWaiting)
 
-	// The closed flag and the channel send sit under a read lock so Drain's
-	// close(e.in) (under the write lock) cannot race a send. Submitted is
-	// counted before the send: the Stats snapshot contract requires every
-	// packet's Submitted increment to precede its verdict increment.
+	// The closed flag, the inline decide and the channel send sit under a
+	// read lock so Drain's close(e.in) (under the write lock) cannot race a
+	// send and no decision lands after it. Submitted is counted before the
+	// decision: the Stats snapshot contract requires every packet's
+	// Submitted increment to precede its verdict increment.
 	e.mu.RLock()
 	if e.shut {
 		e.mu.RUnlock()
@@ -494,11 +516,31 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 		e.rejQFull.Add(1)
 		return Decision{Seq: pkt.Seq, Verdict: RejectedQueueFull}, nil
 	}
+	// Inline decide. With nothing in flight this packet is next in queue
+	// order, so deciding it here overtakes no one; InOrder also needs it to
+	// be next in Seq order. An injector keeps every packet on the loop, so
+	// injected pauses stall the consumer and not the submitter, and a done
+	// ctx keeps the queue-and-abandon path.
+	if e.inj == nil && ctx.Err() == nil && e.inflight.CompareAndSwap(0, 1) {
+		e.decideMu.Lock()
+		if !e.inOrder || pkt.Seq == e.nextSeq {
+			e.step(p)
+			e.decideMu.Unlock()
+			e.mu.RUnlock()
+			d := <-p.reply
+			e.pool.Put(p)
+			return d, nil
+		}
+		e.decideMu.Unlock()
+	} else {
+		e.inflight.Add(1)
+	}
 	select {
 	case e.in <- p:
 		e.mu.RUnlock()
 	default:
 		e.mu.RUnlock()
+		e.inflight.Add(-1)
 		e.pool.Put(p)
 		e.rejQFull.Add(1)
 		return Decision{Seq: pkt.Seq, Verdict: RejectedQueueFull}, nil
@@ -563,12 +605,12 @@ func (e *Engine) setErr(err error) {
 	e.errMu.Unlock()
 }
 
-// loop is the single consumer: it owns every piece of mutable routing state
-// and decides packets strictly one at a time. With Options.GapTimeout set it
-// also runs the InOrder gap watchdog: whenever packets are parked behind a
-// missing Seq, a timer measures how long nextSeq has been stuck (re-armed
-// only when nextSeq advances, so slow-but-progressing streams never fire it)
-// and on expiry the gap is broken (gap.go).
+// loop is the consumer: it decides every queued packet, one at a time under
+// decideMu. With Options.GapTimeout set it also runs the InOrder gap
+// watchdog: whenever packets are parked behind a missing Seq, a timer
+// measures how long nextSeq has been stuck (re-armed only when nextSeq
+// advances, so slow-but-progressing streams never fire it) and on expiry the
+// gap is broken (gap.go).
 func (e *Engine) loop() {
 	defer close(e.done)
 	watch := e.inOrder && e.gapTimeout > 0
@@ -576,8 +618,7 @@ func (e *Engine) loop() {
 	for {
 		var p *pending
 		var ok bool
-		if watch && len(e.parked) > 0 {
-			w.arm(e.gapTimeout, e.nextSeq)
+		if watch && e.armWatch(&w) {
 			select {
 			case p, ok = <-e.in:
 			case <-w.timer.C:
@@ -591,13 +632,24 @@ func (e *Engine) loop() {
 		if !ok {
 			break
 		}
-		if e.inOrder {
-			e.processOrdered(p)
-		} else {
-			e.process(p)
-		}
+		e.decideMu.Lock()
+		e.step(p)
+		e.decideMu.Unlock()
 	}
 	e.flushParked()
+}
+
+// step is the decide step shared by the loop and an inline Admit: decide the
+// packet, or in InOrder mode park it until its Seq comes up. The caller
+// holds decideMu.
+//
+//gridroute:hotpath
+func (e *Engine) step(p *pending) {
+	if e.inOrder {
+		e.processOrdered(p)
+	} else {
+		e.process(p)
+	}
 }
 
 //gridroute:hotpath
@@ -622,6 +674,8 @@ func (e *Engine) processOrdered(p *pending) {
 // flushParked decides leftover parked packets at drain time in Seq order
 // (their gap seqs were never submitted).
 func (e *Engine) flushParked() {
+	e.decideMu.Lock()
+	defer e.decideMu.Unlock()
 	if len(e.parked) == 0 {
 		return
 	}
@@ -649,8 +703,8 @@ func (e *Engine) process(p *pending) {
 	e.finalize(p, d)
 }
 
-// finalize is the single exit path of every consumer-loop decision: count
-// it, record it, journal it, deliver it.
+// finalize is the single exit path of every decision, inline or from the
+// loop: count it, record it, journal it, deliver it.
 //
 //gridroute:hotpath
 func (e *Engine) finalize(p *pending, d Decision) {
@@ -661,6 +715,7 @@ func (e *Engine) finalize(p *pending, d Decision) {
 	if e.wal != nil {
 		e.walAppend(&p.pkt, d)
 	}
+	e.inflight.Add(-1)
 	e.deliver(p, d)
 }
 

@@ -494,3 +494,37 @@ func TestEngineRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineQueueOrderAfterAbandonedWait: a non-InOrder engine decides in
+// submission order even when waits are abandoned. Every other packet goes in
+// with an already-cancelled context, so it is queued and its submitter walks
+// away; the live packet after it must not be decided before it.
+func TestEngineQueueOrderAfterAbandonedWait(t *testing.T) {
+	g, reqs, opts := workload(t, 48, 400, 128, 17)
+	opts.RecordDecisions = true
+	eng, err := engine.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := context.Background()
+	dead, cancel := context.WithCancel(live)
+	cancel()
+	for i := range reqs {
+		ctx := live
+		if i%2 == 1 {
+			ctx = dead
+		}
+		if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[i])); err != nil && ctx == live {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	res := finishEngine(t, eng)
+	if len(res.Decisions) != len(reqs) {
+		t.Fatalf("decided %d packets, want %d", len(res.Decisions), len(reqs))
+	}
+	for i, d := range res.Decisions {
+		if d.Seq != reqs[i].ID {
+			t.Fatalf("decision %d is seq %d, want seq %d: a packet overtook an abandoned one", i, d.Seq, reqs[i].ID)
+		}
+	}
+}

@@ -55,10 +55,24 @@ func (w *gapWatch) arm(d time.Duration, nextSeq int) {
 	w.armed, w.armedSeq = true, nextSeq
 }
 
+// armWatch arms w against the gap at nextSeq and reports whether packets
+// are parked behind it, reading both under decideMu.
+func (e *Engine) armWatch(w *gapWatch) bool {
+	e.decideMu.Lock()
+	defer e.decideMu.Unlock()
+	if len(e.parked) == 0 {
+		return false
+	}
+	w.arm(e.gapTimeout, e.nextSeq)
+	return true
+}
+
 // breakGap resolves a timed-out InOrder gap: record the typed error,
 // advance to the smallest parked seq and process the contiguous run behind
 // it.
 func (e *Engine) breakGap() {
+	e.decideMu.Lock()
+	defer e.decideMu.Unlock()
 	if len(e.parked) == 0 {
 		return
 	}

@@ -21,7 +21,7 @@ import (
 // activeMask returns the blocked sketch-edge ids for the packet's arrival
 // time, or nil when no outage is active. The translated mask is cached per
 // outage epoch (the active set only changes at event boundaries), so steady
-// state costs one binary search per decision. Consumer-loop only.
+// state costs one binary search per decision. Decider only (decideMu held).
 func (e *Engine) activeMask(arrival int64) []ipp.EdgeID {
 	if e.inj == nil || !e.inj.HasOutages() {
 		return nil

@@ -181,7 +181,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	case RejectedInvalid:
 		e.rejInvalid.Add(1)
 	default:
-		// RejectedQueueFull never reaches the loop and is never logged.
+		// RejectedQueueFull never reaches the decider and is never logged.
 		return fmt.Errorf("engine: wal seq %d: unexpected verdict %d in log", rec.Seq, rec.Verdict)
 	}
 	e.submitted.Add(1)
@@ -228,7 +228,7 @@ func (e *Engine) routeFromWAL(rec *wal.Record) (*sketch.Route, error) {
 	return rt, nil
 }
 
-// walAppend journals one consumer-loop decision. A write failure is sticky
+// walAppend journals one decision. A write failure is sticky
 // (Engine.Err) and disables further logging rather than failing admission:
 // the engine degrades to an unjournaled run instead of going down with the
 // disk.

@@ -42,12 +42,17 @@ func TestEngineWALRecoveryDeterminism(t *testing.T) {
 
 		// First life: decide half the stream, then stop (a clean Drain —
 		// the torn-tail variant below covers the mid-write crash shape).
+		// The log holds records from both decide paths: a lone producer
+		// finds the engine idle, so the first quarter is decided and
+		// journaled on its goroutine; 4 InOrder producers almost always
+		// have a packet in flight, so the loop decides the second quarter.
 		const stopAt = 150
 		eng, err := engine.New(g, wopts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedRange(t, eng, reqs, 0, stopAt)
+		feedRange(t, eng, reqs, 0, stopAt/2)
+		chaosFeed(t, eng, nil, reqs[stopAt/2:stopAt], 4)
 		if err := eng.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}

@@ -126,10 +126,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Unlock()
 	select {
 	case <-e.done:
-		// The loop was the only WAL writer and it is gone (loop exit
-		// happens-before the done close), so the log can be flushed and
-		// closed here. A clean Drain leaves a fully-synced log with no torn
-		// tail.
+		// Every WAL writer is gone: an inline decide holds the read lock,
+		// so it ended before the write lock above was taken, and the loop
+		// has exited (loop exit happens-before the done close). The log can
+		// be flushed and closed here. A clean Drain leaves a fully-synced
+		// log with no torn tail.
 		e.mu.Lock()
 		if e.wal != nil {
 			if err := e.wal.Close(); err != nil {
@@ -172,7 +173,7 @@ type Result struct {
 	LoadBound   float64
 	PrimalValue float64
 
-	// Decisions is the consumer-loop decision log in decision order, when
+	// Decisions is the decision log in decision order, when
 	// Options.RecordDecisions was set.
 	Decisions []Decision
 

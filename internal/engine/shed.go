@@ -3,9 +3,9 @@ package engine
 import "gridroute/internal/grid"
 
 // ShedPolicy configures graceful overload degradation. With a policy set the
-// consumer loop watches its own queue occupancy and, under sustained
-// pressure, degrades in two ways instead of letting latency (and the
-// queue-full rate) spike:
+// engine checks its own queue occupancy at every decision and, under
+// sustained pressure, degrades in two ways instead of letting latency (and
+// the queue-full rate) spike:
 //
 //   - Deadline-aware early shedding: while the queue sits at or above the
 //     HighWater mark, packets whose deadline slack (Deadline − Arrival) is
@@ -51,7 +51,7 @@ const (
 	DefaultShedFloor        = 0.5
 )
 
-// shedState is the consumer-owned runtime state of a ShedPolicy.
+// shedState is the runtime state of a ShedPolicy, guarded by decideMu.
 type shedState struct {
 	highWater    int // queue length at/above which the engine is pressured
 	minSlack     int64
@@ -99,7 +99,7 @@ func (p *ShedPolicy) state(queue int) *shedState {
 
 // shedPre runs once per decision, before the route query: it updates the
 // pressure streak and threshold, and reports whether the packet should be
-// shed outright (deadline-aware early shed). Consumer-loop only.
+// shed outright (deadline-aware early shed). Decider only (decideMu held).
 func (e *Engine) shedPre(pkt *Packet) bool {
 	s := e.shed
 	if len(e.in) >= s.highWater {
