@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,173 +137,31 @@ func TestRunInterruptedFlushesPartialOutput(t *testing.T) {
 	}
 }
 
-// The acceptance gate in miniature: for m ∈ {2, 3} and every shard
-// assignment, artifacts merged via -merge produce markdown and stable JSON
-// byte-identical to the unsharded run at any -j. The subset includes E14,
-// the splittable experiment, so scenario sub-cases cross shard boundaries.
-func TestShardMergeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const sel = "^(T1|E9|E14)$"
-	dir := t.TempDir()
-	p := func(name string) string { return filepath.Join(dir, name) }
-	mustRun := func(wantCode int, args ...string) {
-		t.Helper()
-		var out, errb strings.Builder
-		if code := run(context.Background(), args, &out, &errb); code != wantCode {
-			t.Fatalf("run(%q) = %d, want %d\nstderr: %s", args, code, wantCode, errb.String())
-		}
-	}
-	read := func(name string) string {
-		t.Helper()
-		b, err := os.ReadFile(p(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	mustRun(0, "-quick", "-run", sel, "-j", "4", "-out", p("unsharded.md"), "-json", p("unsharded.json"), "-stable-json")
-	wantMD, wantJSON := read("unsharded.md"), read("unsharded.json")
-	if !strings.Contains(wantMD, "## E14") {
-		t.Fatalf("subset markdown missing the splittable experiment:\n%.400s", wantMD)
-	}
-
-	for _, m := range []int{2, 3} {
-		var artifacts []string
-		for i := 0; i < m; i++ {
-			a := p(fmt.Sprintf("m%d-s%d.json", m, i))
-			artifacts = append(artifacts, a)
-			mustRun(0, "-quick", "-run", sel, "-j", "2",
-				"-shard", fmt.Sprintf("%d/%d", i, m), "-artifact", a, "-out", p("shard-partial.md"))
-		}
-		merged := p(fmt.Sprintf("merged-%d.md", m))
-		mergedJSON := p(fmt.Sprintf("merged-%d.json", m))
-		args := append([]string{"-merge"}, artifacts...)
-		mustRun(0, append(args, "-out", merged, "-json", mergedJSON)...)
-		if got := read(fmt.Sprintf("merged-%d.md", m)); got != wantMD {
-			t.Fatalf("m=%d merged markdown differs from unsharded", m)
-		}
-		if got := read(fmt.Sprintf("merged-%d.json", m)); got != wantJSON {
-			t.Fatalf("m=%d merged JSON differs from unsharded", m)
-		}
-	}
-
-	// Incomplete and overlapping inputs exit 2 with a diagnostic.
-	var out, errb strings.Builder
-	if code := run(context.Background(), []string{"-merge", p("m3-s0.json"), p("m3-s2.json")}, &out, &errb); code != 2 {
-		t.Fatalf("incomplete merge exit = %d, want 2\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "incomplete partition") {
-		t.Fatalf("incomplete merge diagnostic missing: %s", errb.String())
-	}
-	errb.Reset()
-	if code := run(context.Background(), []string{"-merge", p("m2-s0.json"), p("m2-s0.json"), p("m2-s1.json")}, &out, &errb); code != 2 {
-		t.Fatalf("overlapping merge exit = %d, want 2\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "overlapping") {
-		t.Fatalf("overlapping merge diagnostic missing: %s", errb.String())
-	}
-	errb.Reset()
-	if code := run(context.Background(), []string{"-merge", p("m2-s0.json"), p("m3-s1.json")}, &out, &errb); code != 2 {
-		t.Fatalf("mixed-plan merge exit = %d, want 2\nstderr: %s", code, errb.String())
-	}
-}
-
-func TestShardFlagValidation(t *testing.T) {
-	for _, bad := range [][]string{
-		{"-shard", "2/2"},
-		{"-shard", "-1/2"},
-		{"-shard", "x/2"},
-		{"-shard", "1"},
-		{"-shard", "0/0"},
-		{"-artifact", "a.json"},         // -artifact without -shard
-		{"-merge", "-shard", "0/2"},     // mutually exclusive
-		{"stray-positional-arg"},        // files only valid with -merge
-		{"-merge"},                      // no artifact files
-		{"-merge", "no-such-file.json"}, // unreadable artifact
-		{"-shard", "0/2", "extra.json"}, // positional args without -merge
-		{"-merge", "-quick", "a.json"},  // sweep-shaping flags have no effect with -merge
-		{"-merge", "a.json", "-run", "^T1$"},
-		{"-merge", "a.json", "-j", "4"},
+// Usage errors exit 2 before any experiment runs, with a diagnostic that
+// names the offending argument.
+func TestRunUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"stray-positional-arg"}, "unexpected arguments"},
+		{[]string{"-quick", "extra.json"}, "unexpected arguments"},
+		{[]string{"--", "extra.json"}, "unexpected arguments"},
+		// Rejected rather than clamped, so -json never records a worker
+		// count the runner did not use.
+		{[]string{"-quick", "-run", "^E9$", "-j", "0"}, "-j"},
+		{[]string{"-quick", "-run", "^E9$", "-j", "-3"}, "-j"},
 	} {
 		var out, errb strings.Builder
-		if code := run(context.Background(), bad, &out, &errb); code != 2 {
-			t.Fatalf("run(%q) = %d, want 2\nstderr: %s", bad, code, errb.String())
+		if code := run(context.Background(), tc.args, &out, &errb); code != 2 {
+			t.Fatalf("run(%q) = %d, want 2\nstderr: %s", tc.args, code, errb.String())
 		}
-	}
-}
-
-// Shard-mode -out/-json output must never pass for the canonical sweep
-// document: both carry the shard stamp.
-func TestShardOutputIsStamped(t *testing.T) {
-	dir := t.TempDir()
-	md := filepath.Join(dir, "shard.md")
-	js := filepath.Join(dir, "shard.json")
-	var out, errb strings.Builder
-	args := []string{"-quick", "-run", "^(T1|E9)$", "-shard", "0/2",
-		"-artifact", filepath.Join(dir, "a.json"), "-out", md, "-json", js}
-	if code := run(context.Background(), args, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d\nstderr: %s", code, errb.String())
-	}
-	mdBytes, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(mdBytes), "shard 0/2 only") {
-		t.Fatalf("shard markdown missing the shard stamp:\n%.400s", mdBytes)
-	}
-	jsBytes, err := os.ReadFile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Shard string `json:"shard"`
-	}
-	if err := json.Unmarshal(jsBytes, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Shard != "0/2" {
-		t.Fatalf("shard JSON stamp = %q, want \"0/2\"", doc.Shard)
-	}
-}
-
-// A shard interrupted before it starts still writes a complete, partial
-// artifact (every assigned unit present as cancelled), and merging it
-// yields a partial document and exit 130 — per-shard SIGINT composes.
-func TestShardInterruptedArtifactComposes(t *testing.T) {
-	dir := t.TempDir()
-	a0 := filepath.Join(dir, "s0.json")
-	a1 := filepath.Join(dir, "s1.json")
-	var out, errb strings.Builder
-	if code := run(context.Background(), []string{"-quick", "-run", "^(T1|E9)$", "-shard", "1/2", "-artifact", a1}, &out, &errb); code != 0 {
-		t.Fatalf("shard 1 exit = %d\nstderr: %s", code, errb.String())
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if code := run(ctx, []string{"-quick", "-run", "^(T1|E9)$", "-shard", "0/2", "-artifact", a0}, &out, &errb); code != 130 {
-		t.Fatalf("cancelled shard exit = %d, want 130\nstderr: %s", code, errb.String())
-	}
-	md := filepath.Join(dir, "merged.md")
-	js := filepath.Join(dir, "merged.json")
-	errb.Reset()
-	if code := run(context.Background(), []string{"-merge", a0, a1, "-out", md, "-json", js}, &out, &errb); code != 130 {
-		t.Fatalf("partial merge exit = %d, want 130\nstderr: %s", code, errb.String())
-	}
-	mdBytes, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(mdBytes), "Sweep interrupted") {
-		t.Fatalf("merged partial markdown missing interrupt trailer:\n%.400s", mdBytes)
-	}
-	jsBytes, err := os.ReadFile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(jsBytes), `"partial": true`) {
-		t.Fatalf("merged partial JSON not marked partial:\n%.400s", jsBytes)
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Fatalf("run(%q) stderr %q does not mention %q", tc.args, errb.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("run(%q) wrote stdout: %q", tc.args, out.String())
+		}
 	}
 }
 

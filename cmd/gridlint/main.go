@@ -1,6 +1,6 @@
 // gridlint is the repo's contract checker: a go/analysis multichecker that
 // statically enforces the determinism, hot-path, packer-version and
-// logical-clock contracts the dynamic gates (race, alloc, chaos, shard)
+// logical-clock contracts the dynamic gates (race, alloc, chaos, sweep)
 // probe at runtime.
 //
 // It speaks the unitchecker protocol, so it runs under the build system's

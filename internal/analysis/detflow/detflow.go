@@ -2,8 +2,9 @@
 // every function reachable from a decision-log write — the decide path and
 // WAL replay, both rooted by a //gridroute:deterministic annotation — must
 // be free of wall-clock reads, unseeded math/rand draws, and map iteration
-// (whose order would reach the log). The byte-identical decision logs that the race, chaos and shard
-// gates check dynamically are only possible if this holds statically.
+// (whose order would reach the log). The byte-identical decision logs that
+// the race, chaos and sweep gates check dynamically are only possible if
+// this holds statically.
 //
 // The closure is computed over static calls (typeutil.StaticCallee) within
 // the package, and across packages through exported Nondet object facts:

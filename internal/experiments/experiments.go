@@ -38,22 +38,19 @@ import (
 
 // ErrSkipped is the sentinel wrapped by every "sub-cases could not run"
 // error. The runner treats it as a deterministic partial result — the
-// report is still rendered and the error is never retried — unlike real
-// failures, which count against the retry budget.
+// report is still rendered — unlike real failures, which render only the
+// error.
 var ErrSkipped = errors.New("sub-cases skipped")
 
 // Report is the outcome of one experiment. Run functions fill Tables and
-// Notes; the Runner stamps ID and Title from the registry entry, which is
-// their single source of truth. Skips holds the sorted skipped-sub-case
-// items (set by SkipList.Apply) separately from Notes so that partial
-// reports from different shards of one experiment can be merged: shards
-// share Notes byte-for-byte but each contributes its own skip items.
+// Notes (SkipList.Apply appends the skipped-sub-cases note); the Runner
+// stamps ID and Title from the registry entry, which is their single
+// source of truth.
 type Report struct {
 	ID     string
 	Title  string
 	Tables []*stats.Table
 	Notes  []string
-	Skips  []string
 }
 
 // Markdown renders the report section exactly as it appears in
@@ -67,26 +64,10 @@ func (r Report) Markdown() string {
 		b.WriteString(t.Markdown())
 		b.WriteString("\n")
 	}
-	for _, n := range r.AllNotes() {
+	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "> %s\n", n)
 	}
 	return b.String()
-}
-
-// AllNotes returns Notes plus the rendered skipped-sub-cases note (when any
-// sub-case was skipped) — the flat note list as it appears in the markdown
-// and in BENCH_experiments.json.
-func (r Report) AllNotes() []string {
-	if len(r.Skips) == 0 {
-		return r.Notes
-	}
-	notes := make([]string, 0, len(r.Notes)+1)
-	notes = append(notes, r.Notes...)
-	return append(notes, skipNote(r.Skips))
-}
-
-func skipNote(items []string) string {
-	return fmt.Sprintf("⚠ skipped sub-cases: %s.", strings.Join(items, "; "))
 }
 
 // Config carries everything an experiment is allowed to depend on: the
@@ -103,12 +84,6 @@ type Config struct {
 	// Seed is the base RNG seed; the Runner derives it from the experiment
 	// ID via SeedFor, making results independent of scheduling order.
 	Seed int64
-	// SubSelect restricts a splittable experiment (Experiment.Subcases) to
-	// the named sub-cases — the sharding hook. nil means all sub-cases.
-	// Experiments consult it via SubSelected; because every sub-case is
-	// seeded from (ID, subkey) alone, running a subset produces exactly the
-	// rows the full run would, so shards merge byte-identically.
-	SubSelect []string
 
 	// pool is the shared sub-task pool Sweep dispatches to, and lease the
 	// per-attempt slot accounting that lets the Runner reclaim slots from
@@ -119,20 +94,6 @@ type Config struct {
 	// subTimeout is Policy.SubTimeout, stamped by the Runner: the
 	// individual bound SweepResults applies to each sub-case.
 	subTimeout time.Duration
-}
-
-// SubSelected reports whether the named sub-case is part of this run: true
-// for every key when no SubSelect restriction is set (the unsharded case).
-func (c Config) SubSelected(key string) bool {
-	if len(c.SubSelect) == 0 {
-		return true
-	}
-	for _, s := range c.SubSelect {
-		if s == key {
-			return true
-		}
-	}
-	return false
 }
 
 // RNG returns a fresh deterministic generator for the given stream. Distinct
@@ -351,7 +312,7 @@ func (s *SkipList) Skip(format string, args ...any) {
 // SkipTimeouts records the sub-cases a SweepResults call abandoned at
 // Policy.SubTimeout; name renders the sub-case key for index i. Like every
 // skip, timeouts surface in the report notes and the ErrSkipped error —
-// deterministic partial results, never retried.
+// deterministic partial results, not failures.
 func (s *SkipList) SkipTimeouts(timedOut []int, name func(i int) string) {
 	for _, i := range timedOut {
 		s.Skip("%s: sub-case timeout", name(i))
@@ -373,14 +334,17 @@ func (s *SkipList) sorted() []string {
 	return out
 }
 
-// Apply records the sorted skip items on the report, making the loss
-// visible in EXPERIMENTS.md (Markdown renders them as the trailing
-// skipped-sub-cases note) rather than silently thinning the tables.
+// Apply appends the sorted skip items to the report's notes as one
+// skipped-sub-cases note, making the loss visible in EXPERIMENTS.md rather
+// than silently thinning the tables. The note goes into a fresh array, so
+// a Notes slice shared with another report is never written through.
 func (s *SkipList) Apply(r *Report) {
-	if s.Len() == 0 {
+	items := s.sorted()
+	if len(items) == 0 {
 		return
 	}
-	r.Skips = append(r.Skips, s.sorted()...)
+	note := fmt.Sprintf("⚠ skipped sub-cases: %s.", strings.Join(items, "; "))
+	r.Notes = append(r.Notes[:len(r.Notes):len(r.Notes)], note)
 }
 
 // Err returns nil when nothing was skipped, and otherwise an error wrapping

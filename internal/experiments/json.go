@@ -12,16 +12,12 @@ import (
 // cells are the already-formatted strings of the markdown output (so ∞ and
 // n/a survive JSON, which cannot encode IEEE infinities). Error carries the
 // text of the error that ended the experiment (including ErrSkipped
-// sub-case lists), and Attempts how many retry-policy attempts were made.
+// sub-case lists).
 type benchEntry struct {
-	ID    string   `json:"id"`
-	Title string   `json:"title"`
-	Tags  []string `json:"tags,omitempty"`
-	// DurationMS is a pointer so that the stable form can omit it entirely
-	// while the default form keeps the field present even at 0 (cancelled
-	// experiments), exactly as it always was.
-	DurationMS *float64       `json:"duration_ms,omitempty"`
-	Attempts   int            `json:"attempts,omitempty"`
+	ID         string         `json:"id"`
+	Title      string         `json:"title"`
+	Tags       []string       `json:"tags,omitempty"`
+	DurationMS float64        `json:"duration_ms"`
 	Error      string         `json:"error,omitempty"`
 	Tables     []*stats.Table `json:"tables"`
 	Notes      []string       `json:"notes,omitempty"`
@@ -33,60 +29,27 @@ type benchEntry struct {
 // carries every Result that streamed out before the cut.
 type benchFile struct {
 	Mode        string       `json:"mode"`
-	Shard       string       `json:"shard,omitempty"`   // "i/m" when the document covers one shard of a sweep
-	Workers     *int         `json:"workers,omitempty"` // pointer: see benchEntry.DurationMS
+	Workers     int          `json:"workers"`
 	Partial     bool         `json:"partial,omitempty"`
 	Experiments []benchEntry `json:"experiments"`
-}
-
-// JSONOptions selects the shape of the results document.
-type JSONOptions struct {
-	// Quick marks the reduced sweep ("mode": "quick").
-	Quick bool
-	// Workers is the -j the sweep ran with; recorded unless Stable is set.
-	Workers int
-	// Partial marks a sweep cancelled before every experiment completed.
-	Partial bool
-	// Stable omits everything that varies between machines or runs of the
-	// same sweep — wall-clock durations and the worker count — leaving only
-	// fields that are a pure function of the results. A stable document is
-	// byte-identical at any -j and across machines, which is what lets a
-	// merged sharded sweep be diffed against an unsharded one.
-	Stable bool
-	// Shard stamps a document that covers only one shard ("i/m") so a
-	// partial sweep can never pass for the canonical one. Empty for
-	// unsharded and merged runs.
-	Shard string
 }
 
 // WriteJSON emits the machine-readable results file for a finished (or,
 // with partial set, interrupted) run.
 func WriteJSON(w io.Writer, quick bool, workers int, partial bool, results []Result) error {
-	return WriteJSONOpts(w, JSONOptions{Quick: quick, Workers: workers, Partial: partial}, results)
-}
-
-// WriteJSONOpts is WriteJSON with full control over the document shape.
-func WriteJSONOpts(w io.Writer, opts JSONOptions, results []Result) error {
 	mode := "full"
-	if opts.Quick {
+	if quick {
 		mode = "quick"
 	}
-	doc := benchFile{Mode: mode, Shard: opts.Shard, Partial: opts.Partial}
-	if !opts.Stable {
-		doc.Workers = &opts.Workers
-	}
+	doc := benchFile{Mode: mode, Workers: workers, Partial: partial}
 	for _, res := range results {
 		entry := benchEntry{
-			ID:       res.Experiment.ID,
-			Title:    res.Report.Title,
-			Tags:     res.Experiment.Tags,
-			Attempts: res.Attempts,
-			Tables:   res.Report.Tables,
-			Notes:    res.Report.AllNotes(),
-		}
-		if !opts.Stable {
-			ms := float64(res.Duration.Microseconds()) / 1000
-			entry.DurationMS = &ms
+			ID:         res.Experiment.ID,
+			Title:      res.Report.Title,
+			Tags:       res.Experiment.Tags,
+			DurationMS: float64(res.Duration.Microseconds()) / 1000,
+			Tables:     res.Report.Tables,
+			Notes:      res.Report.Notes,
 		}
 		if res.Err != nil {
 			entry.Error = res.Err.Error()

@@ -19,17 +19,6 @@ type Experiment struct {
 	Title string
 	Tags  []string
 	Run   func(ctx context.Context, cfg Config) (Report, error)
-
-	// Subcases, when non-nil, enumerates the canonical sub-case keys of a
-	// splittable experiment — the atomic units a sharded sweep may
-	// distribute across machines. An experiment that declares Subcases
-	// promises that (a) Run with Config.SubSelect set to any subset
-	// produces exactly the table rows, notes and skips the full run would
-	// produce for those sub-cases (sub-case seeding from (ID, subkey)
-	// makes this automatic), (b) it renders a single table, and (c) each
-	// table row's first cell is the sub-case key, so partial tables merge
-	// back in canonical order. nil means the experiment only runs whole.
-	Subcases func() []string
 }
 
 var registry []Experiment

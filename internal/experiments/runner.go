@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,35 +11,30 @@ import (
 )
 
 // Result is one executed experiment: its report, the error that ended it
-// (nil on success; wraps ErrSkipped for deterministic partial results), the
-// wall-clock time across all attempts, and how many attempts were made.
-// Attempts is 0 when the experiment was cancelled before it ever started.
+// (nil on success; wraps ErrSkipped for deterministic partial results) and
+// its wall-clock time.
 type Result struct {
 	Experiment Experiment
 	Report     Report
 	Err        error
 	Duration   time.Duration
-	Attempts   int
 }
 
-// Policy controls how the Runner shepherds each experiment through failure.
+// Policy bounds how long the Runner lets an experiment, and each of its
+// sub-cases, run. Experiments are seeded and deterministic, so a failure
+// is reported once and never re-run.
 type Policy struct {
-	// Timeout bounds each attempt of one experiment; 0 means no limit.
-	// Experiments observe it cooperatively between sub-cases (Config.Sweep);
-	// an attempt that overruns is abandoned and reported as
-	// context.DeadlineExceeded.
+	// Timeout bounds one experiment's run; 0 means no limit. Experiments
+	// observe it cooperatively between sub-cases (Config.Sweep); a run
+	// that overruns is abandoned and reported as context.DeadlineExceeded.
 	Timeout time.Duration
 	// SubTimeout bounds each individual sub-case of an experiment's
 	// SweepResults sweeps; 0 means no limit. A sub-case that overruns is
 	// abandoned (its pool slot reclaimed, its result discarded) and
 	// surfaces as a skipped sub-case in the report — a deterministic
-	// partial result, never a retried failure. Unlike Timeout, one slow
-	// sub-case costs only its own table row, not the whole experiment.
+	// partial result, not a failure. Unlike Timeout, one slow sub-case
+	// costs only its own table row, not the whole experiment.
 	SubTimeout time.Duration
-	// Retries is how many times a failed attempt is re-run. Errors wrapping
-	// ErrSkipped and cancellations of the caller's context are never
-	// retried: both are deterministic, so a retry cannot help.
-	Retries int
 }
 
 // Runner executes a set of experiments over a bounded pool of goroutines.
@@ -53,7 +47,7 @@ type Runner struct {
 	Workers int
 	// Quick selects the reduced sweep.
 	Quick bool
-	// Policy is the per-experiment timeout/retry policy (zero = run once,
+	// Policy holds the per-experiment and per-sub-case timeouts (zero =
 	// no time limit).
 	Policy Policy
 }
@@ -180,17 +174,6 @@ func (r Runner) workers(jobs int) (expWorkers, poolSize int) {
 	return expWorkers, poolSize
 }
 
-// Job is one unit of Runner work: an experiment plus an optional
-// restriction to a subset of its sub-cases (Config.SubSelect). A sharded
-// sweep turns its unit assignment into Jobs; an unsharded sweep uses
-// whole-experiment Jobs with a nil SubSelect.
-type Job struct {
-	Experiment Experiment
-	// SubSelect restricts a splittable experiment (Experiment.Subcases) to
-	// the named sub-cases; nil runs the experiment whole.
-	SubSelect []string
-}
-
 // Stream executes the experiments and emits one Result per input on the
 // returned channel, in input order, as soon as each becomes available: a
 // small reorder buffer holds out-of-order finishers until their turn. The
@@ -199,21 +182,10 @@ type Job struct {
 // Results whose Err is ctx's error, so a consumer can flush partial output
 // and still see the full accounting.
 func (r Runner) Stream(ctx context.Context, exps []Experiment) <-chan Result {
-	jobs := make([]Job, len(exps))
-	for i, e := range exps {
-		jobs[i] = Job{Experiment: e}
-	}
-	return r.StreamJobs(ctx, jobs)
-}
-
-// StreamJobs is Stream over explicit Jobs: the sharded form, where a job
-// may cover only a subset of a splittable experiment's sub-cases. The
-// streaming, ordering and drain-on-cancel contract is identical to Stream.
-func (r Runner) StreamJobs(ctx context.Context, jobList []Job) <-chan Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	expWorkers, poolSize := r.workers(len(jobList))
+	expWorkers, poolSize := r.workers(len(exps))
 	pool := newSubpool(poolSize)
 	type indexed struct {
 		i   int
@@ -224,23 +196,23 @@ func (r Runner) StreamJobs(ctx context.Context, jobList []Job) <-chan Result {
 	for w := 0; w < expWorkers; w++ {
 		go func() {
 			for i := range jobs {
-				j := jobList[i]
+				e := exps[i]
 				if err := ctx.Err(); err != nil {
 					// Drain without running so every index still yields a
 					// Result and the stream can close.
 					finished <- indexed{i, Result{
-						Experiment: j.Experiment,
-						Report:     Report{ID: j.Experiment.ID, Title: j.Experiment.Title},
+						Experiment: e,
+						Report:     Report{ID: e.ID, Title: e.Title},
 						Err:        err,
 					}}
 					continue
 				}
-				finished <- indexed{i, r.runOne(ctx, j, pool)}
+				finished <- indexed{i, r.runOne(ctx, e, pool)}
 			}
 		}()
 	}
 	go func() {
-		for i := range jobList {
+		for i := range exps {
 			jobs <- i
 		}
 		close(jobs)
@@ -250,7 +222,7 @@ func (r Runner) StreamJobs(ctx context.Context, jobList []Job) <-chan Result {
 		defer close(out)
 		pending := make(map[int]Result)
 		next := 0
-		for received := 0; received < len(jobList); received++ {
+		for received := 0; received < len(exps); received++ {
 			fin := <-finished
 			pending[fin.i] = fin.res
 			for {
@@ -267,21 +239,11 @@ func (r Runner) StreamJobs(ctx context.Context, jobList []Job) <-chan Result {
 	return out
 }
 
-// runOne shepherds a single job through the retry policy.
-func (r Runner) runOne(ctx context.Context, j Job, pool *subpool) Result {
-	e := j.Experiment
+// runOne runs a single experiment and times it.
+func (r Runner) runOne(ctx context.Context, e Experiment, pool *subpool) Result {
 	res := Result{Experiment: e}
 	start := time.Now() //gridlint:allow experiment wall-time measurement; reported, never fed back into results
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		res.Report, res.Err = r.attempt(ctx, j, pool)
-		if res.Err == nil || errors.Is(res.Err, ErrSkipped) {
-			break
-		}
-		if ctx.Err() != nil || attempt > r.Policy.Retries {
-			break
-		}
-	}
+	res.Report, res.Err = r.attempt(ctx, e, pool)
 	res.Duration = time.Since(start) //gridlint:allow experiment wall-time measurement; reported, never fed back into results
 	// The registry entry is the single source of truth for ID and Title;
 	// Run functions only produce tables and notes.
@@ -294,9 +256,8 @@ func (r Runner) runOne(ctx context.Context, j Job, pool *subpool) Result {
 // between sub-cases). With a Policy timeout the run gets its own goroutine
 // so a stuck experiment can be abandoned at the deadline — its sub-tasks
 // stop at the next Sweep cancellation check and release their pool slots.
-func (r Runner) attempt(ctx context.Context, j Job, pool *subpool) (Report, error) {
-	e := j.Experiment
-	cfg := Config{Quick: r.Quick, ID: e.ID, Seed: SeedFor(e.ID), SubSelect: j.SubSelect, pool: pool, lease: &lease{}, subTimeout: r.Policy.SubTimeout}
+func (r Runner) attempt(ctx context.Context, e Experiment, pool *subpool) (Report, error) {
+	cfg := Config{Quick: r.Quick, ID: e.ID, Seed: SeedFor(e.ID), pool: pool, lease: &lease{}, subTimeout: r.Policy.SubTimeout}
 	if r.Policy.Timeout <= 0 {
 		return safeRun(ctx, e, cfg)
 	}

@@ -84,8 +84,8 @@ func TestRunnerWorkerClamping(t *testing.T) {
 		if results[0].Report.ID != "E9" || results[0].Report.Title != "stub E9" {
 			t.Fatalf("Workers=%d: report not stamped: %+v", workers, results[0].Report)
 		}
-		if results[0].Err != nil || results[0].Attempts != 1 {
-			t.Fatalf("Workers=%d: err=%v attempts=%d", workers, results[0].Err, results[0].Attempts)
+		if results[0].Err != nil {
+			t.Fatalf("Workers=%d: err=%v", workers, results[0].Err)
 		}
 	}
 }
@@ -143,8 +143,8 @@ func TestStreamPreservesOrderAcrossFinishTimes(t *testing.T) {
 	}
 }
 
-// An experiment that overruns the per-attempt timeout is abandoned and
-// reported as DeadlineExceeded after exhausting the retry budget.
+// An experiment that overruns the per-experiment timeout is abandoned and
+// reported as DeadlineExceeded.
 func TestRunnerTimeout(t *testing.T) {
 	exp := stub("hang", func(ctx context.Context, _ Config) (Report, error) {
 		select {
@@ -154,14 +154,10 @@ func TestRunnerTimeout(t *testing.T) {
 			return Report{}, errors.New("never reached")
 		}
 	})
-	r := Runner{Workers: 1, Policy: Policy{Timeout: 20 * time.Millisecond, Retries: 1}}
+	r := Runner{Workers: 1, Policy: Policy{Timeout: 20 * time.Millisecond}}
 	results := r.Run(context.Background(), []Experiment{exp})
-	res := results[0]
-	if !errors.Is(res.Err, context.DeadlineExceeded) {
+	if res := results[0]; !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", res.Err)
-	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (timeouts count against the retry budget)", res.Attempts)
 	}
 }
 
@@ -200,48 +196,9 @@ func TestRunnerTimeoutReclaimsPoolSlots(t *testing.T) {
 	}
 }
 
-// A transiently failing experiment is retried and its eventual success
-// reported, with the attempt count visible.
-func TestRunnerRetryThenSucceed(t *testing.T) {
-	var calls atomic.Int32
-	exp := stub("flaky", func(context.Context, Config) (Report, error) {
-		if calls.Add(1) < 3 {
-			return Report{}, fmt.Errorf("transient failure %d", calls.Load())
-		}
-		return Report{Notes: []string{"recovered"}}, nil
-	})
-	results := Runner{Workers: 1, Policy: Policy{Retries: 3}}.Run(context.Background(), []Experiment{exp})
-	res := results[0]
-	if res.Err != nil {
-		t.Fatalf("err = %v, want nil after retries", res.Err)
-	}
-	if res.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", res.Attempts)
-	}
-	if len(res.Report.Notes) != 1 {
-		t.Fatalf("report lost across retries: %+v", res.Report)
-	}
-}
-
-// Retries stop at the budget and the last error is surfaced.
-func TestRunnerRetriesExhausted(t *testing.T) {
-	var calls atomic.Int32
-	exp := stub("broken", func(context.Context, Config) (Report, error) {
-		calls.Add(1)
-		return Report{}, errors.New("permanent failure")
-	})
-	results := Runner{Workers: 1, Policy: Policy{Retries: 2}}.Run(context.Background(), []Experiment{exp})
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("experiment ran %d times, want 3 (1 + 2 retries)", got)
-	}
-	if res := results[0]; res.Err == nil || res.Attempts != 3 {
-		t.Fatalf("err=%v attempts=%d, want error after 3 attempts", res.Err, res.Attempts)
-	}
-}
-
-// ErrSkipped is a deterministic partial result: retrying cannot help, so
-// the runner must not burn the retry budget on it.
-func TestRunnerDoesNotRetrySkipped(t *testing.T) {
+// ErrSkipped is a deterministic partial result: the experiment runs once,
+// and its report keeps both its own notes and the skip note.
+func TestRunnerKeepsSkippedReport(t *testing.T) {
 	var calls atomic.Int32
 	exp := stub("partial", func(context.Context, Config) (Report, error) {
 		calls.Add(1)
@@ -249,22 +206,23 @@ func TestRunnerDoesNotRetrySkipped(t *testing.T) {
 		skips.Skip("n=256: out of memory")
 		return skips.finish(Report{Notes: []string{"partial tables"}})
 	})
-	results := Runner{Workers: 1, Policy: Policy{Retries: 5}}.Run(context.Background(), []Experiment{exp})
+	results := Runner{Workers: 1}.Run(context.Background(), []Experiment{exp})
 	if calls.Load() != 1 {
-		t.Fatalf("skipped experiment retried %d times", calls.Load()-1)
+		t.Fatalf("skipped experiment ran %d times, want 1", calls.Load())
 	}
 	res := results[0]
 	if !errors.Is(res.Err, ErrSkipped) {
 		t.Fatalf("err = %v, want ErrSkipped", res.Err)
 	}
-	if !strings.Contains(strings.Join(res.Report.AllNotes(), "\n"), "skipped sub-cases") {
-		t.Fatalf("skip list missing from notes: %v", res.Report.AllNotes())
+	if len(res.Report.Notes) != 2 || res.Report.Notes[0] != "partial tables" ||
+		!strings.Contains(res.Report.Notes[1], "skipped sub-cases: n=256: out of memory") {
+		t.Fatalf("notes = %v, want the experiment's note then the skip note", res.Report.Notes)
 	}
 }
 
-// Cancelling the caller's context mid-sweep stops new experiments, drains
-// the rest as cancelled results (so the stream still closes after exactly
-// len(exps) results), and never retries the cancellation.
+// Cancelling the caller's context mid-sweep stops new experiments and
+// drains the rest as cancelled results, so the stream still closes after
+// exactly len(exps) results.
 func TestRunnerCtxCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	exps := []Experiment{
@@ -276,7 +234,7 @@ func TestRunnerCtxCancelMidSweep(t *testing.T) {
 		okStub("after"),
 		okStub("last"),
 	}
-	results := Runner{Workers: 1, Policy: Policy{Retries: 5}}.Run(ctx, exps)
+	results := Runner{Workers: 1}.Run(ctx, exps)
 	if len(results) != len(exps) {
 		t.Fatalf("got %d results, want %d (cancelled experiments must still drain)", len(results), len(exps))
 	}
@@ -294,7 +252,7 @@ func TestRunnerCtxCancelMidSweep(t *testing.T) {
 }
 
 // A panicking experiment must not kill the worker; it surfaces as an error
-// and is retried like any failure.
+// like any failure.
 func TestRunnerRecoversPanics(t *testing.T) {
 	exp := stub("boom", func(context.Context, Config) (Report, error) {
 		panic("table flipped")
@@ -338,7 +296,6 @@ func TestWriteJSON(t *testing.T) {
 		},
 		Err:      fmt.Errorf("wrapped: %w", ErrSkipped),
 		Duration: 1500 * 1000, // 1.5ms in ns
-		Attempts: 2,
 	}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, true, 4, true, []Result{res}); err != nil {
@@ -351,7 +308,6 @@ func TestWriteJSON(t *testing.T) {
 		Experiments []struct {
 			ID         string   `json:"id"`
 			DurationMS float64  `json:"duration_ms"`
-			Attempts   int      `json:"attempts"`
 			Error      string   `json:"error"`
 			Notes      []string `json:"notes"`
 		} `json:"experiments"`
@@ -368,7 +324,7 @@ func TestWriteJSON(t *testing.T) {
 	if doc.Experiments[0].DurationMS != 1.5 {
 		t.Fatalf("duration_ms = %v, want 1.5", doc.Experiments[0].DurationMS)
 	}
-	if doc.Experiments[0].Attempts != 2 || !strings.Contains(doc.Experiments[0].Error, "skipped") {
+	if !strings.Contains(doc.Experiments[0].Error, "skipped") {
 		t.Fatalf("error accounting wrong: %+v", doc.Experiments[0])
 	}
 }
@@ -438,9 +394,6 @@ func TestSubTimeoutBoundsIndividualSubCases(t *testing.T) {
 	}
 	if len(res.Report.Notes) == 0 || !strings.Contains(res.Report.Notes[0], "[1 0 3]") {
 		t.Fatalf("sibling sub-case results lost: %v", res.Report.Notes)
-	}
-	if res.Attempts != 1 {
-		t.Fatalf("attempts = %d: sub-case timeouts are deterministic skips, never retried", res.Attempts)
 	}
 	if results[1].Err != nil {
 		t.Fatalf("next experiment starved after sub-case timeout: %v", results[1].Err)
@@ -561,7 +514,7 @@ func TestAbandonedSubCaseSkipsSuppressed(t *testing.T) {
 		t.Fatalf("err = %v, want the sub-case timeout skip", res.Err)
 	}
 	if strings.Contains(res.Err.Error(), "late skip") ||
-		strings.Contains(strings.Join(res.Report.AllNotes(), "\n"), "late skip") {
-		t.Fatalf("abandoned sub-case's skip leaked into the report: %v / %v", res.Err, res.Report.AllNotes())
+		strings.Contains(strings.Join(res.Report.Notes, "\n"), "late skip") {
+		t.Fatalf("abandoned sub-case's skip leaked into the report: %v / %v", res.Err, res.Report.Notes)
 	}
 }

@@ -18,10 +18,6 @@ func init() {
 		Title: "Scenario catalog — every registered workload end to end",
 		Tags:  []string{"sweep", "scenario", "catalog"},
 		Run:   runScenarioCatalog,
-		// Each scenario is an independent sub-case (its own seed, its own
-		// table row), so a sharded sweep may split the catalog across
-		// machines and merge the rows back in this canonical order.
-		Subcases: scenario.IDs,
 	})
 }
 
@@ -47,16 +43,7 @@ func quickOverrides(sc scenario.Scenario) map[string]float64 {
 // instance, so the CI -j determinism diffs also certify that scenario
 // generation is byte-stable at any worker count.
 func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
-	all := scenario.Registered()
-	scs := all
-	if len(cfg.SubSelect) > 0 {
-		scs = scs[:0:0]
-		for _, sc := range all {
-			if cfg.SubSelected(sc.ID) {
-				scs = append(scs, sc)
-			}
-		}
-	}
+	scs := scenario.Registered()
 	type slot struct {
 		dims    string
 		b, c    int
@@ -129,7 +116,7 @@ func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
 	return skips.finish(Report{
 		Tables: []*stats.Table{t},
 		Notes: []string{
-			fmt.Sprintf("%d scenarios registered; each generated with its per-ID seed (SeedFor) and validated in-bounds/reachable/arrival-sorted before routing.", len(all)),
+			fmt.Sprintf("%d scenarios registered; each generated with its per-ID seed (SeedFor) and validated in-bounds/reachable/arrival-sorted before routing.", len(scs)),
 			"The digest column is an FNV-1a fingerprint of the generated instance: identical across -j levels and machines, diffed by the CI determinism gate.",
 		},
 	})

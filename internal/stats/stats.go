@@ -177,22 +177,6 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 	}{t.Title, t.Header, rows})
 }
 
-// UnmarshalJSON is the inverse of MarshalJSON: it reconstructs a table from
-// the machine-readable form so that shard artifacts round-trip to markdown
-// byte-identically.
-func (t *Table) UnmarshalJSON(b []byte) error {
-	var doc struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return err
-	}
-	t.Title, t.Header, t.Rows = doc.Title, doc.Header, doc.Rows
-	return nil
-}
-
 // Markdown renders the table.
 func (t *Table) Markdown() string {
 	var b strings.Builder
