@@ -338,7 +338,7 @@ func BenchmarkTable1PriorAlgorithms(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gr := baseline.Run(g, reqs, baseline.Greedy{}, netsim.Model1, horizon)
+		gr := netsim.RunLocal(g, reqs, baseline.Greedy{}, netsim.Model1, horizon)
 		ratio = float64(optLB) / float64(gr.Throughput())
 	}
 	b.ReportMetric(ratio, "greedy-ratio")
@@ -734,7 +734,7 @@ func BenchmarkLowerBounds(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := baseline.Run(g, reqs, baseline.Greedy{}, netsim.Model2, int64(4*n))
+		res := netsim.RunLocal(g, reqs, baseline.Greedy{}, netsim.Model2, int64(4*n))
 		ratio = float64(n-2) / float64(res.Throughput())
 	}
 	b.ReportMetric(ratio, "model2-B1-ratio")

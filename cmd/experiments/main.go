@@ -14,8 +14,6 @@
 //	go run ./cmd/experiments -quick          # small sweep (seconds)
 //	go run ./cmd/experiments -quick -j 4     # same tables, 4 workers
 //	go run ./cmd/experiments -run 'T[12]'    # only experiments matching the regexp
-//	go run ./cmd/experiments -timeout 2m     # per-experiment timeout
-//	go run ./cmd/experiments -subtimeout 20s # per-sub-case timeout inside sweeps
 //	go run ./cmd/experiments -out FILE       # write markdown to FILE instead of stdout
 //	go run ./cmd/experiments -json FILE      # also write machine-readable results
 //	go run ./cmd/experiments -list           # list registered experiment IDs
@@ -65,8 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("j", runtime.NumCPU(), "bound on concurrent experiments and (separately) on concurrent sub-tasks across all experiments (1 = serial)")
 	jsonOut := fs.String("json", "", "also write machine-readable results (e.g. BENCH_experiments.json)")
 	list := fs.Bool("list", false, "list registered experiments and exit")
-	timeout := fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
-	subTimeout := fs.Duration("subtimeout", 0, "per-sub-case timeout within each experiment's sweep (0 = none; overruns surface as skipped sub-cases)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	if err := fs.Parse(args); err != nil {
@@ -130,11 +126,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	runner := experiments.Runner{
-		Workers: *workers,
-		Quick:   *quick,
-		Policy:  experiments.Policy{Timeout: *timeout, SubTimeout: *subTimeout},
-	}
+	runner := experiments.Runner{Workers: *workers, Quick: *quick}
 
 	mode := "full"
 	if *quick {
@@ -270,9 +262,7 @@ func statusSuffix(res experiments.Result) string {
 }
 
 // isCancellation reports whether the error is the caller's context being
-// cancelled (SIGINT). A per-experiment Policy timeout surfaces as
-// context.DeadlineExceeded instead and counts as a failure, not a
-// cancellation of the sweep.
+// cancelled (SIGINT).
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled)
 }

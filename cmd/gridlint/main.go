@@ -1,7 +1,6 @@
 // gridlint is the repo's contract checker: a go/analysis multichecker that
-// statically enforces the determinism, hot-path, packer-version and
-// logical-clock contracts the dynamic gates (race, alloc, chaos, sweep)
-// probe at runtime.
+// statically enforces the determinism, hot-path and logical-clock
+// contracts the dynamic gates (race, alloc, chaos, sweep) probe at runtime.
 //
 // It speaks the unitchecker protocol, so it runs under the build system's
 // vet driver — which is also how its analyzers see export data and facts
@@ -21,7 +20,6 @@ import (
 
 	"gridroute/internal/analysis/detflow"
 	"gridroute/internal/analysis/hotalloc"
-	"gridroute/internal/analysis/lockorder"
 	"gridroute/internal/analysis/nilness"
 	"gridroute/internal/analysis/seqclock"
 	"gridroute/internal/analysis/shadow"
@@ -31,7 +29,6 @@ func main() {
 	unitchecker.Main(
 		detflow.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
 		seqclock.Analyzer,
 		nilness.Analyzer,
 		shadow.Analyzer,

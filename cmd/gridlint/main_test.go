@@ -10,11 +10,11 @@ import (
 
 // TestGridlintClean builds the gridlint multichecker and runs it over the
 // whole module via the vet -vettool protocol — the same invocation CI uses.
-// This is the enforcement test for the repo's determinism, hot-path,
-// packer-version and logical-clock contracts: any unannotated wall-clock
-// call in a decision flow, allocation on a hot path, weight write without a
-// version bump, or clock-keyed fault trigger fails it. Running through `go vet` (not in-process) also
-// exercises cross-package fact export/import under unitchecker.
+// This is the enforcement test for the repo's determinism, hot-path and
+// logical-clock contracts: any unannotated wall-clock call in a decision
+// flow, allocation on a hot path, or clock-keyed fault trigger fails it.
+// Running through `go vet` (not in-process) also exercises cross-package
+// fact export/import under unitchecker.
 func TestGridlintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and vets the whole module")

@@ -51,7 +51,8 @@ func main() {
 
 // run is main minus process-global state: it parses args, generates the
 // scenario, routes it, and returns the exit code (0 success, 1 routing
-// failure, 2 usage error — unknown algorithm, scenario or parameter).
+// failure or replay violations in the routed schedules, 2 usage error —
+// unknown algorithm, scenario or parameter).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("routesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -126,6 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "OPT ≤ %.1f (certified dual bound; certifying packer itself routed %d)\n", upper, witness)
 	if res.Throughput > 0 {
 		fmt.Fprintf(stdout, "certified competitive ratio ≤ %.2f\n", upper/float64(res.Throughput))
+	}
+	if len(res.Violations) > 0 {
+		fmt.Fprintf(stderr, "routesim: check failed: %d replay violations, first: %s\n", len(res.Violations), res.Violations[0])
+		return 1
 	}
 	return 0
 }

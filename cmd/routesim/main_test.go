@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"gridroute"
 )
 
 func TestUnknownAlgorithmExits2ListingKnown(t *testing.T) {
@@ -97,5 +99,36 @@ func TestSeedBeyondFloat64PrecisionExits2(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "2^53") {
 		t.Fatalf("stderr must explain the precision limit, got: %s", errb.String())
+	}
+}
+
+// violatingRouter stands in for a router whose schedules fail the replay
+// check.
+type violatingRouter struct{}
+
+func (violatingRouter) Name() string { return "violating" }
+
+func (violatingRouter) Route(g *gridroute.Grid, reqs []gridroute.Request) (*gridroute.Result, error) {
+	return &gridroute.Result{
+		Algorithm:  "violating",
+		Requests:   len(reqs),
+		Violations: []string{"t=3 node 2: buffer 4 > B=3"},
+	}, nil
+}
+
+// A run whose routed schedules replay with violations prints its summary
+// and then exits 1, naming the failed check.
+func TestReplayViolationsExit1(t *testing.T) {
+	algorithms["violating"] = func(int64, float64) gridroute.Router { return violatingRouter{} }
+	t.Cleanup(func() { delete(algorithms, "violating") })
+	var out, errb strings.Builder
+	if code := run([]string{"-alg", "violating", "-scenario", "uniform"}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "violations  1") {
+		t.Fatalf("summary missing the violation count:\n%s", out.String())
+	}
+	if want := "check failed: 1 replay violations, first: t=3 node 2"; !strings.Contains(errb.String(), want) {
+		t.Fatalf("stderr = %q, want it to contain %q", errb.String(), want)
 	}
 }

@@ -5,7 +5,6 @@
 //
 //	//gridroute:deterministic          on a func: root of the detflow closure
 //	//gridroute:hotpath                on a func: checked by hotalloc
-//	//gridroute:versioned              on a struct field: writes need a version bump
 //	//gridroute:seqclock               package marker: no wall clock anywhere
 //	//gridlint:allow <reason>          suppress diagnostics on this line (or, for
 //	                                   a standalone comment, on the next line)
@@ -25,7 +24,6 @@ import (
 const (
 	Deterministic = "deterministic"
 	Hotpath       = "hotpath"
-	Versioned     = "versioned"
 	SeqClock      = "seqclock"
 )
 

@@ -58,26 +58,3 @@ func (NearestToGo) Priority(p *netsim.Packet, now int64) int64 {
 
 // NextAxis implements netsim.Policy.
 func (NearestToGo) NextAxis(g *grid.Grid, p *netsim.Packet) int { return dimensionOrder(g, p) }
-
-// FurthestToGo is the pessimal twin of NearestToGo; it exists for ablations.
-type FurthestToGo struct{}
-
-// Name implements netsim.Policy.
-func (FurthestToGo) Name() string { return "furthest-to-go" }
-
-// Priority implements netsim.Policy.
-func (FurthestToGo) Priority(p *netsim.Packet, now int64) int64 {
-	rem := int64(0)
-	for a := range p.Pos {
-		rem += int64(p.Req.Dst[a] - p.Pos[a])
-	}
-	return -rem
-}
-
-// NextAxis implements netsim.Policy.
-func (FurthestToGo) NextAxis(g *grid.Grid, p *netsim.Packet) int { return dimensionOrder(g, p) }
-
-// Run executes a policy on a workload and returns the simulation result.
-func Run(g *grid.Grid, reqs []grid.Request, pol netsim.Policy, model netsim.Model, horizon int64) *netsim.Result {
-	return netsim.RunLocal(g, reqs, pol, model, horizon)
-}

@@ -14,7 +14,7 @@ func TestGreedyDeliversLightLoad(t *testing.T) {
 		{ID: 1, Src: grid.Vec{3}, Dst: grid.Vec{6}, Arrival: 2, Deadline: grid.InfDeadline},
 		{ID: 2, Src: grid.Vec{5}, Dst: grid.Vec{8}, Arrival: 9, Deadline: grid.InfDeadline},
 	}
-	res := Run(g, reqs, Greedy{}, netsim.Model1, 40)
+	res := netsim.RunLocal(g, reqs, Greedy{}, netsim.Model1, 40)
 	if res.Throughput() != 3 {
 		t.Fatalf("greedy light-load throughput = %d, want 3", res.Throughput())
 	}
@@ -42,8 +42,8 @@ func TestNearestToGoBeatsGreedyOnConvoy(t *testing.T) {
 	// Keep the online order.
 	sortByArrival(reqs)
 	horizon := int64(6 * n)
-	gr := Run(g, reqs, Greedy{}, netsim.Model1, horizon)
-	ntg := Run(g, reqs, NearestToGo{}, netsim.Model1, horizon)
+	gr := netsim.RunLocal(g, reqs, Greedy{}, netsim.Model1, horizon)
+	ntg := netsim.RunLocal(g, reqs, NearestToGo{}, netsim.Model1, horizon)
 	if ntg.Throughput() <= gr.Throughput() {
 		t.Fatalf("expected NTG > greedy, got ntg=%d greedy=%d", ntg.Throughput(), gr.Throughput())
 	}
@@ -57,28 +57,13 @@ func sortByArrival(reqs []grid.Request) {
 	}
 }
 
-func TestFurthestToGoIsWorse(t *testing.T) {
-	n := 16
-	g := grid.Line(n, 1, 1)
-	var reqs []grid.Request
-	for v := 0; v < n-1; v++ {
-		reqs = append(reqs, grid.Request{ID: v, Src: grid.Vec{v}, Dst: grid.Vec{v + 1}, Arrival: 0, Deadline: grid.InfDeadline})
-	}
-	reqs = append(reqs, grid.Request{ID: n, Src: grid.Vec{0}, Dst: grid.Vec{n - 1}, Arrival: 0, Deadline: grid.InfDeadline})
-	ntg := Run(g, reqs, NearestToGo{}, netsim.Model1, int64(4*n))
-	ftg := Run(g, reqs, FurthestToGo{}, netsim.Model1, int64(4*n))
-	if ntg.Throughput() < ftg.Throughput() {
-		t.Fatalf("ntg=%d < ftg=%d", ntg.Throughput(), ftg.Throughput())
-	}
-}
-
 func TestDimensionOrderOn2D(t *testing.T) {
 	g := grid.New([]int{5, 5}, 2, 1)
 	reqs := []grid.Request{
 		{ID: 0, Src: grid.Vec{0, 0}, Dst: grid.Vec{4, 4}, Arrival: 0, Deadline: grid.InfDeadline},
 		{ID: 1, Src: grid.Vec{0, 2}, Dst: grid.Vec{3, 4}, Arrival: 0, Deadline: grid.InfDeadline},
 	}
-	res := Run(g, reqs, NearestToGo{}, netsim.Model1, 40)
+	res := netsim.RunLocal(g, reqs, NearestToGo{}, netsim.Model1, 40)
 	if res.Throughput() != 2 {
 		t.Fatalf("2-d NTG throughput = %d, want 2", res.Throughput())
 	}
@@ -95,7 +80,7 @@ func TestNTGBufferlessLine(t *testing.T) {
 		{ID: 1, Src: grid.Vec{3}, Dst: grid.Vec{4}, Arrival: 3, Deadline: grid.InfDeadline},
 		{ID: 2, Src: grid.Vec{5}, Dst: grid.Vec{6}, Arrival: 5, Deadline: grid.InfDeadline},
 	}
-	res := Run(g, reqs, NearestToGo{}, netsim.Model1, 40)
+	res := netsim.RunLocal(g, reqs, NearestToGo{}, netsim.Model1, 40)
 	// The long packet reaches node 3 at t=3 and node 5 at t=5, exactly when
 	// the shorts are injected; NTG preference drops the long packet at the
 	// first conflict (it has 4 to go vs 1).
@@ -105,7 +90,7 @@ func TestNTGBufferlessLine(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	if (Greedy{}).Name() != "greedy" || (NearestToGo{}).Name() != "nearest-to-go" || (FurthestToGo{}).Name() != "furthest-to-go" {
+	if (Greedy{}).Name() != "greedy" || (NearestToGo{}).Name() != "nearest-to-go" {
 		t.Fatal("names changed; Table 1 harness keys on them")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"gridroute/internal/core"
 	"gridroute/internal/grid"
@@ -44,14 +43,14 @@ func runAblations(ctx context.Context, cfg Config) (Report, error) {
 			knobs = append(knobs, knob{gamma, lc})
 		}
 	}
-	randSlots, timedOut, err := SweepResults(ctx, cfg, &skips, len(knobs), func(i int, skip func(string, ...any)) *core.RandResult {
+	randSlots, err := Sweep(ctx, cfg, len(knobs), func(i int) *core.RandResult {
 		kn := knobs[i]
 		// One coin stream for every knob: rows differ only through γ/cap.
 		res, rerr := core.RunRandomized(g, reqs,
 			core.RandConfig{Horizon: horizon, Gamma: kn.gamma, LoadCap: kn.loadCap, Branch: 1},
 			cfg.SubRNG("rand/coins"))
 		if rerr != nil {
-			skip("E13a gamma=%v loadcap=%v: %v", kn.gamma, kn.loadCap, rerr)
+			skips.Skip("E13a gamma=%v loadcap=%v: %v", kn.gamma, kn.loadCap, rerr)
 			return nil
 		}
 		return res
@@ -59,9 +58,6 @@ func runAblations(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string {
-		return fmt.Sprintf("E13a gamma=%v loadcap=%v", knobs[i].gamma, knobs[i].loadCap)
-	})
 	t := stats.NewTable("E13a: sparsification constant γ (λ = 1/(γk)) and load cap",
 		"γ", "load cap", "delivered", "ratio vs dual upper")
 	for i, kn := range knobs {
@@ -84,10 +80,10 @@ func runAblations(ctx context.Context, cfg Config) (Report, error) {
 			ks = append(ks, k)
 		}
 	}
-	detSlots, timedOut2, err := SweepResults(ctx, cfg, &skips, len(ks), func(i int, skip func(string, ...any)) *core.DetResult {
+	detSlots, err := Sweep(ctx, cfg, len(ks), func(i int) *core.DetResult {
 		res, rerr := core.RunDeterministic(g2, reqs2, core.DetConfig{TileSide: ks[i]})
 		if rerr != nil {
-			skip("E13b k=%d: %v", ks[i], rerr)
+			skips.Skip("E13b k=%d: %v", ks[i], rerr)
 			return nil
 		}
 		return res
@@ -95,7 +91,6 @@ func runAblations(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut2, func(i int) string { return fmt.Sprintf("E13b k=%d", ks[i]) })
 	t2 := stats.NewTable("E13b: deterministic tile side k (paper: ⌈log2(1+3·pmax)⌉)",
 		"k", "delivered", "ratio vs dual upper")
 	for i, k := range ks {

@@ -37,14 +37,14 @@ func runDetSweep(ctx context.Context, cfg Config) (Report, error) {
 		upper float64
 		ok    bool
 	}
-	lines, timedOut, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) lineSlot {
+	lines, err := Sweep(ctx, cfg, len(sizes), func(i int) lineSlot {
 		n := sizes[i]
 		g := grid.Line(n, 3, 3)
 		reqs := scenario.Uniform(g, 5*n, int64(2*n), cfg.SubRNG(fmt.Sprintf("thm4/n=%d", n)))
 		horizon := spacetime.SuggestHorizon(g, reqs, 3)
 		res, err := core.RunDeterministic(g, reqs, core.DetConfig{Horizon: horizon})
 		if err != nil {
-			skip("E1 Thm4 line n=%d: %v", n, err)
+			skips.Skip("E1 Thm4 line n=%d: %v", n, err)
 			return lineSlot{}
 		}
 		upper, _ := optbound.DualUpperBound(g, reqs, horizon)
@@ -53,7 +53,6 @@ func runDetSweep(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("E1 Thm4 line n=%d", sizes[i]) })
 	var lineNs []int
 	var lineRatios []float64
 	for i, n := range sizes {
@@ -73,14 +72,14 @@ func runDetSweep(ctx context.Context, cfg Config) (Report, error) {
 	if !cfg.Quick {
 		grids = []int{6, 8, 12, 16}
 	}
-	grid2d, timedOut2, err := SweepResults(ctx, cfg, &skips, len(grids), func(i int, skip func(string, ...any)) lineSlot {
+	grid2d, err := Sweep(ctx, cfg, len(grids), func(i int) lineSlot {
 		s := grids[i]
 		g := grid.New([]int{s, s}, 3, 3)
 		reqs := scenario.Uniform(g, 6*s*s, int64(3*s), cfg.SubRNG(fmt.Sprintf("thm10/side=%d", s)))
 		horizon := spacetime.SuggestHorizon(g, reqs, 3)
 		res, rerr := core.RunDeterministic(g, reqs, core.DetConfig{Horizon: horizon})
 		if rerr != nil {
-			skip("E2 Thm10 2-d side=%d: %v", s, rerr)
+			skips.Skip("E2 Thm10 2-d side=%d: %v", s, rerr)
 			return lineSlot{}
 		}
 		upper, _ := optbound.DualUpperBound(g, reqs, horizon)
@@ -89,7 +88,6 @@ func runDetSweep(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut2, func(i int) string { return fmt.Sprintf("E2 Thm10 2-d side=%d", grids[i]) })
 	for i, s := range grids {
 		sl := grid2d[i]
 		if !sl.ok {
@@ -106,27 +104,26 @@ func runDetSweep(ctx context.Context, cfg Config) (Report, error) {
 		ntgTP int
 		ok    bool
 	}
-	b0, timedOut3, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) b0Slot {
+	b0, err := Sweep(ctx, cfg, len(sizes), func(i int) b0Slot {
 		n := sizes[i]
 		g := grid.Line(n, 0, 3)
 		reqs := scenario.Uniform(g, 4*n, int64(2*n), cfg.SubRNG(fmt.Sprintf("thm11/n=%d", n)))
 		horizon := spacetime.SuggestHorizon(g, reqs, 3)
 		res, rerr := core.RunDeterministic(g, reqs, core.DetConfig{Horizon: horizon})
 		if rerr != nil {
-			skip("E3 Thm11 B=0 n=%d: %v", n, rerr)
+			skips.Skip("E3 Thm11 B=0 n=%d: %v", n, rerr)
 			return b0Slot{}
 		}
 		return b0Slot{
 			res:   res,
 			opt:   optbound.ExactBufferlessLine(g, reqs),
-			ntgTP: baseline.Run(g, reqs, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput(),
+			ntgTP: netsim.RunLocal(g, reqs, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput(),
 			ok:    true,
 		}
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut3, func(i int) string { return fmt.Sprintf("E3 Thm11 B=0 n=%d", sizes[i]) })
 	for i, n := range sizes {
 		s := b0[i]
 		if !s.ok {

@@ -14,7 +14,7 @@
 // Run functions are fallible and cancellable: they return an error wrapping
 // ErrSkipped when sub-cases could not run (the skipped list also surfaces
 // in the report notes), and they honour context cancellation between
-// sub-cases via Config.Sweep.
+// sub-cases via Sweep.
 //
 // Competitive ratios are reported as certified_upper_bound / throughput,
 // where the upper bound comes from optbound.DualUpperBound (weak duality)
@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"gridroute/internal/stats"
 )
@@ -75,7 +74,7 @@ func (r Report) Markdown() string {
 // randomness via RNG or SubRNG so that results are a pure function of
 // (ID, Config) — never of scheduling order or worker count.
 type Config struct {
-	// Quick selects the reduced sweep (seconds instead of minutes).
+	// Quick selects the reduced sweep.
 	Quick bool
 	// ID is the experiment's registry ID, stamped by the Runner. Sub-case
 	// seeds (SubRNG) are derived from it, so they survive any refactoring
@@ -85,15 +84,10 @@ type Config struct {
 	// ID via SeedFor, making results independent of scheduling order.
 	Seed int64
 
-	// pool is the shared sub-task pool Sweep dispatches to, and lease the
-	// per-attempt slot accounting that lets the Runner reclaim slots from
-	// an abandoned (timed-out) attempt. A zero Config (tests, benchmarks)
-	// has no pool and sweeps inline.
-	pool  *subpool
-	lease *lease
-	// subTimeout is Policy.SubTimeout, stamped by the Runner: the
-	// individual bound SweepResults applies to each sub-case.
-	subTimeout time.Duration
+	// sem is the Runner's sub-task semaphore that Sweep dispatches
+	// through. A hand-built Config (tests, benchmarks) has none and
+	// sweeps inline.
+	sem chan struct{}
 }
 
 // RNG returns a fresh deterministic generator for the given stream. Distinct
@@ -112,186 +106,73 @@ func (c Config) SubRNG(subkey string) *rand.Rand {
 	return rand.New(rand.NewSource(SeedFor(c.ID, subkey)))
 }
 
-// Sweep runs f(0..n-1) over the Runner's shared sub-task pool, which is
-// sized by -j and shared between experiments, so at most -j sub-tasks run
-// at once across the whole sweep — intra-experiment parallelism cannot
-// multiply the bound (experiment-level workers, also capped at -j, may
-// additionally do light orchestration work while their sub-tasks run).
-// Each f must write only to its own
-// per-index slot; callers assemble table rows in index order afterwards,
-// which keeps output byte-identical at any worker count. Once ctx is
-// cancelled no further sub-cases start; in-flight ones are waited for, then
-// the context's error is returned. A Config built by hand (tests,
-// benchmarks) has no pool and sweeps inline on the calling goroutine.
-//
-// Sweep never abandons a sub-case: because f writes into caller-shared
-// state, a timed-out sub-case could not be discarded safely. Every
-// registered experiment therefore sweeps via SweepResults (which returns
-// results through per-index channels and honours Policy.SubTimeout);
-// Sweep remains the minimal primitive for callers whose sub-cases share
-// state and need no individual bounding — hand-built Configs in tests and
-// benchmarks, and the runner's own pool-reclaim tests.
-func (c Config) Sweep(ctx context.Context, n int, f func(i int)) error {
+// Sweep runs f(0..n-1) and returns the results in index order. Sub-cases
+// run over the Runner's sub-task semaphore, which has one slot per -j
+// worker and is shared by every experiment, so at most -j sub-cases run at
+// once across the whole sweep: intra-experiment parallelism cannot
+// multiply the bound. Each f returns its own row and callers assemble
+// tables in index order, which keeps output byte-identical at any worker
+// count. Once ctx is done no further sub-case starts; running ones are
+// waited for, then ctx's error is returned. A panicking sub-case is
+// re-thrown on the calling goroutine after the others finish, where the
+// runner's containment turns it into a failed experiment. A Config built
+// by hand (tests, benchmarks) has no semaphore and sweeps inline.
+func Sweep[T any](ctx context.Context, cfg Config, n int, f func(i int) T) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.pool == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			f(i)
-		}
-		return nil
-	}
-	l := c.lease
-	if l == nil {
-		l = &lease{}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		// Acquire the slot before spawning so dispatch blocks while the
-		// machine is saturated; sub-tasks never acquire further slots, so
-		// the pool cannot deadlock. acquire fails once ctx is done.
-		if err := c.pool.acquire(ctx, l); err != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer c.pool.release(l)
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// SweepResults runs f(0..n-1) over the Runner's shared sub-task pool (see
-// Config.Sweep for the pooling and determinism contract) and returns the
-// per-index results. Unlike Sweep, each sub-case is individually bounded
-// by Policy.SubTimeout: a sub-case that overruns its budget is abandoned —
-// its pool slot is reclaimed so it cannot starve the rest of the sweep,
-// and its eventual result is discarded — and its index is reported in
-// timedOut (sorted). Abandoned sub-cases leave the zero value of T in
-// their slot, which is why results are returned rather than written to
-// shared state: the hung goroutine's late result dies in a buffered
-// channel instead of racing the caller.
-//
-// The same discipline applies to skip reporting: f receives a skip
-// function (same signature as SkipList.Skip) that buffers per index, and
-// skips flow into the caller's SkipList only for sub-cases that finished
-// in time — an abandoned sub-case's late skips vanish with its result
-// instead of landing nondeterministically after the report was assembled.
-//
-// A panicking sub-case is re-thrown on the calling goroutine after the
-// sweep drains, where the runner's containment turns it into a failed
-// experiment instead of a crashed worker — unless the sub-case had
-// already been abandoned at SubTimeout, in which case the late panic is
-// discarded with the rest of its result (the sub-case is already reported
-// lost via timedOut). err is non-nil only when ctx was cancelled.
-func SweepResults[T any](ctx context.Context, cfg Config, skips *SkipList, n int, f func(i int, skip func(format string, args ...any)) T) (out []T, timedOut []int, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out = make([]T, n)
-	type subResult struct {
-		v        T
-		skips    []string
-		panicked any
-	}
-	call := func(i int, done chan<- subResult) {
-		var r subResult
-		skip := func(format string, args ...any) {
-			r.skips = append(r.skips, fmt.Sprintf(format, args...))
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				r.panicked = p
-			}
-			done <- r
-		}()
-		r.v = f(i, skip)
-	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		panicked any
-	)
-	settle := func(i int, done <-chan subResult, l *lease) {
-		var timer <-chan time.Time
-		if cfg.subTimeout > 0 {
-			t := time.NewTimer(cfg.subTimeout) //gridlint:allow subprocess watchdog timeout; kills hung runs, never shapes results
-			defer t.Stop()
-			timer = t.C
-		}
-		select {
-		case r := <-done:
-			mu.Lock()
-			if r.panicked != nil && panicked == nil {
-				panicked = r.panicked
-			}
-			mu.Unlock()
-			if skips != nil {
-				for _, s := range r.skips {
-					skips.Skip("%s", s)
-				}
-			}
-			out[i] = r.v
-		case <-timer:
-			if cfg.pool != nil {
-				cfg.pool.reclaim(l)
-			}
-			mu.Lock()
-			timedOut = append(timedOut, i)
-			mu.Unlock()
-		}
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		// Each sub-case gets its own lease when it can be abandoned
-		// individually (adopted by the attempt lease, so an attempt-level
-		// reclaim still frees it); reclaiming one slot never frees its
-		// siblings'.
-		l := cfg.lease
-		if cfg.subTimeout > 0 || l == nil {
-			l = &lease{}
-		}
-		if cfg.pool != nil {
-			if cfg.pool.acquire(ctx, l) != nil {
+	out := make([]T, n)
+	if cfg.sem == nil {
+		for i := range out {
+			if ctx.Err() != nil {
 				break
 			}
-			if l != cfg.lease {
-				cfg.pool.adopt(cfg.lease, l)
-			}
+			out[i] = f(i)
 		}
-		done := make(chan subResult, 1)
-		go func(i int, l *lease) {
-			if cfg.pool != nil {
-				defer cfg.pool.release(l)
-			}
-			call(i, done)
-		}(i, l)
-		if cfg.pool == nil {
-			// Hand-built Configs (tests, benchmarks) sweep serially, like
-			// Sweep, but still honour the per-sub-case bound.
-			settle(i, done, l)
-			continue
+		return out, ctx.Err()
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	)
+dispatch:
+	for i := range out {
+		// Acquire before spawning so dispatch blocks while every slot is
+		// busy; sub-cases never acquire further slots, so the semaphore
+		// cannot deadlock.
+		select {
+		case cfg.sem <- struct{}{}:
+		case <-ctx.Done():
+			break dispatch
+		}
+		// select picks at random when both cases are ready: re-check so no
+		// sub-case starts after cancellation.
+		if ctx.Err() != nil {
+			<-cfg.sem
+			break
 		}
 		wg.Add(1)
-		go func(i int, l *lease) {
-			defer wg.Done()
-			settle(i, done, l)
-		}(i, l)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					mu.Unlock()
+				}
+				<-cfg.sem
+				wg.Done()
+			}()
+			out[i] = f(i)
+		}()
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
-	sort.Ints(timedOut)
-	return out, timedOut, ctx.Err()
+	return out, ctx.Err()
 }
 
 // SkipList collects the sub-cases an experiment could not run. It is safe
@@ -307,16 +188,6 @@ func (s *SkipList) Skip(format string, args ...any) {
 	s.mu.Lock()
 	s.items = append(s.items, fmt.Sprintf(format, args...))
 	s.mu.Unlock()
-}
-
-// SkipTimeouts records the sub-cases a SweepResults call abandoned at
-// Policy.SubTimeout; name renders the sub-case key for index i. Like every
-// skip, timeouts surface in the report notes and the ErrSkipped error —
-// deterministic partial results, not failures.
-func (s *SkipList) SkipTimeouts(timedOut []int, name func(i int) string) {
-	for _, i := range timedOut {
-		s.Skip("%s: sub-case timeout", name(i))
-	}
 }
 
 // Len reports how many sub-cases were skipped.

@@ -102,44 +102,55 @@ func TestConfigSubRNGDeterministic(t *testing.T) {
 	}
 }
 
-// Sweep without a pool runs inline; with a pool it must still run every
-// index exactly once, whatever the pool size.
-func TestConfigSweepRunsAllIndices(t *testing.T) {
-	for _, poolSize := range []int{0, 1, 3, 16} {
+// Sweep without a semaphore runs inline; with one it must still run every
+// index exactly once and return each result in its own slot, whatever the
+// number of slots.
+func TestSweepRunsAllIndices(t *testing.T) {
+	for _, slots := range []int{0, 1, 3, 16} {
 		cfg := Config{}
-		if poolSize > 0 {
-			cfg.pool = newSubpool(poolSize)
+		if slots > 0 {
+			cfg.sem = make(chan struct{}, slots)
 		}
 		const n = 23
 		var hits [n]atomic.Int32
-		if err := cfg.Sweep(context.Background(), n, func(i int) { hits[i].Add(1) }); err != nil {
-			t.Fatalf("pool=%d: %v", poolSize, err)
+		vals, err := Sweep(context.Background(), cfg, n, func(i int) int {
+			hits[i].Add(1)
+			return i * i
+		})
+		if err != nil {
+			t.Fatalf("slots=%d: %v", slots, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("pool=%d: index %d ran %d times", poolSize, i, got)
+				t.Fatalf("slots=%d: index %d ran %d times", slots, i, got)
+			}
+			if vals[i] != i*i {
+				t.Fatalf("slots=%d: vals[%d] = %d, want %d", slots, i, vals[i], i*i)
 			}
 		}
 	}
 }
 
 // A cancelled context stops the sweep at the next dispatch point and is
-// reported; already-running sub-cases are waited for.
-func TestConfigSweepHonoursCancellation(t *testing.T) {
+// reported; no sub-case starts, and no semaphore slot stays taken.
+func TestSweepHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, withPool := range []bool{false, true} {
+	for _, withSem := range []bool{false, true} {
 		cfg := Config{}
-		if withPool {
-			cfg.pool = newSubpool(2)
+		if withSem {
+			cfg.sem = make(chan struct{}, 2)
 		}
-		ran := 0
-		err := cfg.Sweep(ctx, 10, func(int) { ran++ })
+		var ran atomic.Int32
+		_, err := Sweep(ctx, cfg, 10, func(int) int { ran.Add(1); return 0 })
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("pool=%v: err = %v, want context.Canceled", withPool, err)
+			t.Fatalf("sem=%v: err = %v, want context.Canceled", withSem, err)
 		}
-		if ran != 0 {
-			t.Fatalf("pool=%v: %d sub-cases ran after cancellation", withPool, ran)
+		if ran.Load() != 0 {
+			t.Fatalf("sem=%v: %d sub-cases ran after cancellation", withSem, ran.Load())
+		}
+		if len(cfg.sem) != 0 {
+			t.Fatalf("sem=%v: %d slots still held after the sweep", withSem, len(cfg.sem))
 		}
 	}
 }

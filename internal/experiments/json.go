@@ -24,9 +24,9 @@ type benchEntry struct {
 }
 
 // benchFile is the top-level BENCH_experiments.json document. Partial marks
-// a sweep that was cancelled (SIGINT, timeout of the caller's context)
-// before every experiment completed: the file is still valid JSON and
-// carries every Result that streamed out before the cut.
+// a sweep that was cancelled (SIGINT) before every experiment completed:
+// the file is still valid JSON and carries every Result that streamed out
+// before the cut.
 type benchFile struct {
 	Mode        string       `json:"mode"`
 	Workers     int          `json:"workers"`

@@ -29,14 +29,14 @@ func runThm13(ctx context.Context, cfg Config) (Report, error) {
 		upper float64
 	}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) slot {
+	slots, err := Sweep(ctx, cfg, len(sizes), func(i int) slot {
 		n := sizes[i]
 		g := grid.Line(n, 64, 64)
 		reqs := scenario.Saturating(g, 6, 3, cfg.SubRNG(fmt.Sprintf("n=%d", n)))
 		horizon := spacetime.SuggestHorizon(g, reqs, 2)
 		res, err := core.RunLargeCapacity(g, reqs, core.DetConfig{Horizon: horizon})
 		if err != nil {
-			skip("n=%d: %v", n, err)
+			skips.Skip("n=%d: %v", n, err)
 			return slot{}
 		}
 		upper, _ := optbound.DualUpperBound(g, reqs, horizon)
@@ -45,7 +45,6 @@ func runThm13(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("n=%d", sizes[i]) })
 
 	t := stats.NewTable("Thm 13: large B, c — scaled ipp over the space-time graph",
 		"n", "B=c", "k", "delivered", "upper", "ratio", "ratio/log2(n)")

@@ -30,10 +30,10 @@ func runLemma2(ctx context.Context, cfg Config) (Report, error) {
 	paper := core.PMaxDet(g)
 	pms := []int{n / 2, n, 2 * n, 8 * n, paper}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(pms), func(i int, skip func(string, ...any)) *core.DetResult {
+	slots, err := Sweep(ctx, cfg, len(pms), func(i int) *core.DetResult {
 		res, err := core.RunDeterministic(g, reqs, core.DetConfig{Horizon: horizon, PMax: pms[i]})
 		if err != nil {
-			skip("pmax=%d: %v", pms[i], err)
+			skips.Skip("pmax=%d: %v", pms[i], err)
 			return nil
 		}
 		return res
@@ -41,7 +41,6 @@ func runLemma2(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("pmax=%d", pms[i]) })
 
 	t := stats.NewTable("Lemma 2: restricting path lengths costs at most a constant factor",
 		"pmax", "tile side k", "delivered")

@@ -23,17 +23,17 @@ func init() {
 func runProp89(ctx context.Context, cfg Config) (Report, error) {
 	sizes := cfg.Sizes()
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) *core.DetResult {
+	slots, err := Sweep(ctx, cfg, len(sizes), func(i int) *core.DetResult {
 		n := sizes[i]
 		g := grid.Line(n, 3, 3)
 		reqs := scenario.Saturating(g, 8, 2, cfg.SubRNG(fmt.Sprintf("n=%d", n)))
 		res, err := core.RunDeterministic(g, reqs, core.DetConfig{})
 		if err != nil {
-			skip("n=%d: %v", n, err)
+			skips.Skip("n=%d: %v", n, err)
 			return nil
 		}
 		if res.Admitted == 0 {
-			skip("n=%d: nothing admitted", n)
+			skips.Skip("n=%d: nothing admitted", n)
 			return nil
 		}
 		return res
@@ -41,7 +41,6 @@ func runProp89(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("n=%d", sizes[i]) })
 
 	t := stats.NewTable("Props 8, 9: detailed-routing survival fractions (theory: each ≥ 1/(2k))",
 		"n", "k", "ipp", "ipp'", "alg", "ipp'/ipp", "alg/ipp'", "1/(2k)")

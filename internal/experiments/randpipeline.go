@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"gridroute/internal/core"
 	"gridroute/internal/grid"
@@ -29,12 +28,12 @@ func runRandDecomposition(ctx context.Context, cfg Config) (Report, error) {
 	reqs := scenario.Uniform(g, 10*n, int64(4*n), cfg.SubRNG("uniform"))
 	gammas := []float64{0.25, 1, 8}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(gammas), func(i int, skip func(string, ...any)) *core.RandResult {
+	slots, err := Sweep(ctx, cfg, len(gammas), func(i int) *core.RandResult {
 		// Every γ draws the same coin stream (fresh generator, same seed),
 		// so the rows differ only through the sparsification knob.
 		res, err := core.RunRandomized(g, reqs, core.RandConfig{Gamma: gammas[i], Branch: 1}, cfg.SubRNG("coins"))
 		if err != nil {
-			skip("gamma=%v: %v", gammas[i], err)
+			skips.Skip("gamma=%v: %v", gammas[i], err)
 			return nil
 		}
 		return res
@@ -42,7 +41,6 @@ func runRandDecomposition(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("gamma=%v", gammas[i]) })
 
 	t := stats.NewTable("Thm 29 pipeline: |Far+| ≥ |ipp| ≥ |ipp^λ| ≥ |ipp^λ_¼| ≥ |alg| (Sec. 7.4.3)",
 		"n", "γ", "Far+", "ipp", "coin-survived", "load-survived", "injected=delivered", "TX-failed")

@@ -12,7 +12,7 @@ import (
 // seeding, selection and benchmarks), a human title, coarse tags for
 // selection, and the Run function. Run is a pure function of (ctx, Config):
 // it reports skipped sub-cases as errors wrapping ErrSkipped, honours ctx
-// cancellation between sub-cases (Config.Sweep), and never depends on
+// cancellation between sub-cases (Sweep), and never depends on
 // scheduling order.
 type Experiment struct {
 	ID    string

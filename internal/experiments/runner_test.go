@@ -143,59 +143,6 @@ func TestStreamPreservesOrderAcrossFinishTimes(t *testing.T) {
 	}
 }
 
-// An experiment that overruns the per-experiment timeout is abandoned and
-// reported as DeadlineExceeded.
-func TestRunnerTimeout(t *testing.T) {
-	exp := stub("hang", func(ctx context.Context, _ Config) (Report, error) {
-		select {
-		case <-ctx.Done():
-			return Report{}, ctx.Err()
-		case <-time.After(30 * time.Second):
-			return Report{}, errors.New("never reached")
-		}
-	})
-	r := Runner{Workers: 1, Policy: Policy{Timeout: 20 * time.Millisecond}}
-	results := r.Run(context.Background(), []Experiment{exp})
-	if res := results[0]; !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", res.Err)
-	}
-}
-
-// When a timed-out attempt is abandoned while a hung sub-task still holds
-// a shared pool slot, the slot must be reclaimed: later experiments in the
-// same sweep still get to run (they'd deadlock forever otherwise).
-func TestRunnerTimeoutReclaimsPoolSlots(t *testing.T) {
-	unhang := make(chan struct{})
-	defer close(unhang)
-	hung := stub("hung", func(ctx context.Context, cfg Config) (Report, error) {
-		err := cfg.Sweep(ctx, 1, func(int) { <-unhang })
-		return Report{}, err
-	})
-	healthy := stub("healthy", func(ctx context.Context, cfg Config) (Report, error) {
-		ran := 0
-		if err := cfg.Sweep(ctx, 3, func(int) { ran++ }); err != nil {
-			return Report{}, err
-		}
-		return Report{Notes: []string{fmt.Sprint(ran)}}, nil
-	})
-	// Workers=1: a single shared slot, held by the hung sub-task when the
-	// attempt is abandoned at the deadline.
-	r := Runner{Workers: 1, Policy: Policy{Timeout: 30 * time.Millisecond}}
-	doneCh := make(chan []Result, 1)
-	go func() { doneCh <- r.Run(context.Background(), []Experiment{hung, healthy}) }()
-	select {
-	case results := <-doneCh:
-		if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-			t.Fatalf("hung: err = %v, want DeadlineExceeded", results[0].Err)
-		}
-		if results[1].Err != nil || len(results[1].Report.Notes) != 1 || results[1].Report.Notes[0] != "3" {
-			t.Fatalf("healthy experiment starved: %+v", results[1])
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep deadlocked: abandoned attempt's pool slot was never reclaimed")
-	}
-}
-
 // ErrSkipped is a deterministic partial result: the experiment runs once,
 // and its report keeps both its own notes and the skip note.
 func TestRunnerKeepsSkippedReport(t *testing.T) {
@@ -355,78 +302,12 @@ func TestWriteJSONQuickSuite(t *testing.T) {
 	}
 }
 
-// A sub-case that overruns Policy.SubTimeout is abandoned individually:
-// its siblings' results survive, the timeout surfaces as a skipped
-// sub-case, and the reclaimed pool slot lets the rest of the sweep
-// proceed (Workers=1 would deadlock otherwise).
-func TestSubTimeoutBoundsIndividualSubCases(t *testing.T) {
-	unhang := make(chan struct{})
-	defer close(unhang)
-	exp := stub("subhang", func(ctx context.Context, cfg Config) (Report, error) {
-		var skips SkipList
-		vals, timedOut, err := SweepResults(ctx, cfg, &skips, 3, func(i int, _ func(string, ...any)) int {
-			if i == 1 {
-				<-unhang
-			}
-			return i + 1
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("i=%d", i) })
-		return skips.finish(Report{Notes: []string{fmt.Sprint(vals)}})
-	})
-	r := Runner{Workers: 1, Policy: Policy{SubTimeout: 30 * time.Millisecond}}
-	doneCh := make(chan []Result, 1)
-	go func() { doneCh <- r.Run(context.Background(), []Experiment{exp, okStub("next")}) }()
-	var results []Result
-	select {
-	case results = <-doneCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep deadlocked: abandoned sub-case's pool slot was never reclaimed")
-	}
-	res := results[0]
-	if !errors.Is(res.Err, ErrSkipped) {
-		t.Fatalf("err = %v, want ErrSkipped", res.Err)
-	}
-	if !strings.Contains(res.Err.Error(), "i=1: sub-case timeout") {
-		t.Fatalf("timeout not named in error: %v", res.Err)
-	}
-	if len(res.Report.Notes) == 0 || !strings.Contains(res.Report.Notes[0], "[1 0 3]") {
-		t.Fatalf("sibling sub-case results lost: %v", res.Report.Notes)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("next experiment starved after sub-case timeout: %v", results[1].Err)
-	}
-}
-
-// SweepResults on a hand-built Config (no pool) sweeps serially but still
-// honours the per-sub-case bound.
-func TestSweepResultsInlineNoPool(t *testing.T) {
-	cfg := Config{ID: "X", Seed: 1, subTimeout: 20 * time.Millisecond}
-	vals, timedOut, err := SweepResults(context.Background(), cfg, nil, 3, func(i int, _ func(string, ...any)) int {
-		if i == 1 {
-			time.Sleep(500 * time.Millisecond)
-		}
-		return i + 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timedOut) != 1 || timedOut[0] != 1 {
-		t.Fatalf("timedOut = %v, want [1]", timedOut)
-	}
-	if vals[0] != 1 || vals[1] != 0 || vals[2] != 3 {
-		t.Fatalf("vals = %v, want [1 0 3]", vals)
-	}
-}
-
-// A panic inside a SweepResults sub-case is re-thrown on the experiment's
+// A panic inside a Sweep sub-case is re-thrown on the experiment's
 // goroutine, where the runner's containment reports a failed experiment
 // instead of crashing the worker.
-func TestSweepResultsPanicContained(t *testing.T) {
+func TestSweepPanicContained(t *testing.T) {
 	exp := stub("subboom", func(ctx context.Context, cfg Config) (Report, error) {
-		_, _, err := SweepResults(ctx, cfg, nil, 2, func(i int, _ func(string, ...any)) int {
+		_, err := Sweep(ctx, cfg, 2, func(i int) int {
 			if i == 1 {
 				panic("sub-case flipped")
 			}
@@ -443,78 +324,36 @@ func TestSweepResultsPanicContained(t *testing.T) {
 	}
 }
 
-// When Policy.Timeout abandons a whole attempt while a hung sub-case holds
-// a per-sub-case lease (SubTimeout also set, but far away), the attempt
-// reclaim must free the child lease's slot too — the sweep would otherwise
-// starve until the distant SubTimeout fired.
-func TestAttemptTimeoutReclaimsChildLeases(t *testing.T) {
-	unhang := make(chan struct{})
-	defer close(unhang)
-	hung := stub("hung", func(ctx context.Context, cfg Config) (Report, error) {
-		_, _, err := SweepResults(ctx, cfg, nil, 1, func(int, func(string, ...any)) int {
-			<-unhang
-			return 0
+// The -j bound holds across experiments: every experiment's sub-cases share
+// one semaphore, so with Workers=2 no more than two sub-cases run at once
+// even while two experiments sweep side by side.
+func TestSweepBoundsSubTasksAcrossExperiments(t *testing.T) {
+	const workers, subcases = 2, 8
+	var running, peak atomic.Int32
+	sweep := func(ctx context.Context, cfg Config) (Report, error) {
+		vals, err := Sweep(ctx, cfg, subcases, func(i int) int {
+			now := running.Add(1)
+			for {
+				p := peak.Load()
+				if now <= p || peak.CompareAndSwap(p, now) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			running.Add(-1)
+			return i
 		})
-		return Report{}, err
-	})
-	healthy := stub("healthy", func(ctx context.Context, cfg Config) (Report, error) {
-		vals, _, err := SweepResults(ctx, cfg, nil, 3, func(i int, _ func(string, ...any)) int { return i })
-		if err != nil {
-			return Report{}, err
-		}
-		return Report{Notes: []string{fmt.Sprint(vals)}}, nil
-	})
-	// One shared slot; the sub-case lease is a child of the hung attempt's
-	// lease. SubTimeout is far beyond the test horizon: only the attempt
-	// reclaim can free the slot in time.
-	r := Runner{Workers: 1, Policy: Policy{Timeout: 30 * time.Millisecond, SubTimeout: time.Hour}}
-	doneCh := make(chan []Result, 1)
-	go func() { doneCh <- r.Run(context.Background(), []Experiment{hung, healthy}) }()
-	select {
-	case results := <-doneCh:
-		if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-			t.Fatalf("hung: err = %v, want DeadlineExceeded", results[0].Err)
-		}
-		if results[1].Err != nil || len(results[1].Report.Notes) != 1 || results[1].Report.Notes[0] != "[0 1 2]" {
-			t.Fatalf("healthy experiment starved behind the child lease: %+v", results[1])
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep deadlocked: attempt reclaim did not free the sub-case's child lease")
+		return Report{Notes: []string{fmt.Sprint(vals)}}, err
 	}
-}
-
-// Skips raised by a sub-case that was abandoned at SubTimeout must vanish
-// with its result: the report shows exactly one entry (the timeout), never
-// a nondeterministic extra entry from the late goroutine.
-func TestAbandonedSubCaseSkipsSuppressed(t *testing.T) {
-	started := make(chan struct{}, 1)
-	unhang := make(chan struct{})
-	exp := stub("lateskip", func(ctx context.Context, cfg Config) (Report, error) {
-		var skips SkipList
-		_, timedOut, err := SweepResults(ctx, cfg, &skips, 1, func(i int, skip func(string, ...any)) int {
-			started <- struct{}{}
-			<-unhang
-			skip("late skip that must be discarded")
-			return 1
-		})
-		if err != nil {
-			return Report{}, err
+	exps := []Experiment{stub("a", sweep), stub("b", sweep), stub("c", sweep)}
+	results := Runner{Workers: workers}.Run(context.Background(), exps)
+	want := fmt.Sprint([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	for _, res := range results {
+		if res.Err != nil || len(res.Report.Notes) != 1 || res.Report.Notes[0] != want {
+			t.Fatalf("%s: err = %v, results %v, want %s", res.Experiment.ID, res.Err, res.Report.Notes, want)
 		}
-		skips.SkipTimeouts(timedOut, func(int) string { return "sub" })
-		// Let the abandoned goroutine run its skip call before rendering.
-		close(unhang)
-		time.Sleep(20 * time.Millisecond)
-		return skips.finish(Report{})
-	})
-	results := Runner{Workers: 2, Policy: Policy{SubTimeout: 30 * time.Millisecond}}.Run(
-		context.Background(), []Experiment{exp})
-	<-started
-	res := results[0]
-	if !errors.Is(res.Err, ErrSkipped) || !strings.Contains(res.Err.Error(), "sub: sub-case timeout") {
-		t.Fatalf("err = %v, want the sub-case timeout skip", res.Err)
 	}
-	if strings.Contains(res.Err.Error(), "late skip") ||
-		strings.Contains(strings.Join(res.Report.Notes, "\n"), "late skip") {
-		t.Fatalf("abandoned sub-case's skip leaked into the report: %v / %v", res.Err, res.Report.Notes)
+	if got := peak.Load(); got > workers {
+		t.Fatalf("peak of %d sub-cases running at once, want at most %d", got, workers)
 	}
 }

@@ -57,7 +57,7 @@ func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
 		ok      bool
 	}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(scs), func(i int, skip func(string, ...any)) slot {
+	slots, err := Sweep(ctx, cfg, len(scs), func(i int) slot {
 		sc := scs[i]
 		overrides := map[string]float64{}
 		if cfg.Quick {
@@ -65,7 +65,7 @@ func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
 		}
 		g, reqs, err := scenario.Generate(sc.ID, overrides)
 		if err != nil {
-			skip("%s: %v", sc.ID, err)
+			skips.Skip("%s: %v", sc.ID, err)
 			return slot{}
 		}
 		s := slot{
@@ -77,8 +77,8 @@ func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
 			ok:     true,
 		}
 		horizon := spacetime.SuggestHorizon(g, reqs, 3)
-		s.greedy = baseline.Run(g, reqs, baseline.Greedy{}, netsim.Model1, horizon).Throughput()
-		s.ntg = baseline.Run(g, reqs, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput()
+		s.greedy = netsim.RunLocal(g, reqs, baseline.Greedy{}, netsim.Model1, horizon).Throughput()
+		s.ntg = netsim.RunLocal(g, reqs, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput()
 		// The deterministic algorithm needs c ≥ 3 and B ≥ 3 (or the B = 0
 		// bufferless variant); out-of-regime scenarios keep their baseline
 		// rows and say so instead of failing the catalog.
@@ -96,7 +96,6 @@ func runScenarioCatalog(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return scs[i].ID })
 
 	t := stats.NewTable("Scenario catalog: generated instances and end-to-end throughput",
 		"scenario", "grid", "B", "c", "requests", "digest", "greedy", "nearest-to-go", "even-medina-det")

@@ -35,7 +35,7 @@ func runTable1(ctx context.Context, cfg Config) (Report, error) {
 		detOK           bool
 	}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) slot {
+	slots, err := Sweep(ctx, cfg, len(sizes), func(i int) slot {
 		n := sizes[i]
 		rounds := 2 * n
 		// Unit links (Table 1's setting): the convoy saturates every link.
@@ -43,13 +43,13 @@ func runTable1(ctx context.Context, cfg Config) (Report, error) {
 		reqs1 := scenario.ConvoyRate(n, rounds, 1, 1)
 		horizon := spacetime.SuggestHorizon(g1, reqs1, 3)
 		s := slot{optLB: scenario.ConvoyOPTLowerBound(n, rounds, 1)}
-		s.greedyTP = baseline.Run(g1, reqs1, baseline.Greedy{}, netsim.Model1, horizon).Throughput()
-		s.ntgTP = baseline.Run(g1, reqs1, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput()
+		s.greedyTP = netsim.RunLocal(g1, reqs1, baseline.Greedy{}, netsim.Model1, horizon).Throughput()
+		s.ntgTP = netsim.RunLocal(g1, reqs1, baseline.NearestToGo{}, netsim.Model1, horizon).Throughput()
 		// The deterministic algorithm needs c ≥ 3; same convoy shape.
 		g3 := grid.Line(n, 3, 3)
 		reqs3 := scenario.ConvoyRate(n, rounds, 3, 1)
 		if det, err := core.RunDeterministic(g3, reqs3, core.DetConfig{}); err != nil {
-			skip("even-medina-det n=%d: %v", n, err)
+			skips.Skip("even-medina-det n=%d: %v", n, err)
 		} else {
 			s.detTP, s.detOK = det.Throughput, true
 		}
@@ -58,7 +58,6 @@ func runTable1(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("n=%d", sizes[i]) })
 
 	t := stats.NewTable("Table 1 (reproduced): measured competitive ratios on the convoy instance",
 		"n", "alg", "B", "c", "delivered", "OPT certificate", "ratio")
@@ -71,9 +70,6 @@ func runTable1(ctx context.Context, cfg Config) (Report, error) {
 	}
 	for i, n := range sizes {
 		s := slots[i]
-		if s.optLB == 0 { // sub-case timed out; already in the skip list
-			continue
-		}
 		ns = append(ns, n)
 		add(n, "greedy", 3, 1, s.greedyTP, s.optLB)
 		add(n, "nearest-to-go", 3, 1, s.ntgTP, s.optLB)

@@ -47,7 +47,7 @@ func runTable2(ctx context.Context, cfg Config) (Report, error) {
 		ok     bool
 	}
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(cases), func(i int, skip func(string, ...any)) slot {
+	slots, err := Sweep(ctx, cfg, len(cases), func(i int) slot {
 		cs := cases[i]
 		g := grid.Line(cs.n, cs.b, cs.c)
 		// The request stream depends on n alone, so all three (B, c) regimes
@@ -64,7 +64,7 @@ func runTable2(ctx context.Context, cfg Config) (Report, error) {
 				core.RandConfig{Horizon: horizon, Gamma: 0.5},
 				cfg.SubRNG(fmt.Sprintf("rand/n=%d/B=%d/c=%d/seed=%d", cs.n, cs.b, cs.c, sd)))
 			if err != nil {
-				skip("n=%d B=%d c=%d seed=%d: %v", cs.n, cs.b, cs.c, sd, err)
+				skips.Skip("n=%d B=%d c=%d seed=%d: %v", cs.n, cs.b, cs.c, sd, err)
 				continue
 			}
 			s.regime, s.ok = res.Regime, true
@@ -77,9 +77,6 @@ func runTable2(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string {
-		return fmt.Sprintf("n=%d B=%d c=%d", cases[i].n, cases[i].b, cases[i].c)
-	})
 
 	t := stats.NewTable("Table 2 (reproduced): randomized algorithm across (B,c) regimes",
 		"n", "B", "c", "regime", "delivered", "upper", "ratio", "ratio/log2(n)")

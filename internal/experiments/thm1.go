@@ -23,13 +23,13 @@ func init() {
 func runThm1(ctx context.Context, cfg Config) (Report, error) {
 	sizes := cfg.Sizes()
 	var skips SkipList
-	slots, timedOut, err := SweepResults(ctx, cfg, &skips, len(sizes), func(i int, skip func(string, ...any)) *core.DetResult {
+	slots, err := Sweep(ctx, cfg, len(sizes), func(i int) *core.DetResult {
 		n := sizes[i]
 		g := grid.Line(n, 3, 3)
 		reqs := scenario.Saturating(g, 6, 2, cfg.SubRNG(fmt.Sprintf("n=%d", n)))
 		res, err := core.RunDeterministic(g, reqs, core.DetConfig{})
 		if err != nil {
-			skip("n=%d: %v", n, err)
+			skips.Skip("n=%d: %v", n, err)
 			return nil
 		}
 		return res
@@ -37,7 +37,6 @@ func runThm1(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	skips.SkipTimeouts(timedOut, func(i int) string { return fmt.Sprintf("n=%d", sizes[i]) })
 
 	t := stats.NewTable("Thm 1: ipp primal/dual gap ≤ 2 and edge load ≤ log2(1+3·pmax)",
 		"n", "max load", "load bound", "primal", "2×accepted", "gap OK")

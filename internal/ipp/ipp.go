@@ -51,7 +51,6 @@ type Packer struct {
 	cap  CapFunc
 
 	// Edge weights and flows, indexed by EdgeID.
-	//gridroute:versioned
 	xs    []float64
 	flows []int32
 

@@ -21,7 +21,7 @@ func TestDualUpperBoundDominatesFeasible(t *testing.T) {
 		t.Fatalf("dual upper %v < packer's own throughput %d", upper, accepted)
 	}
 	// Any feasible schedule (here: greedy) must stay below the bound.
-	res := baseline.Run(g, reqs, baseline.Greedy{}, netsim.Model1, T)
+	res := netsim.RunLocal(g, reqs, baseline.Greedy{}, netsim.Model1, T)
 	if float64(res.Throughput()) > upper+1e-9 {
 		t.Fatalf("greedy throughput %d exceeds certified upper bound %v", res.Throughput(), upper)
 	}
@@ -96,7 +96,7 @@ func TestProp12NTGOptimalBufferless(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		reqs := scenario.Uniform(g, 10, 12, rng)
 		opt := ExactBufferlessLine(g, reqs)
-		res := baseline.Run(g, reqs, baseline.NearestToGo{}, netsim.Model1, 64)
+		res := netsim.RunLocal(g, reqs, baseline.NearestToGo{}, netsim.Model1, 64)
 		if res.Throughput() > opt {
 			t.Fatalf("seed %d: NTG %d > exact OPT %d (bound broken)", seed, res.Throughput(), opt)
 		}
