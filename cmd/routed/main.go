@@ -21,8 +21,7 @@
 // first undecided packet, so a kill -9 mid-stream costs nothing but a
 // restart. -faults/-fault-seed wire a deterministic chaos schedule (producer
 // stalls and panics, queue-full storms, consumer pauses, mid-Admit
-// cancellations, space-time resource outages) into the run, and -shed-*
-// enable graceful overload degradation.
+// cancellations, space-time resource outages) into the run.
 //
 // Usage examples:
 //
@@ -78,9 +77,8 @@ type metrics struct {
 	RejectedNoRoute   uint64 `json:"rejected_no_route"`
 	RejectedInvalid   uint64 `json:"rejected_invalid"`
 	RejectedQueueFull uint64 `json:"rejected_queue_full"`
-	// Shed counts packets dropped by the overload policy; Recovered counts
-	// decisions replayed from the WAL instead of re-decided.
-	Shed      uint64 `json:"shed"`
+	// Recovered counts decisions replayed from the WAL instead of
+	// re-decided.
 	Recovered uint64 `json:"recovered"`
 	// Retries counts producer re-submissions after queue-full rejections;
 	// each retry is also one Submitted.
@@ -132,14 +130,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	faults := fs.String("faults", "", "deterministic fault schedule, e.g. 'stall(seq=10,n=4,dur=1ms);storm(seq=50,n=20,count=2)'")
 	faultSeed := fs.Int64("fault-seed", 0, "generate a random deterministic fault schedule from this seed (exclusive with -faults)")
 	gapTimeout := fs.Duration("gap-timeout", 0, "InOrder gap watchdog: skip a missing seq after this long (0 = wait for drain)")
-	shedHigh := fs.Float64("shed-high", 0, "enable overload shedding at this queue-occupancy fraction (0 = shedding off)")
-	shedSlack := fs.Int64("shed-slack", 0, "with shedding on, shed packets under pressure whose deadline slack is below this")
-	shedFloor := fs.Float64("shed-floor", 0, "with shedding on, lowest adaptive admission threshold (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *producers < 1 {
 		fmt.Fprintln(stderr, "routed: -producers must be ≥ 1")
+		return 2
+	}
+	if *queue < 1 {
+		fmt.Fprintln(stderr, "routed: -queue must be ≥ 1")
+		return 2
+	}
+	if *walSync < 0 {
+		fmt.Fprintln(stderr, "routed: -wal-sync must be ≥ 0")
 		return 2
 	}
 	if *seed != 0 {
@@ -180,10 +183,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inj = fault.NewInjector(sched)
 		fmt.Fprintf(stderr, "routed: fault schedule: %s\n", sched)
 	}
-	var shed *engine.ShedPolicy
-	if *shedHigh > 0 || *shedSlack > 0 || *shedFloor > 0 {
-		shed = &engine.ShedPolicy{HighWater: *shedHigh, MinSlack: *shedSlack, Floor: *shedFloor}
-	}
 
 	opts := engine.Options{
 		Horizon: horizon, PMax: pmax,
@@ -194,7 +193,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		RecordDecisions: *declogPath != "",
 		GapTimeout:      *gapTimeout,
 		Injector:        inj,
-		Shed:            shed,
 		WALPath:         *walPath,
 		WALSyncEvery:    *walSync,
 	}
@@ -274,11 +272,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				case <-tick.C:
 					s := eng.Stats()
 					extra := ""
-					if shed != nil || s.Shed > 0 {
-						extra += fmt.Sprintf(" shed=%d", s.Shed)
-					}
 					if s.Recovered > 0 {
-						extra += fmt.Sprintf(" recovered=%d", s.Recovered)
+						extra = fmt.Sprintf(" recovered=%d", s.Recovered)
 					}
 					//gridlint:allow progress-line elapsed time; display only
 					fmt.Fprintf(stderr, "routed: t=%s submitted=%d accepted=%d rejected=%d retried=%d queue=%d avg-wait=%s%s\n",
@@ -357,8 +352,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Submitted: s.Submitted, Accepted: s.Accepted,
 		RejectedCost: s.RejectedCost, RejectedNoRoute: s.RejectedNoRoute,
 		RejectedInvalid: s.RejectedInvalid, RejectedQueueFull: s.RejectedQueueFull,
-		Shed: s.Shed, Recovered: s.Recovered,
-		Retries: retries.Load(), AvgWaitNs: int64(s.AvgWait),
+		Recovered: s.Recovered, Retries: retries.Load(), AvgWaitNs: int64(s.AvgWait),
 		Throughput: res.Throughput, ReachedLastTile: res.ReachedLastTile,
 		MaxLoad: res.MaxLoad, LoadBound: res.LoadBound, PrimalValue: res.PrimalValue,
 		ReplayViolations: violations,

@@ -67,12 +67,6 @@ const (
 	// time (backpressure). Queue-full packets never reach the decider and
 	// are absent from the decision log.
 	RejectedQueueFull
-	// Shed: the overload-degradation policy (Options.Shed) dropped the
-	// packet — deadline-aware early shedding or adaptive threshold
-	// tightening under sustained queue pressure. Shed packets reach the
-	// decider (so they appear in the decision log and advance the arrival
-	// watermark) but never mutate the packer's weights.
-	Shed
 )
 
 func (v Verdict) String() string {
@@ -87,8 +81,6 @@ func (v Verdict) String() string {
 		return "rejected-invalid"
 	case RejectedQueueFull:
 		return "rejected-queue-full"
-	case Shed:
-		return "shed"
 	default:
 		return fmt.Sprintf("verdict(%d)", uint8(v))
 	}
@@ -186,11 +178,6 @@ type Options struct {
 	// failed sketch edges out of the route query (the packet reroutes or is
 	// rejected, deterministically). nil disables all hooks at zero cost.
 	Injector *fault.Injector
-	// Shed enables graceful overload degradation (see ShedPolicy). nil —
-	// the default — disables shedding entirely; decisions are then
-	// independent of queue pressure, which is what the determinism gates
-	// assume.
-	Shed *ShedPolicy
 	// WALPath, when non-empty, journals every decision to an append-only
 	// checksummed write-ahead log at this path (see internal/engine/wal). A
 	// crashed engine restarted with Recover replays the log and continues
@@ -215,7 +202,7 @@ const DefaultQueue = 256
 // and Stats loads the verdict counters first and Submitted last, so a
 // mid-flight snapshot always satisfies the monotone-pair invariant
 //
-//	Decided() + Shed + RejectedQueueFull ≤ Submitted
+//	Decided() + RejectedQueueFull ≤ Submitted
 //
 // with equality once Drain has returned. In particular a snapshot can never
 // show Decided() > Submitted. The invariant is pinned by
@@ -227,7 +214,11 @@ type Stats struct {
 	RejectedNoRoute   uint64
 	RejectedInvalid   uint64
 	RejectedQueueFull uint64
-	// Shed counts packets dropped by the overload policy (Options.Shed).
+	// Shed is always 0: the engine sheds no packets.
+	//
+	// Deprecated: the overload-shedding policy it counted was removed (at
+	// its keep rule's load it never fired, and where it fired it cost
+	// accepted packets without cutting p99).
 	Shed uint64
 	// Recovered counts decisions replayed from the write-ahead log at
 	// startup (Recover); they are also included in Submitted and in their
@@ -242,16 +233,13 @@ type Stats struct {
 	AvgWait time.Duration
 }
 
-// Rejected is the total over all rejection verdicts (shed packets are
-// counted separately in Shed).
+// Rejected is the total over all rejection verdicts.
 func (s Stats) Rejected() uint64 {
 	return s.RejectedCost + s.RejectedNoRoute + s.RejectedInvalid + s.RejectedQueueFull
 }
 
-// Decided is the number of packets that reached the decider and were
-// decided on their merits (shed packets reach the decider too, but are
-// accounted in Shed: Submitted = Decided + Shed + RejectedQueueFull after
-// drain).
+// Decided is the number of packets that reached the decider (Submitted =
+// Decided + RejectedQueueFull after drain).
 func (s Stats) Decided() uint64 {
 	return s.Accepted + s.RejectedCost + s.RejectedNoRoute + s.RejectedInvalid
 }
@@ -306,7 +294,6 @@ type Engine struct {
 
 	gapTimeout time.Duration
 	inj        *fault.Injector
-	shed       *shedState
 
 	// Write-ahead log state (decideMu-guarded after start; see recover.go).
 	wal      *wal.Writer
@@ -334,9 +321,9 @@ type Engine struct {
 	inflight atomic.Int64
 
 	// decideMu guards the decider state: the session and the packer above,
-	// the WAL writer, the shed and mask state, and the fields below. The
-	// loop holds it per packet and an inline Admit for its one decision;
-	// Finish reads the fields only after done is closed.
+	// the WAL writer, the mask state, and the fields below. The loop holds
+	// it per packet and an inline Admit for its one decision; Finish reads
+	// the fields only after done is closed.
 	decideMu  sync.Mutex
 	nextSeq   int
 	parked    map[int]*pending
@@ -353,7 +340,6 @@ type Engine struct {
 	rejNoRoute atomic.Uint64
 	rejInvalid atomic.Uint64
 	rejQFull   atomic.Uint64
-	shedCount  atomic.Uint64
 	recovered  atomic.Uint64
 	decided    atomic.Uint64
 	waitNs     atomic.Int64
@@ -439,9 +425,6 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 		nextSeq:    opts.FirstSeq,
 		watermark:  math.MinInt64,
 		srcBuf:     make([]int, d+1),
-	}
-	if opts.Shed != nil {
-		e.shed = opts.Shed.state(queue)
 	}
 	if opts.InOrder {
 		e.parked = make(map[int]*pending)
@@ -566,7 +549,7 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 
 // Stats returns a snapshot of the counters. Load order is part of the
 // contract (see the Stats type doc): outcome counters first — verdicts,
-// Shed, queue-full — then Submitted last, so the documented monotone-pair
+// queue-full — then Submitted last, so the documented monotone-pair
 // invariant holds for every snapshot, not just quiescent ones.
 func (e *Engine) Stats() Stats {
 	s := Stats{
@@ -574,7 +557,6 @@ func (e *Engine) Stats() Stats {
 		RejectedCost:      e.rejCost.Load(),
 		RejectedNoRoute:   e.rejNoRoute.Load(),
 		RejectedInvalid:   e.rejInvalid.Load(),
-		Shed:              e.shedCount.Load(),
 		Recovered:         e.recovered.Load(),
 		RejectedQueueFull: e.rejQFull.Load(),
 	}
@@ -750,12 +732,6 @@ func (e *Engine) decide(pkt *Packet) Decision {
 		return d
 	}
 	e.watermark = pkt.Arrival
-	if e.shed != nil && e.shedPre(pkt) {
-		// Deadline-aware early shed under queue pressure: the packet would
-		// queue past its slack anyway, so drop it before the DP runs.
-		d.Verdict = Shed
-		return d
-	}
 
 	src := e.st.ToLattice(r.Src, r.Arrival, e.srcBuf)
 	wLo, wHi := e.st.DestRay(&r)
@@ -776,12 +752,6 @@ func (e *Engine) decide(pkt *Packet) Decision {
 	}
 	d.Cost = e.scratch.Cost
 	d.Tiles = e.scratch.NumTiles()
-	if e.shed != nil && e.shedPost(e.scratch.Cost) {
-		// The route clears the paper's α(p) < 1 threshold but not the
-		// tightened one: shed without offering.
-		d.Verdict = Shed
-		return d
-	}
 	if !e.pk.Offer(e.scratch.Edges, e.scratch.Cost) {
 		d.Verdict = RejectedCost
 		return d
@@ -800,8 +770,6 @@ func (e *Engine) count(d Decision) {
 		e.rejCost.Add(1)
 	case RejectedNoRoute:
 		e.rejNoRoute.Add(1)
-	case Shed:
-		e.shedCount.Add(1)
 	default:
 		e.rejInvalid.Add(1)
 	}

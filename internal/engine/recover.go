@@ -136,9 +136,9 @@ func (e *Engine) checkWALParams(p wal.Params) error {
 // issuing the exact packer Offer sequence the live run issued: accepted
 // records re-offer their logged route (rebuilding weights bit-identically),
 // cost/no-route rejections re-offer nil (bumping only the packer's internal
-// rejection counter, exactly like the live paths), shed and invalid records
-// touch no packer state. Corrupt-but-checksummed records surface as errors —
-// never a panic, never a half-applied record.
+// rejection counter, exactly like the live paths), invalid records touch no
+// packer state. Corrupt-but-checksummed records surface as errors — never a
+// panic, never a half-applied record.
 //
 //gridroute:deterministic
 func (e *Engine) applyRecord(rec *wal.Record) error {
@@ -175,13 +175,11 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		e.pk.Offer(nil, 0)
 		e.rejNoRoute.Add(1)
 		e.watermark = rec.Arrival
-	case Shed:
-		e.shedCount.Add(1)
-		e.watermark = rec.Arrival
 	case RejectedInvalid:
 		e.rejInvalid.Add(1)
 	default:
-		// RejectedQueueFull never reaches the decider and is never logged.
+		// RejectedQueueFull never reaches the decider and is never logged;
+		// no other value is a verdict.
 		return fmt.Errorf("engine: wal seq %d: unexpected verdict %d in log", rec.Seq, rec.Verdict)
 	}
 	e.submitted.Add(1)

@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gridroute/internal/engine"
+	"gridroute/internal/engine/wal"
 	"gridroute/internal/grid"
 )
 
@@ -128,5 +130,36 @@ func TestEngineRecoverParamMismatch(t *testing.T) {
 	bad.Horizon++
 	if _, _, err := engine.Recover(g, bad); !errors.Is(err, engine.ErrWALMismatch) {
 		t.Fatalf("mismatched recover returned %v, want ErrWALMismatch", err)
+	}
+}
+
+// TestEngineRecoverRejectsUnknownVerdict: a checksummed record whose verdict
+// the engine does not define must fail recovery with an error naming its
+// seq, not be replayed as some other verdict. Verdict 5 is what engines with
+// overload shedding journaled for a shed packet.
+func TestEngineRecoverRejectsUnknownVerdict(t *testing.T) {
+	g, reqs, opts := workload(t, 32, 10, 32, 3)
+	opts.InOrder = true
+	opts.WALPath = filepath.Join(t.TempDir(), "run.wal")
+	eng, err := engine.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRange(t, eng, reqs, 0, len(reqs))
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Resume(opts.WALPath, -1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&wal.Record{Seq: 10, Verdict: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := engine.Recover(g, opts); err == nil || !strings.Contains(err.Error(), "seq 10") {
+		t.Fatalf("recover over an unknown verdict returned %v, want an error naming seq 10", err)
 	}
 }
