@@ -94,11 +94,20 @@ func TestReplayWarmAllocFree(t *testing.T) {
 	}
 }
 
+// The gated packets on saturateEngine's Line(64,3,3), whose tile side is
+// k = 16. dpPacket's route window spans three spatial tiles, so its query
+// runs the DP. chainPacket's source and destination share the tile
+// [16, 32), so its window is a chain of tiles along w and its query takes
+// the chain path, which runs no DP.
+var (
+	dpPacket    = engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
+	chainPacket = engine.Packet{Src: grid.Vec{17}, Dst: grid.Vec{30}, Deadline: grid.InfDeadline}
+)
+
 // saturateEngine builds a Line(64,3,3) engine with the given options and
-// admits one fixed packet until the packer cost-rejects it, returning the
-// engine and that packet: every further admit of pkt takes the steady-state
-// cost-reject path.
-func saturateEngine(t *testing.T, opts engine.Options) (*engine.Engine, engine.Packet) {
+// admits pkt until the packer cost-rejects it, returning the engine: every
+// further admit of pkt takes the steady-state cost-reject path.
+func saturateEngine(t *testing.T, opts engine.Options, pkt engine.Packet) *engine.Engine {
 	t.Helper()
 	g := grid.Line(64, 3, 3)
 	opts.Horizon = 256
@@ -108,14 +117,13 @@ func saturateEngine(t *testing.T, opts engine.Options) (*engine.Engine, engine.P
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
 	for i := 0; ; i++ {
 		dec, err := eng.Admit(ctx, pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dec.Verdict == engine.RejectedCost {
-			return eng, pkt
+			return eng
 		}
 		if i > 1<<20 {
 			t.Fatal("packer never saturated")
@@ -124,31 +132,37 @@ func saturateEngine(t *testing.T, opts engine.Options) (*engine.Engine, engine.P
 }
 
 // checkAdmitAllocFree runs saturateEngine's steady state once per admit
-// path and fails the test if either allocates. "inline" has no injector, so
-// a lone producer's Admit decides on its own goroutine (envelope pool, warm
-// sketch session query, packer offer, buffered reply); "loop" attaches an
-// empty fault.Injector, which keeps every Admit on the queued path
-// (envelope pool, bounded queue, consumer loop, the same decide, reply).
+// path and gated packet, and fails the test if any allocates. "inline" has
+// no injector, so a lone producer's Admit decides on its own goroutine
+// (envelope pool, warm sketch session query, packer offer, buffered reply);
+// "loop" attaches an empty fault.Injector, which keeps every Admit on the
+// queued path (envelope pool, bounded queue, consumer loop, the same
+// decide, reply).
 func checkAdmitAllocFree(t *testing.T, opts engine.Options) {
 	t.Helper()
 	for _, path := range []string{"inline", "loop"} {
-		o := opts
-		if path == "loop" {
-			o.Injector = fault.NewInjector(nil)
-		}
-		eng, pkt := saturateEngine(t, o)
-		ctx := context.Background()
-		allocs := testing.AllocsPerRun(200, func() {
-			dec, err := eng.Admit(ctx, pkt)
-			if err != nil || dec.Verdict != engine.RejectedCost {
-				t.Fatalf("%s: steady state broken: %+v, %v", path, dec, err)
+		for _, pk := range []struct {
+			name string
+			pkt  engine.Packet
+		}{{"dp", dpPacket}, {"chain", chainPacket}} {
+			o := opts
+			if path == "loop" {
+				o.Injector = fault.NewInjector(nil)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: warm engine Admit allocates %v/run, want 0", path, allocs)
-		}
-		if err := eng.Drain(ctx); err != nil {
-			t.Fatal(err)
+			eng := saturateEngine(t, o, pk.pkt)
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(200, func() {
+				dec, err := eng.Admit(ctx, pk.pkt)
+				if err != nil || dec.Verdict != engine.RejectedCost {
+					t.Fatalf("%s/%s: steady state broken: %+v, %v", path, pk.name, dec, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: warm engine Admit allocates %v/run, want 0", path, pk.name, allocs)
+			}
+			if err := eng.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -156,10 +170,11 @@ func checkAdmitAllocFree(t *testing.T, opts engine.Options) {
 // TestEngineAdmitWarmAllocFree: the streaming admit path must not allocate
 // once warm, on both the inline and the queued path (see
 // checkAdmitAllocFree). The gate pins the saturated cost-reject steady state
-// with warm-start reuse disabled, so the FULL DP query runs on every admit
-// (the warm-start skip has its own gate below); the accept path additionally
-// retains the route into chunked arenas, which is amortized O(1) per accept
-// but not 0.
+// with warm-start reuse disabled, so dpPacket's FULL DP query runs on every
+// admit (the warm-start skip has its own gate below), and chainPacket's
+// chain walk runs on every admit under either setting; the accept path
+// additionally retains the route into chunked arenas, which is amortized
+// O(1) per accept but not 0.
 func TestEngineAdmitWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
 	checkAdmitAllocFree(t, engine.Options{NoWarmStart: true})
@@ -181,7 +196,8 @@ func TestEngineAdmitWarmStartAllocFree(t *testing.T) {
 // so a warm cancel/admit mix must stay 0-alloc, like the plain warm path.
 func TestEngineAdmitCancelNoLeak(t *testing.T) {
 	skipIfRace(t)
-	eng, pkt := saturateEngine(t, engine.Options{})
+	pkt := dpPacket
+	eng := saturateEngine(t, engine.Options{}, pkt)
 	ctx := context.Background()
 	dead, cancel := context.WithCancel(ctx)
 	cancel()

@@ -70,11 +70,12 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 	b.Run("SketchQueryCold", func(b *testing.B) {
-		// One cold admission query (SetWarmStart(false): the DP always runs)
-		// on the stream workload's geometry. A 16×16 grid with B = c = 3
-		// fits in one spatial tile (k = 18), so every DP window is a 1×1×L
-		// chain of tiles. The first 2000 packets are admitted first, so the
-		// timed query solves over committed weights.
+		// One cold admission query (SetWarmStart(false)) on the stream
+		// workload's geometry. A 16×16 grid with B = c = 3 fits in one
+		// spatial tile (k = 18), so every route window is a 1×1×L chain of
+		// tiles and the query takes the chain walk, not the DP (DPRunFlat
+		// times the DP). The first 2000 packets are admitted first, so the
+		// timed query sums committed weights.
 		b.ReportAllocs()
 		g, reqs, err := scenario.Generate("uniform", map[string]float64{
 			"d": 2, "n": 16, "reqs": 20000, "maxt": 5000, "seed": 1,

@@ -164,8 +164,11 @@ type pkt struct {
 	deliveredAt int64
 }
 
+// path hands the walked path over to the caller. The packet dies with Run,
+// so its slices are returned, not copied; the full-slice expressions keep an
+// append by the caller from writing into spare capacity.
 func (p *pkt) path() *lattice.Path {
-	return &lattice.Path{Start: append([]int(nil), p.start...), Axes: append([]uint8(nil), p.moves...)}
+	return &lattice.Path{Start: p.start[:len(p.start):len(p.start)], Axes: p.moves[:len(p.moves):len(p.moves)]}
 }
 
 func (p *pkt) part() Part {
@@ -204,9 +207,11 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	}
 
 	all := make([]*pkt, len(admitted))
+	recs := make([]pkt, len(admitted))
 	for i := range admitted {
 		a := &admitted[i]
-		p := &pkt{
+		p := &recs[i]
+		*p = pkt{
 			idx: i, req: a.Req, route: a.Route,
 			turn: -1, arrivedVia: -1, pending: -1,
 			firstBend: -1, lastBend: -1,

@@ -6,7 +6,6 @@ import (
 
 	"gridroute/internal/detroute"
 	"gridroute/internal/grid"
-	"gridroute/internal/ipp"
 	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 )
@@ -14,26 +13,24 @@ import (
 // arena is chunked, pointer-stable storage for accepted packets. Requests
 // and routes live in fixed-capacity chunks that are never reallocated, so
 // the *grid.Request and *sketch.Route handed to detailed routing stay valid
-// as more packets are accepted; coordinate, axis and edge payloads are
-// sub-sliced (with full-slice expressions, so appends cannot bleed across
-// entries) from shared backing chunks. Steady-state cost is one allocation
-// per chunk, amortized to ~0 per accept; Options.ExpectPackets sizes the
-// first request/route chunks to cover a known workload outright.
+// as more packets are accepted; coordinate and axis payloads are sub-sliced
+// (with full-slice expressions, so appends cannot bleed across entries)
+// from shared backing chunks. Steady-state cost is one allocation per
+// chunk, amortized to ~0 per accept; Options.ExpectPackets sizes the first
+// request/route chunks to cover a known workload outright.
 type arena struct {
 	reqs   []grid.Request
 	routes []sketch.Route
 	ints   []int
 	axes   []uint8
-	edges  []ipp.EdgeID
 
-	reqChunk, intChunk, axChunk, edgeChunk int
+	reqChunk, intChunk, axChunk int
 }
 
 func (a *arena) init(hint int) {
 	a.reqChunk = 1 << 10
 	a.intChunk = 1 << 14
 	a.axChunk = 1 << 13
-	a.edgeChunk = 1 << 14
 	if hint > a.reqChunk {
 		a.reqChunk = hint
 	}
@@ -69,21 +66,12 @@ func (a *arena) allocAxes(n int) []uint8 {
 	return a.axes[off : off+n : off+n]
 }
 
-func (a *arena) allocEdges(n int) []ipp.EdgeID {
-	if len(a.edges)+n > cap(a.edges) {
-		c := a.edgeChunk
-		if c < n {
-			c = n
-		}
-		a.edges = make([]ipp.EdgeID, 0, c)
-	}
-	off := len(a.edges)
-	a.edges = a.edges[:off+n]
-	return a.edges[off : off+n : off+n]
-}
-
 // retain deep-copies an accepted (request, route) pair into the arena and
-// returns the detroute admission entry pointing at the stable copies.
+// returns the detroute admission entry pointing at the stable copies. The
+// copy keeps the route's tiles, axes and cost but no edge list: nothing
+// reads a retained route's edges (detailed routing walks tiles and axes,
+// the WAL logs the start tile and axes, and Recover rebuilds edges from
+// those).
 func (a *arena) retain(r *grid.Request, rt *sketch.Route) detroute.Admitted {
 	if len(a.reqs) == cap(a.reqs) {
 		a.reqs = make([]grid.Request, 0, a.reqChunk)
@@ -105,8 +93,6 @@ func (a *arena) retain(r *grid.Request, rt *sketch.Route) detroute.Admitted {
 	copy(ro.Tiles, rt.Tiles)
 	ro.Axes = a.allocAxes(len(rt.Axes))
 	copy(ro.Axes, rt.Axes)
-	ro.Edges = a.allocEdges(len(rt.Edges))
-	copy(ro.Edges, rt.Edges)
 	ro.Cost = rt.Cost
 
 	return detroute.Admitted{Req: req, Route: ro}
@@ -158,7 +144,8 @@ type Result struct {
 	// Admitted is the injected set in admission order; Outcomes and
 	// Schedules are parallel to it. Schedules[j] is non-nil exactly for
 	// on-time deliveries. The Req pointers are engine-owned copies whose ID
-	// carries the packet Seq.
+	// carries the packet Seq. The Route pointers carry tiles, axes and cost
+	// but no edge list (Route.Edges is nil).
 	Admitted  []detroute.Admitted
 	Outcomes  []detroute.Outcome
 	Schedules []*spacetime.Schedule

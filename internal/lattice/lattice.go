@@ -354,8 +354,8 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	// kernel map, by caller:
 	//   - runPull2 (≤ 2 such axes, nodeX set): Downscaled sketch sessions —
 	//     the engine and core.RunDeterministic — on a line, and on grids
-	//     whose route windows are chains or planes of tiles (a 16×16 grid
-	//     with k = 18 is one spatial tile, so every window is a 1×1×L chain);
+	//     whose route windows are planes of tiles (a chain window, with one
+	//     such axis, never reaches the DP: the session walks it directly);
 	//   - runPull2NoNode (≤ 2 such axes, nodeX nil): Raw sketch sessions
 	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
 	//   - runChunkGeneric (3 or more such axes): Downscaled sessions and

@@ -8,16 +8,21 @@ package scenario
 // parameter specs. Tests and experiments may also call them directly.
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gridroute/internal/grid"
 )
 
 // sortReqs orders requests by arrival (stable) and reassigns IDs — the
-// online arrival order every algorithm expects.
+// online arrival order every algorithm expects. Many generators already
+// emit arrival order, and then the sort is skipped.
 func sortReqs(reqs []grid.Request) []grid.Request {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	byArrival := func(a, b grid.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		slices.SortStableFunc(reqs, byArrival)
+	}
 	for i := range reqs {
 		reqs[i].ID = i
 	}
@@ -146,7 +151,11 @@ func WithDeadlines(g *grid.Grid, reqs []grid.Request, slack float64, jitter int6
 // FIFO greedy carries the older long packets and starves the shorts; the
 // optimum rejects the convoy and serves every short.
 func ConvoyRate(n, rounds, rate, shortEvery int) []grid.Request {
-	var reqs []grid.Request
+	if shortEvery < 1 {
+		shortEvery = 1
+	}
+	shortRounds := (rounds + shortEvery - 1) / shortEvery
+	reqs := make([]grid.Request, 0, rounds*rate+shortRounds*max(n-2, 0))
 	for t := 0; t < rounds; t++ {
 		for j := 0; j < rate; j++ {
 			reqs = append(reqs, grid.Request{
@@ -154,9 +163,6 @@ func ConvoyRate(n, rounds, rate, shortEvery int) []grid.Request {
 				Arrival: int64(t), Deadline: grid.InfDeadline,
 			})
 		}
-	}
-	if shortEvery < 1 {
-		shortEvery = 1
 	}
 	for t := 0; t < rounds; t += shortEvery {
 		for v := 1; v < n-1; v++ {

@@ -45,10 +45,38 @@ func TestEveryScenarioGeneratesValidRequests(t *testing.T) {
 	}
 }
 
+// goldenDigests pins every registered scenario's output at its defaults
+// and seed 7. Comparing a run only with itself would pass a generator
+// change that reorders, drops or alters requests; a digest here fails it.
+// Update a digest only with a deliberate change to that scenario's output.
+var goldenDigests = map[string]uint64{
+	"appendixf-model2":    0x703cd1631b3460bc,
+	"bit-reversal":        0xbde22918b873bbe5,
+	"convoy":              0x25b30f0bdf9ecfd3,
+	"convoy-rate":         0x11ff2902cc0badd1,
+	"crossbar":            0x8afa5ba3f5674e5c,
+	"heavy-pareto":        0xb7daa1adfe37b2a4,
+	"hotspot":             0xf24d8bce6d0fc4fd,
+	"lattice3d-hotspot":   0x62ce79a01bf65d7e,
+	"lattice3d-uniform":   0xb01175f13f16c4f7,
+	"markov-onoff":        0xd6718a02d12a9e84,
+	"permutation":         0x3fa8d0f7a6d564a0,
+	"saturating":          0x5a30908fb27fd99f,
+	"saturating-deadline": 0x5e419286ec2f8efa,
+	"transpose":           0x3093b013550506c5,
+	"uniform":             0x6a3729f6a154dfbc,
+	"uniform-deadline":    0xba494812b35a1321,
+	"zipf-hotspot":        0x96455dc7a4c8ee38,
+}
+
 // TestGenerateByteDeterministic regenerates every scenario twice serially
 // and once under heavy goroutine interleaving (the -j analogue), asserting
-// byte-identical output each time for a fixed seed.
+// byte-identical output each time for a fixed seed, and that output's
+// digest against goldenDigests.
 func TestGenerateByteDeterministic(t *testing.T) {
+	if n := len(Registered()); n != len(goldenDigests) {
+		t.Errorf("registry has %d scenarios, goldenDigests %d", n, len(goldenDigests))
+	}
 	for _, sc := range Registered() {
 		t.Run(sc.ID, func(t *testing.T) {
 			g1, r1, err := Generate(sc.ID, map[string]float64{"seed": 7})
@@ -65,6 +93,9 @@ func TestGenerateByteDeterministic(t *testing.T) {
 			d1 := Digest(g1, r1)
 			if d2 := Digest(g2, r2); d1 != d2 {
 				t.Fatalf("digest mismatch: %x vs %x", d1, d2)
+			}
+			if want, ok := goldenDigests[sc.ID]; !ok || d1 != want {
+				t.Errorf("digest %#016x, golden %#016x (present %v)", d1, want, ok)
 			}
 			const workers = 8
 			digests := make([]uint64, workers)

@@ -96,7 +96,7 @@ type Session struct {
 	winHi   []int
 	probe   []int
 	snapCur []int        // snapshotWindow row odometer
-	path    lattice.Path // reused by LightestRouteInto
+	path    lattice.Path // reused by route extraction and chainRoute
 
 	// Prepared-query geometry (prepareQuery): the destination ray on the w
 	// axis, inclusive, in tile coordinates.
@@ -282,9 +282,9 @@ func (s *Session) LightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wL
 // prepareQuery computes the weight-independent geometry of a lightest-route
 // query: source/destination tiles, the destination ray on the w axis, and
 // the DP window, all stored in the session. It reports false when no legal
-// route can exist for purely geometric reasons (destination behind source,
-// empty w ray, tile budget exceeded), so a false here is a final verdict
-// regardless of packer state.
+// route can exist for purely geometric reasons (source off the tiling,
+// destination behind source, empty w ray, tile budget exceeded), so a false
+// here is a final verdict regardless of packer state.
 //
 //gridroute:hotpath
 func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) bool {
@@ -292,6 +292,9 @@ func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 	d := g.ST.G.D()
 	wa := d // the w axis index
 	g.Tl.TileOf(srcPoint, s.srcTile)
+	if !g.Tl.TBox.Contains(s.srcTile) {
+		return false // source off the tiled lattice: an arrival before its start
+	}
 
 	// Destination tile coordinates: fixed per space axis, ranging on w.
 	for i := 0; i < d; i++ {
@@ -359,6 +362,58 @@ func (s *Session) extractRoute(out *Route) bool {
 	return true
 }
 
+// chainRoute answers a prepared query whose window is a chain — at most one
+// axis of extent > 1, as when source and destination share a spatial tile —
+// without the DP. chain reports whether the window is one; found and out are
+// then exactly what RunFlat and extractRoute would produce:
+//
+//   - a chain holds one path from the source tile to each of its tiles;
+//   - weights are never negative (a commit only grows them, and an outage
+//     mask writes +Inf), so costs never fall along the chain, and
+//     MinCostRay's strict < picks the ray's first tile, rayLo, or reports
+//     no route when that tile costs +Inf;
+//   - summing xs over the edge list left to right (interior, axis,
+//     interior, …) repeats the DP's own order, (pc + edge) + node, so the
+//     cost has the same bits.
+//
+// It neither runs nor reads the DP, so the warm-start cache still describes
+// the DP buffers afterwards.
+//
+//gridroute:hotpath
+func (s *Session) chainRoute(xs []float64, out *Route) (found, chain bool) {
+	axis := -1
+	for a := range s.winLo {
+		if s.winHi[a]-s.winLo[a] > 1 {
+			if axis >= 0 {
+				return false, false
+			}
+			axis = a
+		}
+	}
+	steps := 0 // a single-tile window
+	if wa := s.g.ST.G.D(); axis == wa {
+		steps = s.rayLo - s.srcTile[wa]
+	} else if axis >= 0 {
+		steps = s.dstTile[axis] - s.srcTile[axis]
+	}
+	p := &s.path
+	p.Start = append(p.Start[:0], s.srcTile...)
+	p.Axes = p.Axes[:0]
+	for i := 0; i < steps; i++ {
+		p.Axes = append(p.Axes, uint8(axis))
+	}
+	s.routeInto(p, 0, out)
+	cost := 0.0
+	for _, e := range out.Edges {
+		cost += xs[e]
+	}
+	if math.IsInf(cost, 1) {
+		return false, true
+	}
+	out.Cost = cost
+	return true, true
+}
+
 // LightestRouteInto is LightestRoute writing into a caller-provided Route,
 // reusing its slices. It reports false (leaving out unspecified) when no
 // legal route exists. A warm (Session, Route) pair queries without
@@ -369,6 +424,9 @@ func (s *Session) extractRoute(out *Route) bool {
 func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, out *Route) bool {
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
+	}
+	if found, chain := s.chainRoute(pk.Weights(), out); chain {
+		return found
 	}
 	if !s.warmHit(pk) {
 		xs := pk.Weights()
@@ -421,13 +479,16 @@ func (s *Session) snapshotWindow(from, into []float64) {
 	}
 }
 
-// solveSnapshot runs the lightest-route DP for the prepared query over a
-// snapshot weight slice (laid out like the packer's weights) and
-// extracts the route into out. The session's packer-keyed warm cache is
-// invalidated: the DP state now reflects snapshot, not live, weights.
+// solveSnapshot answers the prepared query over a snapshot weight slice
+// (laid out like the packer's weights) and extracts the route into out. A
+// run of the DP invalidates the session's packer-keyed warm cache: the DP
+// state then reflects snapshot, not live, weights.
 //
 //gridroute:hotpath
 func (s *Session) solveSnapshot(xs []float64, out *Route) bool {
+	if found, chain := s.chainRoute(xs, out); chain {
+		return found
+	}
 	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
 	s.lastValid = false
 	return s.extractRoute(out)
