@@ -68,7 +68,7 @@ func TestDPRunWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestReplayWarmAllocFree: a warm (Replayer, Result) pair must verify a
+// TestReplayWarmAllocFree: a warm (Incremental, Result) pair must replay a
 // schedule set without allocating, in both node models.
 func TestReplayWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
@@ -78,12 +78,12 @@ func TestReplayWarmAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rp netsim.Replayer
+	var inc netsim.Incremental
 	var out netsim.Result
 	for _, model := range []netsim.Model{netsim.Model1, netsim.Model2} {
-		rp.ReplayInto(g, reqs, res.Schedules, model, &out) // warm buffers
+		inc.ReplayInto(g, reqs, res.Schedules, model, &out) // warm buffers
 		allocs := testing.AllocsPerRun(20, func() {
-			rp.ReplayInto(g, reqs, res.Schedules, model, &out)
+			inc.ReplayInto(g, reqs, res.Schedules, model, &out)
 		})
 		if allocs != 0 {
 			t.Fatalf("%v: warm ReplayInto allocates %v/run, want 0", model, allocs)

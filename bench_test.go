@@ -127,6 +127,9 @@ func BenchmarkHotPath(b *testing.B) {
 			sp.LightestPath(r)
 		}
 	})
+	// ReplayWarm: a warm Incremental.ReplayInto of the deterministic
+	// algorithm's schedules on a 96-node line (Model 1): size the window,
+	// reset, Add every schedule, scan the counters for breaches.
 	b.Run("ReplayWarm", func(b *testing.B) {
 		b.ReportAllocs()
 		g := grid.Line(96, 3, 3)
@@ -135,12 +138,12 @@ func BenchmarkHotPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var rp netsim.Replayer
+		var inc netsim.Incremental
 		var out netsim.Result
-		rp.ReplayInto(g, reqs, res.Schedules, netsim.Model1, &out)
+		inc.ReplayInto(g, reqs, res.Schedules, netsim.Model1, &out)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rp.ReplayInto(g, reqs, res.Schedules, netsim.Model1, &out)
+			inc.ReplayInto(g, reqs, res.Schedules, netsim.Model1, &out)
 		}
 		if len(out.Violation) != 0 {
 			b.Fatalf("violations: %v", out.Violation)

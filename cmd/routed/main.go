@@ -9,9 +9,9 @@
 // runs over the admitted set, and the metrics JSON is written with
 // "partial": true before the process exits 130. A completed stream exits 0.
 //
-// Every delivered schedule is re-verified one packet at a time through
-// netsim's incremental replayer — the same admit-order the engine saw — and
-// the violation count is part of the metrics (a correct run reports 0).
+// Every delivered schedule is re-verified through netsim's schedule replay
+// against the grid's buffer and link capacities (Model 1), and the violation
+// count is part of the metrics (a correct run reports 0).
 // After the metrics are written, a run with replay violations or outside
 // Theorem 1's bounds exits 1, interrupted or not.
 //
@@ -21,7 +21,10 @@
 // first undecided packet, so a kill -9 mid-stream costs nothing but a
 // restart. -faults/-fault-seed wire a deterministic chaos schedule (producer
 // stalls and panics, queue-full storms, consumer pauses, mid-Admit
-// cancellations, space-time resource outages) into the run.
+// cancellations, space-time resource outages) into the run. A schedule with
+// a producer panic drops a seq, so it needs -gap-timeout: without it every
+// later packet would wait for the dropped one forever, and routed exits 2
+// before streaming.
 //
 // Usage examples:
 //
@@ -57,9 +60,9 @@ import (
 )
 
 // metrics is the service's JSON output: the engine's final counters plus the
-// routing result and its incremental replay verdict. Partial marks an
-// interrupted stream (the numbers are still internally consistent — they
-// cover exactly the packets decided before the drain finished).
+// routing result and its replay verdict. Partial marks an interrupted stream
+// (the numbers are still internally consistent — they cover exactly the
+// packets decided before the drain finished).
 type metrics struct {
 	Scenario  string `json:"scenario"`
 	GridDims  []int  `json:"grid_dims"`
@@ -129,7 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	declogPath := fs.String("declog", "", "write the final decision log (seq verdict cost tiles per line) to this file")
 	faults := fs.String("faults", "", "deterministic fault schedule, e.g. 'stall(seq=10,n=4,dur=1ms);storm(seq=50,n=20,count=2)'")
 	faultSeed := fs.Int64("fault-seed", 0, "generate a random deterministic fault schedule from this seed (exclusive with -faults)")
-	gapTimeout := fs.Duration("gap-timeout", 0, "InOrder gap watchdog: skip a missing seq after this long (0 = wait for drain)")
+	gapTimeout := fs.Duration("gap-timeout", 0, "InOrder gap watchdog: skip a missing seq after this long (0 = never skip; a fault schedule with a panic needs it)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -177,6 +180,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			sched, err = fault.Parse(*faults)
 			if err != nil {
 				fmt.Fprintln(stderr, "routed:", err)
+				return 2
+			}
+		}
+		for _, ev := range sched.Events {
+			if ev.Op == fault.Panic && *gapTimeout == 0 {
+				// The panic drops its seq; in order, every later packet
+				// would park behind it and the stream would never finish.
+				fmt.Fprintf(stderr, "routed: fault schedule %s drops seq %d with a panic; set -gap-timeout (e.g. 50ms) so the stream can skip it\n", sched, ev.Seq)
 				return 2
 			}
 		}
@@ -319,30 +330,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Re-verify the delivered schedules packet by packet, in admission
-	// order, against the real link/buffer capacities.
-	violations := 0
-	if len(res.Admitted) > 0 {
-		minT, maxT := res.Horizon, int64(0)
-		for _, s := range res.Schedules {
-			if s == nil {
-				continue
-			}
-			if s.StartT < minT {
-				minT = s.StartT
-			}
-			if end := s.StartT + int64(len(s.Moves)); end > maxT {
-				maxT = end
-			}
-		}
-		inc := netsim.NewIncremental(g, netsim.Model1, minT, maxT)
-		for j, s := range res.Schedules {
-			if s != nil {
-				inc.Add(res.Admitted[j].Req, s)
-			}
-		}
-		violations = len(inc.Violations())
+	// Re-verify the delivered schedules against the real link/buffer
+	// capacities. A scenario numbers its requests 0..n-1 in arrival order,
+	// so an admitted request's ID is its index in reqs.
+	scheds := make([]*spacetime.Schedule, len(reqs))
+	for j, s := range res.Schedules {
+		scheds[res.Admitted[j].Req.ID] = s
 	}
+	violations := len(netsim.ReplaySchedules(g, reqs, scheds, netsim.Model1).Violation)
 
 	s := res.Stats
 	m := metrics{

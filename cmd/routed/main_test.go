@@ -200,6 +200,27 @@ func TestRunFaultSchedule(t *testing.T) {
 	}
 }
 
+// TestRunGeneratedFaultSchedule runs README's generated-schedule example: its
+// producer panic drops one seq, the gap watchdog skips it, and every other
+// seq is decided.
+func TestRunGeneratedFaultSchedule(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-scenario", "uniform", "-fault-seed", "7", "-gap-timeout", "50ms"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+	}
+	m := decodeMetrics(t, out.Bytes())
+	if decided := m.Accepted + m.RejectedCost + m.RejectedNoRoute + m.RejectedInvalid; decided != uint64(m.Requests-1) {
+		t.Fatalf("decided %d of %d, want all but the dropped seq; stderr:\n%s", decided, m.Requests, errb.String())
+	}
+	if m.ReplayViolations != 0 {
+		t.Fatalf("replay violations: %+v", m)
+	}
+	if !strings.Contains(errb.String(), "dropped") {
+		t.Fatalf("no seq was dropped; stderr:\n%s", errb.String())
+	}
+}
+
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", "no-such-scenario"},
@@ -210,6 +231,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-wal-sync", "-1"},
 		{"-faults", "storm(seq=1)", "-fault-seed", "7"},
 		{"-faults", "bogus(x=1)"},
+		// A panic drops its seq; without -gap-timeout the in-order stream
+		// would wait for it forever.
+		{"-fault-seed", "7"},
+		{"-faults", "panic(seq=5)"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(context.Background(), args, &out, &errb); code != 2 {

@@ -18,7 +18,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gridroute/internal/dense"
 	"gridroute/internal/grid"
@@ -123,196 +122,31 @@ func (r *Result) CountKind(k OutcomeKind) int {
 	return n
 }
 
-// Replayer holds the reusable dense state of schedule replay. Link and
-// buffer occupancy live in epoch-stamped flat arrays over the compact
-// (node, axis, t) / (node, t) id space of the replayed time window, so a
-// warm Replayer verifies a schedule set with no hashing and no allocation.
-// A Replayer is not safe for concurrent use; ReplaySchedules draws one from
-// a pool per call.
-type Replayer struct {
-	links dense.Counts
-	bufs  dense.Counts
-	pos   grid.Vec
-}
-
-var replayerPool = sync.Pool{New: func() any { return new(Replayer) }}
-
 // ReplaySchedules executes explicit schedules under the given model,
 // verifying every link-capacity and buffer constraint. schedules[i] may be
 // nil for requests that were rejected. The returned result flags violations;
 // a correct algorithm produces none.
 func ReplaySchedules(g *grid.Grid, reqs []grid.Request, schedules []*spacetime.Schedule, model Model) *Result {
-	rp := replayerPool.Get().(*Replayer)
-	res := rp.Replay(g, reqs, schedules, model)
-	replayerPool.Put(rp)
-	return res
-}
-
-// Replay is ReplaySchedules on a reusable Replayer.
-func (rp *Replayer) Replay(g *grid.Grid, reqs []grid.Request, schedules []*spacetime.Schedule, model Model) *Result {
 	res := &Result{}
-	rp.ReplayInto(g, reqs, schedules, model, res)
+	new(Incremental).ReplayInto(g, reqs, schedules, model, res)
 	return res
 }
 
-// ReplayInto is Replay writing into a caller-provided result, reusing its
-// slices; a warm (Replayer, Result) pair replays without allocating.
+// Incremental is the schedule replayer. It verifies schedules one at a time
+// against a persistent occupancy state over a fixed time window, so the
+// streaming engine's callers, which learn of accepted packets one admit at a
+// time, and batch replay (ReplayInto, ReplaySchedules), which sizes the
+// window from the whole set, share one walk. Link and buffer occupancy live
+// in epoch-stamped flat arrays over the compact (node, axis, t) / (node, t)
+// id space of the window, so a warm Incremental replays with no hashing and
+// no allocation.
 //
-//gridroute:hotpath
-func (rp *Replayer) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*spacetime.Schedule, model Model, res *Result) {
-	if cap(res.Outcomes) < len(reqs) {
-		res.Outcomes = make([]Outcome, len(reqs))
-	}
-	res.Outcomes = res.Outcomes[:len(reqs)]
-	for i := range res.Outcomes {
-		res.Outcomes[i] = Outcome{}
-	}
-	res.Violation = res.Violation[:0]
-	res.MaxBuffer, res.MaxLink = 0, 0
-
-	// The occupancy universe spans the replayed time window [minT, maxT].
-	minT, maxT := int64(0), int64(-1)
-	first := true
-	for _, s := range schedules {
-		if s == nil {
-			continue
-		}
-		end := s.StartT + int64(len(s.Moves))
-		if first {
-			minT, maxT = s.StartT, end
-			first = false
-			continue
-		}
-		if s.StartT < minT {
-			minT = s.StartT
-		}
-		if end > maxT {
-			maxT = end
-		}
-	}
-	width := int(maxT - minT + 1)
-	if width < 1 {
-		width = 1
-	}
-	d := g.D()
-	rp.links.Reset(g.N() * d * width)
-	rp.bufs.Reset(g.N() * width)
-
-	for i := range schedules {
-		s := schedules[i]
-		if s == nil {
-			continue
-		}
-		if s.Req == nil || !s.Req.Src.Eq(reqs[i].Src) || s.Req.Arrival != reqs[i].Arrival {
-			res.Violation = append(res.Violation, fmt.Sprintf("req %d: schedule/request mismatch", i)) //gridlint:allow violation reporting: runs only on malformed input, not per packet
-			if model == Model2 {
-				// Mismatched schedules still occupy the network; charge
-				// their presence so capacity verification stays sound.
-				rp.presenceWalk(g, &reqs[i], s, minT, width, res)
-			}
-			continue
-		}
-		pos := append(rp.pos[:0], s.Src...)
-		rp.pos = pos
-		t := s.StartT
-		ok := true
-		for _, m := range s.Moves {
-			// Model 2 charges a buffer slot to every packet present at a
-			// node during a cycle (including forwarded ones); Model 1 only
-			// to packets held across the cycle boundary. Link accounting is
-			// model-independent. Both models fold into this single pass.
-			node := g.Index(pos)
-			if model == Model2 && !pos.Eq(reqs[i].Dst) {
-				rp.bumpBuf(node, t, minT, width, res)
-			}
-			if m == spacetime.Hold {
-				if model == Model1 {
-					rp.bumpBuf(node, t, minT, width, res)
-				}
-			} else {
-				li := (node*d+int(m))*width + int(t-minT)
-				if n := rp.links.Add(li, 1); n > res.MaxLink {
-					res.MaxLink = n
-				}
-				pos[m]++
-				if pos[m] >= g.Dims[m] {
-					res.Violation = append(res.Violation, fmt.Sprintf("req %d: leaves grid", i)) //gridlint:allow violation reporting: runs only on malformed schedules, not per packet
-					ok = false
-					break
-				}
-			}
-			t++
-		}
-		if !ok {
-			res.Outcomes[i] = Outcome{Kind: Dropped}
-			continue
-		}
-		if pos.Eq(reqs[i].Dst) {
-			onTime := reqs[i].Deadline == grid.InfDeadline || t <= reqs[i].Deadline
-			res.Outcomes[i] = Outcome{Kind: Delivered, DeliveredAt: t, OnTime: onTime}
-		} else {
-			res.Outcomes[i] = Outcome{Kind: Dropped}
-		}
-	}
-
-	for _, li := range rp.links.Touched() {
-		if n := rp.links.Get(int(li)); n > g.C {
-			id := int(li)
-			t := minT + int64(id%width)
-			id /= width
-			res.Violation = append(res.Violation,
-				fmt.Sprintf("link capacity exceeded: node %d axis %d t=%d: %d > %d", id/d, id%d, t, n, g.C)) //gridlint:allow violation reporting: runs only on capacity breaches, not per packet
-		}
-	}
-	for _, bi := range rp.bufs.Touched() {
-		if n := rp.bufs.Get(int(bi)); n > g.B {
-			id := int(bi)
-			res.Violation = append(res.Violation,
-				fmt.Sprintf("buffer exceeded: node %d t=%d: %d > %d", id/width, minT+int64(id%width), n, g.B)) //gridlint:allow violation reporting: runs only on buffer breaches, not per packet
-		}
-	}
-}
-
-//gridroute:hotpath
-func (rp *Replayer) bumpBuf(node int, t, minT int64, width int, res *Result) {
-	if n := rp.bufs.Add(node*width+int(t-minT), 1); n > res.MaxBuffer {
-		res.MaxBuffer = n
-	}
-}
-
-// presenceWalk charges Model-2 presence for a schedule that failed the
-// request cross-check (cold path).
-//
-//gridroute:hotpath
-func (rp *Replayer) presenceWalk(g *grid.Grid, req *grid.Request, s *spacetime.Schedule, minT int64, width int, res *Result) {
-	pos := s.Src.Clone()
-	t := s.StartT
-	for _, m := range s.Moves {
-		if !pos.Eq(req.Dst) {
-			rp.bumpBuf(g.Index(pos), t, minT, width, res)
-		}
-		if m != spacetime.Hold {
-			pos[m]++
-			if pos[m] >= g.Dims[m] {
-				break
-			}
-		}
-		t++
-	}
-}
-
-// Incremental verifies schedules one at a time against a persistent
-// occupancy state — the replay mode of the streaming engine, which learns of
-// accepted packets one admit at a time and cannot batch them first. The
-// occupancy universe spans a fixed time window chosen up front (the engine
-// knows its horizon), so adding a schedule is a single walk bumping the same
-// dense link/buffer counters batch replay uses.
-//
-// Capacity violations are detected at the moment a counter first exceeds its
-// capacity, so the violation strings name the offending count at that
-// instant rather than the final count batch replay reports; a correct
-// algorithm produces none either way, and tests assert the outcomes and the
-// violation *set* agree with ReplaySchedules.
+// Add records the per-schedule faults (a schedule that does not match its
+// request, leaves the grid or falls outside the window) and tracks the peak
+// occupancies. Capacity breaches are reported by Violations, one entry per
+// over-capacity (resource, t) with its final count. The zero value is ready
+// for ReplayInto; Add needs a window from NewIncremental. An Incremental is
+// not safe for concurrent use.
 type Incremental struct {
 	g     *grid.Grid
 	model Model
@@ -323,24 +157,28 @@ type Incremental struct {
 	bufs  dense.Counts
 	pos   grid.Vec
 
-	added      int
-	maxBuffer  int
-	maxLink    int
+	maxBuffer int
+	maxLink   int
+	// violations holds the faults Add recorded, then the capacity breaches
+	// of the last Violations call; faults counts the former.
 	violations []string
+	faults     int
 }
 
 // NewIncremental creates an incremental verifier over the time window
-// [minT, maxT] (inclusive). Schedules touching steps outside the window are
-// rejected as violations.
+// [minT, maxT] (inclusive). A schedule that starts before minT or ends after
+// maxT is reported as a violation and not walked.
 func NewIncremental(g *grid.Grid, model Model, minT, maxT int64) *Incremental {
 	inc := &Incremental{g: g, model: model}
-	inc.Reset(minT, maxT)
+	inc.reset(minT, maxT)
 	return inc
 }
 
-// Reset rewinds the verifier to an empty occupancy state over a new window,
-// reusing its buffers (a warm Incremental resets without allocating).
-func (inc *Incremental) Reset(minT, maxT int64) {
+// reset rewinds the verifier to an empty occupancy state over a new window,
+// reusing its buffers.
+//
+//gridroute:hotpath
+func (inc *Incremental) reset(minT, maxT int64) {
 	if maxT < minT {
 		maxT = minT
 	}
@@ -348,61 +186,93 @@ func (inc *Incremental) Reset(minT, maxT int64) {
 	inc.width = int(maxT-minT) + 1
 	inc.links.Reset(inc.g.N() * inc.g.D() * inc.width)
 	inc.bufs.Reset(inc.g.N() * inc.width)
-	inc.added = 0
 	inc.maxBuffer, inc.maxLink = 0, 0
-	inc.violations = inc.violations[:0]
+	inc.violations, inc.faults = inc.violations[:0], 0
 }
 
-// Add replays one accepted schedule on top of everything added so far and
-// returns the packet's outcome. Capacity and buffer constraints are checked
-// as the occupancy counters move; violations accumulate on the verifier
-// (Violations) tagged with the request ID.
+// ReplayInto replays a whole schedule set into a caller-provided result,
+// reusing its slices: it sizes the window from the schedules, resets the
+// verifier over it, adds schedules[i] as reqs[i]'s schedule in order and
+// reports. A warm (Incremental, Result) pair replays without allocating.
+//
+//gridroute:hotpath
+func (inc *Incremental) ReplayInto(g *grid.Grid, reqs []grid.Request, schedules []*spacetime.Schedule, model Model, res *Result) {
+	minT, maxT := int64(0), int64(0)
+	first := true
+	for _, s := range schedules {
+		if s == nil {
+			continue
+		}
+		if end := s.StartT + int64(len(s.Moves)); first || end > maxT {
+			maxT = end
+		}
+		if first || s.StartT < minT {
+			minT = s.StartT
+		}
+		first = false
+	}
+	inc.g, inc.model = g, model
+	inc.reset(minT, maxT)
+
+	if cap(res.Outcomes) < len(reqs) {
+		res.Outcomes = make([]Outcome, len(reqs))
+	}
+	res.Outcomes = res.Outcomes[:len(reqs)]
+	clear(res.Outcomes)
+	for i, s := range schedules {
+		res.Outcomes[i] = inc.Add(&reqs[i], s)
+	}
+	res.Violation = append(res.Violation[:0], inc.Violations()...)
+	res.MaxBuffer, res.MaxLink = inc.maxBuffer, inc.maxLink
+}
+
+// Add replays one schedule on top of everything added so far and returns the
+// packet's outcome. A nil schedule is unserved. A schedule that does not
+// start at its request's source and arrival, or that falls outside the
+// window, is recorded as a fault and not walked (unserved); one that leaves
+// the grid is recorded and dropped where it leaves.
+//
+//gridroute:hotpath
 func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
-	g := inc.g
-	d := g.D()
 	if s == nil {
 		return Outcome{}
 	}
-	if s.Req == nil || !s.Req.Src.Eq(req.Src) || s.Req.Arrival != req.Arrival {
-		inc.violations = append(inc.violations, fmt.Sprintf("req %d: schedule/request mismatch", req.ID))
+	if s.Req == nil || !s.Req.Src.Eq(req.Src) || s.Req.Arrival != req.Arrival || !s.Src.Eq(req.Src) || s.StartT != req.Arrival {
+		inc.fault(fmt.Sprintf("req %d: schedule/request mismatch", req.ID)) //gridlint:allow violation reporting: runs only on malformed input, not per packet
 		return Outcome{}
 	}
 	if end := s.StartT + int64(len(s.Moves)); s.StartT < inc.minT || end >= inc.minT+int64(inc.width) {
-		inc.violations = append(inc.violations,
-			fmt.Sprintf("req %d: schedule [%d,%d] outside replay window [%d,%d]", req.ID, s.StartT, end, inc.minT, inc.minT+int64(inc.width)-1))
+		inc.fault(fmt.Sprintf("req %d: schedule [%d,%d] outside replay window [%d,%d]", req.ID, s.StartT, end, inc.minT, inc.minT+int64(inc.width)-1)) //gridlint:allow violation reporting: runs only on schedules outside the window, not per packet
 		return Outcome{}
 	}
+	g := inc.g
+	d := g.D()
 	pos := append(inc.pos[:0], s.Src...)
 	inc.pos = pos
 	t := s.StartT
 	for _, m := range s.Moves {
+		// Model 1 charges a buffer slot to a packet held across the cycle
+		// boundary; Model 2 to every packet present that is not at its
+		// destination, forwarded or not. Link accounting is
+		// model-independent.
 		node := g.Index(pos)
-		if inc.model == Model2 && !pos.Eq(req.Dst) {
-			inc.bumpBuf(req.ID, node, t)
+		if (inc.model == Model1 && m == spacetime.Hold) || (inc.model == Model2 && !pos.Eq(req.Dst)) {
+			if n := inc.bufs.Add(node*inc.width+int(t-inc.minT), 1); n > inc.maxBuffer {
+				inc.maxBuffer = n
+			}
 		}
-		if m == spacetime.Hold {
-			if inc.model == Model1 {
-				inc.bumpBuf(req.ID, node, t)
-			}
-		} else {
-			li := (node*d+int(m))*inc.width + int(t-inc.minT)
-			n := inc.links.Add(li, 1)
-			if n > inc.maxLink {
-				inc.maxLink = n
-			}
-			if n > g.C {
-				inc.violations = append(inc.violations,
-					fmt.Sprintf("link capacity exceeded: node %d axis %d t=%d: %d > %d", node, m, t, n, g.C))
-			}
+		if m != spacetime.Hold {
 			pos[m]++
 			if pos[m] >= g.Dims[m] {
-				inc.violations = append(inc.violations, fmt.Sprintf("req %d: leaves grid", req.ID))
+				inc.fault(fmt.Sprintf("req %d: leaves grid", req.ID)) //gridlint:allow violation reporting: runs only on malformed schedules, not per packet
 				return Outcome{Kind: Dropped}
+			}
+			if n := inc.links.Add((node*d+int(m))*inc.width+int(t-inc.minT), 1); n > inc.maxLink {
+				inc.maxLink = n
 			}
 		}
 		t++
 	}
-	inc.added++
 	if pos.Eq(req.Dst) {
 		onTime := req.Deadline == grid.InfDeadline || t <= req.Deadline
 		return Outcome{Kind: Delivered, DeliveredAt: t, OnTime: onTime}
@@ -410,29 +280,45 @@ func (inc *Incremental) Add(req *grid.Request, s *spacetime.Schedule) Outcome {
 	return Outcome{Kind: Dropped}
 }
 
-func (inc *Incremental) bumpBuf(reqID, node int, t int64) {
-	n := inc.bufs.Add(node*inc.width+int(t-inc.minT), 1)
-	if n > inc.maxBuffer {
-		inc.maxBuffer = n
-	}
-	if n > inc.g.B {
-		inc.violations = append(inc.violations,
-			fmt.Sprintf("buffer exceeded: node %d t=%d: %d > %d (adding req %d)", node, t, n, inc.g.B, reqID))
-	}
+// fault records a per-schedule fault ahead of any capacity breaches a
+// Violations call appended.
+func (inc *Incremental) fault(msg string) {
+	inc.violations = append(inc.violations[:inc.faults], msg)
+	inc.faults++
 }
 
-// Added returns the number of schedules replayed so far.
-func (inc *Incremental) Added() int { return inc.added }
-
-// Violations returns every constraint violation recorded so far. The slice
-// is owned by the verifier; it grows across Add calls and resets on Reset.
-func (inc *Incremental) Violations() []string { return inc.violations }
-
-// MaxBuffer returns the peak buffer occupancy observed so far.
-func (inc *Incremental) MaxBuffer() int { return inc.maxBuffer }
-
-// MaxLink returns the peak per-edge link usage observed so far.
-func (inc *Incremental) MaxLink() int { return inc.maxLink }
+// Violations returns every constraint violation of the schedules added so
+// far: the faults Add recorded, then one entry per over-capacity (resource,
+// t) with its final count, found by one scan of the touched counters. The
+// slice is owned by the verifier and valid until its next Add or Violations
+// call.
+//
+//gridroute:hotpath
+func (inc *Incremental) Violations() []string {
+	g, d, w := inc.g, inc.g.D(), inc.width
+	v := inc.violations[:inc.faults]
+	// The peaks bound every counter, so a feasible set skips the scans.
+	if inc.maxLink > g.C {
+		for _, li := range inc.links.Touched() {
+			if n := inc.links.Get(int(li)); n > g.C {
+				id := int(li)
+				t := inc.minT + int64(id%w)
+				id /= w
+				v = append(v, fmt.Sprintf("link capacity exceeded: node %d axis %d t=%d: %d > %d", id/d, id%d, t, n, g.C)) //gridlint:allow violation reporting: runs only on capacity breaches, not per packet
+			}
+		}
+	}
+	if inc.maxBuffer > g.B {
+		for _, bi := range inc.bufs.Touched() {
+			if n := inc.bufs.Get(int(bi)); n > g.B {
+				id := int(bi)
+				v = append(v, fmt.Sprintf("buffer exceeded: node %d t=%d: %d > %d", id/w, inc.minT+int64(id%w), n, g.B)) //gridlint:allow violation reporting: runs only on buffer breaches, not per packet
+			}
+		}
+	}
+	inc.violations = v
+	return v
+}
 
 // Packet is a live packet in the policy engine.
 type Packet struct {

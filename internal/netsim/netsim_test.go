@@ -212,8 +212,8 @@ func TestSrcEqualsDstInstantDelivery(t *testing.T) {
 }
 
 // TestReplayerWarmReuse replays the same schedule set repeatedly through one
-// Replayer/Result pair and checks results stay identical — the epoch-stamped
-// occupancy state must fully reset between runs.
+// (Incremental, Result) pair and checks results stay identical — the
+// epoch-stamped occupancy state must fully reset between runs.
 func TestReplayerWarmReuse(t *testing.T) {
 	g := grid.Line(6, 1, 1)
 	reqs := []grid.Request{
@@ -224,12 +224,12 @@ func TestReplayerWarmReuse(t *testing.T) {
 		{Req: &reqs[0], Src: grid.Vec{0}, StartT: 0, Moves: []spacetime.Move{0, 0, spacetime.Hold, 0, 0}},
 		{Req: &reqs[1], Src: grid.Vec{1}, StartT: 1, Moves: []spacetime.Move{0, spacetime.Hold, 0}},
 	}
-	var rp Replayer
+	var inc Incremental
 	var res Result
 	for _, model := range []Model{Model1, Model2} {
 		want := ReplaySchedules(g, reqs, ss, model)
 		for i := 0; i < 3; i++ {
-			rp.ReplayInto(g, reqs, ss, model, &res)
+			inc.ReplayInto(g, reqs, ss, model, &res)
 			if res.Throughput() != want.Throughput() || res.MaxBuffer != want.MaxBuffer ||
 				res.MaxLink != want.MaxLink || len(res.Violation) != len(want.Violation) {
 				t.Fatalf("%v run %d: warm replay diverged: %+v vs %+v", model, i, res, *want)

@@ -16,8 +16,6 @@
 package spacetime
 
 import (
-	"fmt"
-
 	"gridroute/internal/grid"
 	"gridroute/internal/lattice"
 )
@@ -215,33 +213,6 @@ func (st *Graph) ScheduleToPath(s *Schedule) *lattice.Path {
 		}
 	}
 	return p
-}
-
-// Validate checks the internal consistency of a schedule against the grid
-// and horizon: it must start at the request source and arrival time, stay
-// inside the grid, and only move forward. It returns a descriptive error.
-func (st *Graph) Validate(s *Schedule) error {
-	if !s.Src.Eq(s.Req.Src) || s.StartT != s.Req.Arrival {
-		return fmt.Errorf("schedule starts at %v@%d, request at %v@%d", s.Src, s.StartT, s.Req.Src, s.Req.Arrival)
-	}
-	v := s.Src.Clone()
-	t := s.StartT
-	for i, m := range s.Moves {
-		if m != Hold {
-			if int(m) < 0 || int(m) >= st.G.D() {
-				return fmt.Errorf("move %d: bad axis %d", i, m)
-			}
-			v[m]++
-			if v[m] >= st.G.Dims[m] {
-				return fmt.Errorf("move %d: leaves grid at %v", i, v)
-			}
-		}
-		t++
-		if t > st.T {
-			return fmt.Errorf("move %d: exceeds horizon %d", i, st.T)
-		}
-	}
-	return nil
 }
 
 // SuggestHorizon returns a horizon comfortably larger than the last arrival

@@ -112,27 +112,6 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if back.Len() != 4 || back.Axes[1] != 1 {
 		t.Fatalf("round trip path: %+v", back)
 	}
-	if err := st.Validate(s); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-}
-
-func TestValidateCatchesBadSchedules(t *testing.T) {
-	g := grid.Line(4, 1, 1)
-	st := New(g, 5)
-	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{3}, Arrival: 0, Deadline: grid.InfDeadline}
-	s := &Schedule{Req: r, Src: grid.Vec{2}, StartT: 0, Moves: []Move{0, 0}}
-	if err := st.Validate(s); err == nil {
-		t.Fatal("schedule leaves the grid; should fail")
-	}
-	s2 := &Schedule{Req: r, Src: grid.Vec{1}, StartT: 0, Moves: []Move{0}}
-	if err := st.Validate(s2); err == nil {
-		t.Fatal("wrong source; should fail")
-	}
-	s3 := &Schedule{Req: r, Src: grid.Vec{2}, StartT: 0, Moves: []Move{Hold, Hold, Hold, Hold, Hold, 0}}
-	if err := st.Validate(s3); err == nil {
-		t.Fatal("exceeds horizon; should fail")
-	}
 }
 
 func TestDeadlineMiss(t *testing.T) {
