@@ -17,8 +17,8 @@ import (
 	"gridroute/internal/ipp"
 	"gridroute/internal/lattice"
 	"gridroute/internal/netsim"
-	"gridroute/internal/optbound"
 	"gridroute/internal/scenario"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 )
 
@@ -227,23 +227,42 @@ func TestEngineAdmitCancelNoLeak(t *testing.T) {
 	}
 }
 
-// TestSTPackerLightestPathWarmAllocFree: the Theorem 13 / dual-bound oracle's
-// path search (DP + destination-ray scan) allocates only the returned path
-// once warm (1 Path struct + 1 coord slice + 1 axes slice, plus the source
-// point — materialized per call by design).
+// TestSTPackerLightestPathWarmAllocFree: the space-time query of the dual
+// certificate and the Theorem 13 algorithm allocates nothing once its Route
+// is warm: an unbounded LightestRouteInto on a SpaceTime session with the
+// warm skip off (every call runs the DP and the destination-ray scan), and
+// the bounded Session.Offer step. The name is the space-time packer's,
+// whose queries the session took over.
 func TestSTPackerLightestPathWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
 	g := grid.Line(32, 3, 3)
 	st := spacetime.New(g, 64)
-	sp := optbound.NewSTPacker(st, 3, 3, core.PMaxDet(g))
+	sk := sketch.SpaceTime(st)
+	pmax := core.PMaxDet(g)
+	pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
+	sess := sk.NewSession()
+	sess.SetWarmStart(false)
 	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{20}, Arrival: 1, Deadline: grid.InfDeadline}
-	if p, _ := sp.LightestPath(r); p == nil {
+	src := make([]int, 2)
+	var out sketch.Route
+	query := func(offer bool) bool {
+		st.ToLattice(r.Src, r.Arrival, src)
+		wLo, wHi := st.DestRay(r)
+		if offer {
+			return sess.Offer(pk, src, r.Dst, wLo, wHi, pmax+1, &out)
+		}
+		return sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, pmax+1, &out)
+	}
+	if !query(false) {
 		t.Fatal("no path on an empty lattice")
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		sp.LightestPath(r)
-	})
-	if allocs > 4 {
-		t.Fatalf("warm LightestPath allocates %v/run, want ≤ 4 (the returned path)", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { query(false) }); allocs != 0 {
+		t.Fatalf("warm LightestRouteInto allocates %v/run, want 0", allocs)
+	}
+	if !query(true) { // warms the packer's capacity memo
+		t.Fatal("first offer on an empty lattice rejected")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { query(true) }); allocs != 0 {
+		t.Fatalf("warm Session.Offer allocates %v/run, want 0", allocs)
 	}
 }

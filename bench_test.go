@@ -1,6 +1,6 @@
-// Benchmarks: one testing.B target per experiment id of DESIGN.md §5, plus
-// the BenchmarkHotPath family feeding the BENCH_hotpath.json perf
-// trajectory (see README "Performance").
+// Benchmarks: one testing.B target per experiment of the registry in
+// internal/experiments, plus the BenchmarkHotPath family feeding the
+// BENCH_hotpath.json perf trajectory (see README "Performance").
 //
 // Each experiment benchmark regenerates the corresponding table/figure
 // measurement of Even–Medina (SPAA 2011) and reports the headline number as
@@ -113,18 +113,35 @@ func BenchmarkHotPath(b *testing.B) {
 			query(r)
 		}
 	})
+	// STPackerLightestPath: the space-time query of the dual certificate and
+	// the Theorem 13 algorithm, unbounded, on a SpaceTime session with the
+	// warm skip off (as in SketchQueryCold), so every call runs the DP and
+	// the destination-ray scan. The row keeps the name of the space-time
+	// packer whose queries the session took over, so its trajectory stays
+	// one series.
 	b.Run("STPackerLightestPath", func(b *testing.B) {
 		b.ReportAllocs()
 		g := grid.Line(64, 3, 3)
 		st := spacetime.New(g, 128)
-		sp := optbound.NewSTPacker(st, 3, 3, core.PMaxDet(g))
+		sk := sketch.SpaceTime(st)
+		pmax := core.PMaxDet(g)
+		pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
+		sess := sk.NewSession()
+		sess.SetWarmStart(false)
+		var out sketch.Route
 		r := &grid.Request{Src: grid.Vec{4}, Dst: grid.Vec{40}, Arrival: 2, Deadline: grid.InfDeadline}
-		if p, _ := sp.LightestPath(r); p == nil {
+		src := make([]int, 2)
+		query := func() bool {
+			st.ToLattice(r.Src, r.Arrival, src)
+			wLo, wHi := st.DestRay(r)
+			return sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, pmax+1, &out)
+		}
+		if !query() {
 			b.Fatal("no path")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sp.LightestPath(r)
+			query()
 		}
 	})
 	// ReplayWarm: a warm Incremental.ReplayInto of the deterministic
@@ -675,13 +692,20 @@ func BenchmarkThm1IPP(b *testing.B) {
 	g := grid.Line(64, 3, 3)
 	st := spacetime.New(g, 256)
 	reqs := scenario.Uniform(g, 300, 128, rand.New(rand.NewSource(13)))
+	pmax := core.PMaxDet(g)
+	src := make([]int, 2)
+	var route sketch.Route
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := optbound.NewSTPacker(st, 3, 3, core.PMaxDet(g))
+		sk := sketch.SpaceTime(st)
+		pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
+		sess := sk.NewSession()
 		for j := range reqs {
-			sp.Offer(&reqs[j])
+			r := &reqs[j]
+			st.ToLattice(r.Src, r.Arrival, src)
+			wLo, wHi := st.DestRay(r)
+			sess.Offer(pk, src, r.Dst, wLo, wHi, pmax+1, &route)
 		}
-		pk := sp.Packer()
 		if pk.PrimalValue() > 2*float64(pk.Accepted())+1e-9 || pk.MaxLoad() > pk.LoadBound() {
 			b.Fatal("Theorem 1 guarantee violated")
 		}

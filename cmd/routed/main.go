@@ -162,14 +162,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stream, err := scenario.NewStream(*sc, params)
+	g, reqs, err := scenario.Generate(*sc, params)
 	if err != nil {
 		// Unknown scenarios and bad parameters are usage errors; the
 		// message already lists the valid choices.
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	g, reqs := stream.Grid(), stream.Requests()
 	horizon := spacetime.SuggestHorizon(g, reqs, 3)
 	pmax := core.PMaxDet(g)
 

@@ -92,6 +92,18 @@ func TestEndToEndGreedyOnConvoy(t *testing.T) {
 	}
 }
 
+// The randomized algorithm needs B ≥ 1: a bufferless run is an error
+// (exit 1), not a divide-by-zero panic.
+func TestRandomizedBufferlessExits1(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-alg", "rand", "-scenario", "uniform", "-p", "b=0"}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if !strings.HasPrefix(errb.String(), "error:") {
+		t.Fatalf("stderr = %q, want an error: line", errb.String())
+	}
+}
+
 func TestSeedBeyondFloat64PrecisionExits2(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-scenario", "uniform", "-seed", "9007199254740993"}, &out, &errb); code != 2 {

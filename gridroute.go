@@ -131,8 +131,9 @@ type randRouter struct {
 func Randomized(seed int64) Router { return randRouter{seed: seed} }
 
 // RandomizedWith returns the randomized algorithm with an explicit
-// sparsification constant γ (engineering mode uses small γ; see DESIGN.md
-// E13) and forced branch (0 = fair coin, 1 = Far⁺, 2 = Near).
+// sparsification constant γ (engineering mode uses small γ; experiment E13
+// measures the choice) and forced branch (0 = fair coin, 1 = Far⁺,
+// 2 = Near).
 func RandomizedWith(seed int64, gamma float64, branch int) Router {
 	return randRouter{seed: seed, cfg: core.RandConfig{Gamma: gamma, Branch: branch}}
 }
@@ -209,8 +210,8 @@ func (p policyRouter) Route(g *Grid, reqs []Request) (*Result, error) {
 
 // DualUpperBound returns a certified upper bound on the optimal fractional
 // throughput of the instance within horizon T, plus the throughput achieved
-// by the certifying packer itself (a feasible lower-bound witness). See
-// DESIGN.md §2 on OPT substitution.
+// by the certifying packer itself (a feasible lower-bound witness). Package
+// optbound's documentation sets out how it stands in for OPT.
 func DualUpperBound(g *Grid, reqs []Request, T int64) (upper float64, witness int) {
 	return optbound.DualUpperBound(g, reqs, T)
 }

@@ -7,7 +7,9 @@ import (
 	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
 	"gridroute/internal/grid"
-	"gridroute/internal/optbound"
+	"gridroute/internal/ipp"
+	"gridroute/internal/lattice"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 )
 
@@ -91,7 +93,7 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 
 	// The batch algorithm is the streaming engine fed sequentially: one
 	// producer streams the (already arrival-sorted) requests through Admit,
-	// which issues exactly the LightestRoute/Offer sequence of the old
+	// which issues exactly the LightestRouteInto/Offer sequence of the old
 	// in-line loop — results are byte-identical, and the engine's warm
 	// sketch/packer state is built once, not per request. With one
 	// producer nothing else is ever in flight, so every Admit decides on
@@ -203,8 +205,14 @@ func RunLargeCapacity(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*LargeC
 		return nil, fmt.Errorf("core: Theorem 13 requires B, c ≥ k = %d; got B=%d c=%d", k, g.B, g.C)
 	}
 
-	st := spacetime.New(g, horizon)
-	sp := optbound.NewSTPacker(st, float64(bs), float64(cs), pmax)
+	// The scaled grid's space-time graph carries ⌊B/k⌋ and ⌊c/k⌋ as its own
+	// capacities, so the unit-tile sketch over it is the packer's graph.
+	st := spacetime.New(grid.New(g.Dims, bs, cs), horizon)
+	sk := sketch.SpaceTime(st)
+	pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
+	sess := sk.NewSession()
+	var route sketch.Route
+	src := make([]int, g.D()+1)
 	res := &LargeCapResult{
 		Grid: g, Horizon: horizon, PMax: pmax, K: k, BScaled: bs, CScaled: cs,
 		Outcomes:  make([]ReqOutcome, len(reqs)),
@@ -212,18 +220,20 @@ func RunLargeCapacity(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*LargeC
 	}
 	for i := range reqs {
 		r := &reqs[i]
-		path, ok := sp.Offer(r)
-		if !ok {
+		st.ToLattice(r.Src, r.Arrival, src)
+		wLo, wHi := st.DestRay(r)
+		// A path of pmax edges visits pmax+1 unit tiles.
+		if !sess.Offer(pk, src, r.Dst, wLo, wHi, pmax+1, &route) {
 			continue
 		}
-		s := st.PathToSchedule(r, path)
+		s := st.PathToSchedule(r, &lattice.Path{Start: src, Axes: route.Axes})
 		res.Schedules[i] = s
 		res.Outcomes[i] = ReqOutcome{Admitted: true, Delivered: true}
 		_, endT := s.EndState()
 		res.Outcomes[i].DeliveredAt = endT
 		res.Throughput++
 	}
-	res.MaxLoad = sp.Packer().MaxLoad()
-	res.PrimalValue = sp.Packer().PrimalValue()
+	res.MaxLoad = pk.MaxLoad()
+	res.PrimalValue = pk.PrimalValue()
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"gridroute/internal/netsim"
 	"gridroute/internal/optbound"
 	"gridroute/internal/scenario"
+	"gridroute/internal/spacetime"
 )
 
 func TestDetLineRandomWorkload(t *testing.T) {
@@ -193,6 +195,37 @@ func TestLargeCapacityRejectsSmallB(t *testing.T) {
 	g := grid.Line(64, 3, 3)
 	if _, err := RunLargeCapacity(g, nil, DetConfig{}); err == nil {
 		t.Fatal("Thm 13 with B < k must error")
+	}
+}
+
+// TestLargeCapacityGolden pins the Theorem 13 algorithm bit for bit on a
+// 32-node line with B = c = 64: E4's instance shape (6 rounds, bursts of 3,
+// horizon slack 2), where every request is admitted, and a heavier burst
+// that rejects about a third. MaxLoad and PrimalValue are compared as
+// math.Float64bits.
+func TestLargeCapacityGolden(t *testing.T) {
+	cases := []struct {
+		rounds, burst int
+		throughput    int
+		maxLoadBits   uint64
+		primalBits    uint64
+	}{
+		{6, 3, 502, 0x4004000000000000, 0x407f752e65123fba},
+		{8, 24, 3823, 0x4028000000000000, 0x40ac0222c8998c2a},
+	}
+	for _, tc := range cases {
+		g := grid.Line(32, 64, 64)
+		reqs := scenario.Saturating(g, tc.rounds, tc.burst, rand.New(rand.NewSource(1)))
+		res, err := RunLargeCapacity(g, reqs, DetConfig{Horizon: spacetime.SuggestHorizon(g, reqs, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput != tc.throughput || math.Float64bits(res.MaxLoad) != tc.maxLoadBits ||
+			math.Float64bits(res.PrimalValue) != tc.primalBits {
+			t.Errorf("rounds %d burst %d: throughput %d, MaxLoad %v (%#x), PrimalValue %v (%#x); want %d, %#x, %#x",
+				tc.rounds, tc.burst, res.Throughput, res.MaxLoad, math.Float64bits(res.MaxLoad),
+				res.PrimalValue, math.Float64bits(res.PrimalValue), tc.throughput, tc.maxLoadBits, tc.primalBits)
+		}
 	}
 }
 

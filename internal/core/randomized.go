@@ -100,9 +100,13 @@ type RandResult struct {
 	CoinSurvived                      int // |ipp^λ|
 	LoadSurvived                      int // |ipp^λ_{¼}|
 	Injected                          int // |algFar⁺| or |algNear|
-	// TXFailed counts T/X-routing constructions that failed (the packet is
-	// then rejected pre-injection; measured empirically, the paper argues
-	// this never happens given its quotas — see DESIGN.md §6).
+	// TXFailed counts T/X-routing constructions that failed; the packet is
+	// then rejected before injection. The paper argues (Sec. 7.4) that with
+	// its quotas this never happens: Step 3 keeps the flow on every sketch
+	// edge below ¼ of its Raw capacity and the SW-exit quotas cap what each
+	// tile injects, so the packets crossing a tile side are too few to block
+	// every column or row a T- or X-bend can take. The detailed routing here
+	// counts failures instead of assuming there are none.
 	TXFailed int
 	// Anomalies counts impossible states (must stay 0).
 	Anomalies int
@@ -226,8 +230,9 @@ func RunRandomized(g *grid.Grid, reqs []grid.Request, cfg RandConfig, rng *rand.
 	if g.D() != 1 {
 		return nil, fmt.Errorf("core: the randomized algorithm is defined for lines (d=1); got d=%d", g.D())
 	}
-	if g.B < 0 || g.C < 1 {
-		return nil, fmt.Errorf("core: need B ≥ 0, c ≥ 1")
+	if g.B < 1 || g.C < 1 {
+		// Every regime B can reach divides by it (Def. 15 and Sec. 7.8).
+		return nil, fmt.Errorf("core: the randomized algorithm needs B ≥ 1 and c ≥ 1; got B=%d c=%d (for a bufferless line use the deterministic bufferless variant, Thm 11)", g.B, g.C)
 	}
 	if i := grid.ValidateAll(g, reqs); i >= 0 {
 		return nil, fmt.Errorf("core: invalid request at index %d", i)
@@ -380,6 +385,7 @@ func RunRandomized(g *grid.Grid, reqs []grid.Request, cfg RandConfig, rng *rand.
 			res: res, st: st, tl: tl, sk: sk, occ: occupancy,
 			xCut: xCut, wCut: wCut, xCross: xCross, wCross: wCross, regime: regime,
 			pk:      ipp.NewDense(pmax, sk.Cap, sk.Universe()),
+			sess:    sk.NewSession(),
 			planes:  g.B + g.C,
 			flowLam: &scratch.flowLam, lanesH: &scratch.lanesH,
 			lanesV: &scratch.lanesV, quota: &scratch.quota,
@@ -482,6 +488,8 @@ type randFarRouter struct {
 	sk     *sketch.Graph
 	occ    *occ
 	pk     *ipp.Packer
+	sess   *sketch.Session
+	route  sketch.Route // Step 1's route, reused across requests
 	regime Regime
 
 	xCut, wCut     int
@@ -499,11 +507,11 @@ func (rt *randFarRouter) handle(i int, r *grid.Request, src []int, plane int, la
 	o := &rt.res.Outcomes[i]
 	// Step 1: online integral path packing over the sketch graph.
 	wLo, wHi := rt.st.DestRay(r)
-	route := rt.sk.LightestRoute(rt.pk, src, r.Dst, wLo, wHi, rt.pk.PMax())
-	if route == nil || !rt.pk.Offer(route.Edges, route.Cost) {
+	if !rt.sess.Offer(rt.pk, src, r.Dst, wLo, wHi, rt.pk.PMax(), &rt.route) {
 		o.Stage = "ipp"
 		return
 	}
+	route := &rt.route
 	rt.res.IPPAccepted++
 
 	// Step 2: random sparsification.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gridroute/internal/grid"
@@ -184,6 +185,17 @@ func TestRandomizedRejectsDeadlines(t *testing.T) {
 	reqs := []grid.Request{{Src: grid.Vec{0}, Dst: grid.Vec{5}, Arrival: 0, Deadline: 10}}
 	if _, err := RunRandomized(g, reqs, RandConfig{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("deadlines are out of scope for the randomized algorithm")
+	}
+}
+
+// Every regime a bufferless line reaches divides by B, so B = 0 is an
+// error that names the bufferless variant, not a divide-by-zero panic.
+func TestRandomizedRejectsBufferless(t *testing.T) {
+	g := grid.Line(32, 0, 3)
+	reqs := []grid.Request{{Src: grid.Vec{0}, Dst: grid.Vec{5}, Arrival: 0, Deadline: grid.InfDeadline}}
+	_, err := RunRandomized(g, reqs, RandConfig{}, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "Thm 11") {
+		t.Fatalf("B = 0: err = %v, want an error naming the bufferless variant (Thm 11)", err)
 	}
 }
 

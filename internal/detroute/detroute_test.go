@@ -34,12 +34,13 @@ func newHarness(n, b, c int, T int64, k int) *harness {
 func (h *harness) admit(t *testing.T, reqs []grid.Request) []Admitted {
 	t.Helper()
 	var adm []Admitted
+	sess := h.sk.NewSession()
 	for i := range reqs {
 		r := &reqs[i]
 		src := h.st.SourcePoint(r)
 		wLo, wHi := h.st.DestRay(r)
-		route := h.sk.LightestRoute(h.pk, src, r.Dst, wLo, wHi, h.pk.PMax())
-		if route == nil {
+		route := &sketch.Route{} // retained by Admitted
+		if !sess.LightestRouteInto(h.pk, src, r.Dst, wLo, wHi, h.pk.PMax(), route) {
 			continue
 		}
 		if h.pk.Offer(route.Edges, route.Cost) {

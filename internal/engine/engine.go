@@ -6,8 +6,8 @@
 //
 // The Engine is the online counterpart of core.RunDeterministic's batch
 // loop, and the batch runner is now expressed over it: streaming a request
-// sequence through Admit issues exactly the same LightestRoute/Offer call
-// sequence as the old in-line loop, so batch results are byte-identical.
+// sequence through Admit issues exactly the same LightestRouteInto/Offer
+// call sequence as the old in-line loop, so batch results are byte-identical.
 // What the Engine adds is a concurrency boundary: any number of producer
 // goroutines may call Admit concurrently, and packets are decided strictly
 // one at a time under one mutex (decideMu) that guards the mutable routing

@@ -81,13 +81,14 @@ func TestEngineMatchesInlineBatch(t *testing.T) {
 	tl := tiling.New(st.Box, side, phase)
 	sk := sketch.New(st, tl, sketch.Downscaled)
 	pk := ipp.NewDense(2*opts.PMax+1, sk.Cap, sk.Universe())
+	sess := sk.NewSession()
+	var route sketch.Route
 	wantAdmit := make([]bool, len(reqs))
 	for i := range reqs {
 		r := &reqs[i]
 		src := st.SourcePoint(r)
 		wLo, wHi := st.DestRay(r)
-		route := sk.LightestRoute(pk, src, r.Dst, wLo, wHi, opts.PMax)
-		if route == nil {
+		if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, opts.PMax, &route) {
 			pk.Offer(nil, 0)
 			continue
 		}

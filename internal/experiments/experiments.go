@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of Even–Medina
-// (SPAA 2011) plus the theorem-shaped measurements listed in DESIGN.md §5.
+// (SPAA 2011) plus theorem-shaped measurements; the registry (Registered,
+// or `cmd/experiments -list`) names each one with its ID, title and tags.
 // It is the engine behind cmd/experiments (which writes EXPERIMENTS.md) and
 // bench_test.go (one benchmark per experiment id).
 //

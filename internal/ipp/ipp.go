@@ -13,7 +13,8 @@
 // otherwise the request is rejected. The packer also maintains the primal
 // objective Σ_e x_e·c(e) + Σ_i z_i, which by weak duality upper-bounds the
 // optimal fractional throughput over paths of ≤ pmax edges — this is the
-// certified OPT upper bound used across the benchmark harness (DESIGN.md §2).
+// certified OPT upper bound used across the benchmark harness
+// (optbound.DualUpperBound).
 //
 // Edge state lives in flat slices over a known edge universe (a space-time
 // box has exactly box.Size()·(d+1) edge ids), so the lightest-path DP

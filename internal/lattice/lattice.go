@@ -64,12 +64,6 @@ func (b *Box) Size() int { return b.size }
 // Dim returns the extent of axis i.
 func (b *Box) Dim(i int) int { return b.dims[i] }
 
-// Stride returns the id increment of a +1 step along axis i: for p inside the
-// box with p+e_i inside too, Index(p+e_i) = Index(p) + Stride(i). It lets a
-// caller walk a path's node ids incrementally instead of re-indexing each
-// point.
-func (b *Box) Stride(i int) int { return b.stride[i] }
-
 // Contains reports whether p lies inside the box.
 func (b *Box) Contains(p []int) bool {
 	if len(p) != len(b.Lo) {
@@ -320,7 +314,7 @@ func (dp *DP) RunFlat(winLo, winHi, src []int, edgeX, nodeX []float64) {
 // RunFlat would compute (a pruned candidate has cost ≥ bound and so can
 // neither win nor tie below the bound); nodes at or beyond the bound report
 // some cost ≥ bound, or Inf. Callers that only consume results strictly below
-// bound — the Theorem 13 oracle's accept test at cost < 1 — therefore see
+// bound — sketch.Session.Offer's accept test at cost < 1 — therefore see
 // exact answers at a fraction of the relaxation work on saturated lattices.
 //
 //gridroute:hotpath
@@ -357,9 +351,10 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	//     whose route windows are planes of tiles (a chain window, with one
 	//     such axis, never reaches the DP: the session walks it directly);
 	//   - runPull2NoNode (≤ 2 such axes, nodeX nil): Raw sketch sessions
-	//     (core.RunRandomized, lines only) and optbound.STPacker on a line;
+	//     on a line — core.RunRandomized (lines only), and on unit tiles
+	//     (sketch.SpaceTime) the dual certificate and Theorem 13;
 	//   - runChunkGeneric (3 or more such axes): Downscaled sessions and
-	//     STPacker on 2-D and 3-D grids.
+	//     unit-tile Raw sessions on 2-D and 3-D grids.
 	ra, ca, n := -1, -1, 0
 	for a, w := range dp.wdims {
 		if w > 1 {
@@ -384,7 +379,7 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 // candidate is Inf by induction along the row — so the remainder is
 // bulk-filled with the exact values (Inf, −1) the full sweep would compute.
 // Results are bit-identical to pulling every node of the window; the payoff
-// is on saturated bounded runs (the Theorem 13 oracle at bound = 1), where
+// is on saturated bounded runs (sketch.Session.Offer at bound = 1), where
 // the reachable region collapses to a few rows near the source and the fill
 // is several times cheaper per node than the pull.
 //
@@ -724,9 +719,9 @@ func (dp *DP) CostAt(p []int) float64 {
 // (ties resolve to the lowest coordinate, like an ascending CostAt scan with
 // a strict comparison). Out-of-window coordinates contribute Inf, and a DP
 // whose last run was over an empty window reports (Inf, lo). This is the
-// destination-ray scan of both lightest-path oracles, optbound.STPacker and
-// sketch route extraction: one strided walk over the window buffer instead
-// of a window check and a winIndex dot product per probe.
+// destination-ray scan of the lightest-path oracle's route extraction
+// (package sketch): one strided walk over the window buffer instead of a
+// window check and a winIndex dot product per probe.
 //
 //gridroute:hotpath
 func (dp *DP) MinCostRay(p []int, axis, lo, hi int) (best float64, bestAt int) {

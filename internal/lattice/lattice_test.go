@@ -128,7 +128,7 @@ func refLightest(b *Box, winLo, winHi, src []int, edgeX, nodeX []float64) (win *
 			}
 			ec := cost[w] + edgeX[id*d+a]
 			if nodeX != nil {
-				ec += nodeX[id+b.Stride(a)]
+				ec += nodeX[id+b.stride[a]]
 			}
 			if ec < cost[nw] {
 				cost[nw], pred[nw] = ec, int8(a)

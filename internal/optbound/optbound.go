@@ -1,6 +1,6 @@
 // Package optbound produces the OPT certificates used by the benchmark
-// harness (DESIGN.md §2). Exact integral OPT for online packet routing is
-// NP-hard in general, so competitive ratios are reported against:
+// harness. Exact integral OPT for online packet routing is NP-hard in
+// general, so competitive ratios are reported against:
 //
 //  1. DualUpperBound — a certified upper bound on the optimal fractional
 //     throughput over the simulated horizon, obtained by running the
@@ -8,15 +8,19 @@
 //     the true capacities (B, c) and reading off the feasible primal
 //     covering value Σ c(e)·x_e + Σ z_i (weak duality, Appendix E). The
 //     paper itself compares against the fractional optimum (Prop. 5).
+//     The horizon T is a simulation window: the packer sees the space-time
+//     graph up to T only, and every algorithm it is compared with runs
+//     over the same window. Its lightest-path oracle is a session of
+//     sketch.SpaceTime, the Raw sketch over unit tiles, whose capacities
+//     are exactly (B, c).
 //  2. ExactBufferlessLine — exact OPT for B = 0 lines, where each request
 //     is an interval in an independent column of the untilted lattice and
 //     OPT decomposes into per-column c-machine interval scheduling
 //     (the setting of Prop. 12).
 //  3. ExactTiny — exhaustive search for very small instances (test oracle).
 //
-// The space-time packer built here is also the Theorem 13 algorithm (large
-// B, c): run ipp over Gst with capacities scaled down by k and route
-// non-preemptively.
+// The same Algorithm 3 step over a space-time graph with capacities scaled
+// down by k is the Theorem 13 algorithm (core.RunLargeCapacity).
 package optbound
 
 import (
@@ -24,178 +28,37 @@ import (
 
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
-	"gridroute/internal/lattice"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 )
 
-// STPacker runs online integral path packing directly over an untilted
-// space-time lattice with uniform per-axis capacities.
-type STPacker struct {
-	ST *spacetime.Graph
-	// BCap and CCap are the capacities used for w-axis and space-axis
-	// edges. They can differ from the grid's (B, c): Theorem 13 uses
-	// ⌊B/k⌋ and ⌊c/k⌋.
-	BCap, CCap float64
-
-	pk *ipp.Packer
-	dp *lattice.DP
-
-	winLo, winHi []int
-	probe        []int
-	srcBuf       []int
-	edgeBuf      []ipp.EdgeID
-	path         lattice.Path
-}
-
-// NewSTPacker builds a packer over st with the given axis capacities and
-// path-length bound pmax. bCap may be 0 (bufferless; w edges forbidden);
-// cCap must be ≥ 1.
-//
-// The edge universe of a space-time box is exactly box.Size()·(d+1) ids
-// (one per node and outgoing axis), so the packer uses the dense ipp
-// backend and the lightest-path DP indexes its weight slice directly.
-func NewSTPacker(st *spacetime.Graph, bCap, cCap float64, pmax int) *STPacker {
-	d := st.G.D()
-	sp := &STPacker{
-		ST: st, BCap: bCap, CCap: cCap,
-		dp:     st.Box.NewDP(),
-		winLo:  make([]int, d+1),
-		winHi:  make([]int, d+1),
-		probe:  make([]int, d+1),
-		srcBuf: make([]int, d+1),
-	}
-	sp.pk = ipp.NewDense(pmax, func(e ipp.EdgeID) float64 {
-		if int(e)%(d+1) == d {
-			return bCap
-		}
-		return cCap
-	}, st.Box.Size()*(d+1))
-	return sp
-}
-
-// Packer exposes the underlying ipp state (loads, primal value, counts).
-func (sp *STPacker) Packer() *ipp.Packer { return sp.pk }
-
-// LightestPath returns the current lightest legal space-time path for r and
-// its weight, or nil when no legal path exists. The returned path aliases a
-// buffer owned by the packer and is valid until the next LightestPath or
-// Offer call; copy it to retain it.
-//
-//gridroute:hotpath
-func (sp *STPacker) LightestPath(r *grid.Request) (*lattice.Path, float64) {
-	return sp.lightestPath(r, lattice.Inf)
-}
-
-// lightestPath is LightestPath with a relaxation bound: paths are reported
-// only when their weight is < bound, and the DP prunes relaxations from
-// nodes at or beyond it (RunFlatBounded is bit-exact below the bound). The
-// accept test of Algorithm 3 is cost < 1, so Offer passes bound 1: on a
-// saturated lattice most of the window exceeds the bound and is never
-// relaxed, while every decision — and the committed path — stays identical.
-//
-//gridroute:hotpath
-func (sp *STPacker) lightestPath(r *grid.Request, bound float64) (*lattice.Path, float64) {
-	d := sp.ST.G.D()
-	src := sp.ST.ToLattice(r.Src, r.Arrival, sp.srcBuf)
-	if !sp.ST.Box.Contains(src) {
-		return nil, 0
-	}
-	wLo, wHi := sp.ST.DestRay(r)
-	if wLo < src[d] {
-		wLo = src[d]
-	}
-	// Path length = (w' − w_src) + dist; enforce ≤ pmax via the window.
-	dist := sp.ST.G.Dist(r.Src, r.Dst)
-	if dist < 0 {
-		return nil, 0
-	}
-	if lim := src[d] + sp.pk.PMax() - dist; wHi > lim {
-		wHi = lim
-	}
-	if sp.BCap < 1 {
-		// Bufferless: no w moves possible.
-		wHi = src[d]
-		if wLo > wHi {
-			return nil, 0
-		}
-	}
-	if wHi < wLo {
-		return nil, 0
-	}
-	for i := 0; i < d; i++ {
-		sp.winLo[i] = src[i]
-		sp.winHi[i] = r.Dst[i] + 1
-	}
-	sp.winLo[d] = src[d]
-	sp.winHi[d] = wHi + 1
-
-	// The dense weight slice is indexed by edgeID(node, axis) = node·(d+1)+a,
-	// which is exactly RunFlat's layout. Bufferless runs need no explicit
-	// w-edge blocking: winHi[d] = src[d]+1 gives the window w-extent 1, so
-	// the DP never relaxes a w edge.
-	sp.dp.RunFlatBounded(sp.winLo, sp.winHi, src, sp.pk.Weights(), nil, bound)
-
-	probe := sp.probe
-	copy(probe, r.Dst)
-	probe[d] = wLo
-	best, bestW := sp.dp.MinCostRay(probe, d, wLo, wHi)
-	if best >= bound {
-		return nil, 0
-	}
-	probe[d] = bestW
-	// A warm reused path makes reconstruction allocation-free; a packer
-	// offering n requests otherwise allocates 3n path objects, and the GC
-	// cycles they force are visible on the Theorem 1 benchmark.
-	if !sp.dp.PathInto(probe, &sp.path) {
-		return nil, 0
-	}
-	return &sp.path, best
-}
-
-// Offer runs one step of Algorithm 3 for r: find the lightest path, accept
-// if its weight is < 1. It returns the committed path on acceptance; like
-// LightestPath's, the path is valid until the next call on the packer.
-//
-// The search is bounded at 1: a request whose lightest path weighs ≥ 1 is
-// rejected whether or not the exact weight is known, and the packer's
-// observable evolution (rejected count, untouched weights) is the same for
-// "no path found" and "path too heavy" — so pruning the DP at the accept
-// threshold changes nothing but the work done.
-//
-//gridroute:hotpath
-func (sp *STPacker) Offer(r *grid.Request) (*lattice.Path, bool) {
-	p, cost := sp.lightestPath(r, 1)
-	if p == nil {
-		sp.pk.Offer(nil, 0)
-		return nil, false
-	}
-	sp.edgeBuf = sp.edgeBuf[:0]
-	axes := sp.ST.G.D() + 1
-	id := sp.ST.Box.Index(p.Start)
-	for _, a := range p.Axes {
-		sp.edgeBuf = append(sp.edgeBuf, ipp.EdgeID(id*axes+int(a)))
-		id += sp.ST.Box.Stride(int(a))
-	}
-	if !sp.pk.Offer(sp.edgeBuf, cost) {
-		return nil, false
-	}
-	return p, true
-}
-
-// DualUpperBound offers every request to a true-capacity space-time packer
-// and returns (a) the certified primal upper bound on the fractional OPT
-// within the horizon, and (b) the number of requests the packer itself
-// routed (a feasible online throughput, hence a lower bound witness).
+// DualUpperBound offers every request to a true-capacity packer over the
+// space-time graph and returns (a) the certified primal upper bound on the
+// fractional OPT within the horizon, and (b) the number of requests the
+// packer itself routed (a feasible online throughput, hence a lower bound
+// witness).
 func DualUpperBound(g *grid.Grid, reqs []grid.Request, T int64) (upper float64, accepted int) {
 	st := spacetime.New(g, T)
+	sk := sketch.SpaceTime(st)
 	// Any path within the box fits this bound.
 	pmax := g.Diameter() + int(T) + 1
-	bCap := float64(g.B)
-	sp := NewSTPacker(st, bCap, float64(g.C), pmax)
+	pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
+	sess := sk.NewSession()
+	var route sketch.Route
+	d := g.D()
+	src := make([]int, d+1)
 	for i := range reqs {
-		sp.Offer(&reqs[i])
+		r := &reqs[i]
+		st.ToLattice(r.Src, r.Arrival, src)
+		wLo, wHi := st.DestRay(r)
+		if g.B == 0 {
+			// Bufferless: the only reachable copy shares the source's w.
+			wHi = src[d]
+		}
+		// A path of pmax edges visits pmax+1 unit tiles.
+		sess.Offer(pk, src, r.Dst, wLo, wHi, pmax+1, &route)
 	}
-	return sp.pk.PrimalValue(), sp.pk.Accepted()
+	return pk.PrimalValue(), pk.Accepted()
 }
 
 // ExactBufferlessLine computes the exact optimal throughput for a

@@ -1,13 +1,17 @@
 package optbound
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"gridroute/internal/baseline"
 	"gridroute/internal/grid"
+	"gridroute/internal/ipp"
+	"gridroute/internal/lattice"
 	"gridroute/internal/netsim"
 	"gridroute/internal/scenario"
+	"gridroute/internal/sketch"
 	"gridroute/internal/spacetime"
 )
 
@@ -39,32 +43,68 @@ func TestDualUpperTightOnSingleton(t *testing.T) {
 	}
 }
 
+// spaceTimeOracle is DualUpperBound's query on its own: a SpaceTime session
+// and packer, offered each request's destination ray (clipped to the
+// source's w on a bufferless grid) with paths of at most pmax edges.
+type spaceTimeOracle struct {
+	st    *spacetime.Graph
+	pk    *ipp.Packer
+	sess  *sketch.Session
+	route sketch.Route
+	pmax  int
+}
+
+func newSpaceTimeOracle(g *grid.Grid, T int64, pmax int) *spaceTimeOracle {
+	st := spacetime.New(g, T)
+	sk := sketch.SpaceTime(st)
+	return &spaceTimeOracle{st: st, pk: ipp.NewDense(pmax, sk.Cap, sk.Universe()), sess: sk.NewSession(), pmax: pmax}
+}
+
+func (o *spaceTimeOracle) offer(r *grid.Request) bool {
+	src := o.st.SourcePoint(r)
+	wLo, wHi := o.st.DestRay(r)
+	if o.st.G.B == 0 {
+		wHi = src[o.st.D()]
+	}
+	return o.sess.Offer(o.pk, src, r.Dst, wLo, wHi, o.pmax+1, &o.route)
+}
+
+// TestSTPackerBufferlessBlocksHolds: on a bufferless line the certificate's
+// query never routes through a buffer, even after repeated offers load the
+// straight path past its capacity. (The name is the space-time packer's,
+// whose queries the sketch session took over.)
 func TestSTPackerBufferlessBlocksHolds(t *testing.T) {
-	g := grid.Line(16, 0, 2)
-	st := spacetime.New(g, 40)
-	sp := NewSTPacker(st, 0, 2, 64)
+	o := newSpaceTimeOracle(grid.Line(16, 0, 2), 40, 64)
 	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{9}, Arrival: 1, Deadline: grid.InfDeadline}
-	p, ok := sp.Offer(r)
-	if !ok {
+	accepted := 0
+	for i := 0; i < 8; i++ {
+		if !o.offer(r) {
+			continue
+		}
+		accepted++
+		for _, a := range o.route.Axes {
+			if int(a) == 1 {
+				t.Fatalf("offer %d: bufferless path contains a w (hold) step: %v", i, o.route.Axes)
+			}
+		}
+	}
+	if accepted == 0 {
 		t.Fatal("bufferless straight path should be accepted")
 	}
-	for _, a := range p.Axes {
-		if int(a) == 1 {
-			t.Fatal("bufferless path contains a w (hold) step")
-		}
+	if o.pk.Rejected() == 0 {
+		t.Fatal("the straight path never saturated; the test exercised no rejection")
 	}
 }
 
+// TestSTPackerRespectsDeadline: a route the certificate's query accepts
+// delivers by the request's deadline.
 func TestSTPackerRespectsDeadline(t *testing.T) {
-	g := grid.Line(16, 4, 4)
-	st := spacetime.New(g, 60)
-	sp := NewSTPacker(st, 4, 4, 64)
+	o := newSpaceTimeOracle(grid.Line(16, 4, 4), 60, 64)
 	r := &grid.Request{Src: grid.Vec{0}, Dst: grid.Vec{10}, Arrival: 0, Deadline: 12}
-	p, ok := sp.Offer(r)
-	if !ok {
+	if !o.offer(r) {
 		t.Fatal("feasible deadline should be routable")
 	}
-	s := st.PathToSchedule(r, p)
+	s := o.st.PathToSchedule(r, &lattice.Path{Start: o.st.SourcePoint(r), Axes: o.route.Axes})
 	if !s.Delivers() {
 		t.Fatal("packed path misses its deadline")
 	}
@@ -150,5 +190,42 @@ func TestExactTinyLimits(t *testing.T) {
 	}
 	if _, ok := ExactTiny(g, reqs, 64, 2, 3); ok {
 		t.Fatal("maxReqs=3 < 5 requests should refuse")
+	}
+}
+
+// TestDualUpperBoundGolden pins the certificate bit for bit on seven
+// overloaded instances, one per shape of the space-time query: a line, a
+// 2-D and a 3-D grid, a bufferless line, deadlines, bursts and unit
+// capacities. The horizon is tight (slack 1), so most of them reject
+// requests and the bounded DP, the chain walk and the warm skip all run.
+// upper is compared as math.Float64bits: a change to the order of the sums,
+// the pruning bound or the paths the dual covers fails here before it
+// moves an `upper` column of the experiment report.
+func TestDualUpperBoundGolden(t *testing.T) {
+	cases := []struct {
+		name      string
+		scenario  string
+		params    map[string]float64
+		upperBits uint64
+		accepted  int
+	}{
+		{"line64-uniform", "uniform", map[string]float64{"n": 64, "b": 3, "c": 3, "reqs": 3000, "maxt": 2}, 0x40a1433d5429e9d1, 2146},
+		{"grid6x6-uniform", "uniform", map[string]float64{"d": 2, "n": 6, "reqs": 1500, "maxt": 2}, 0x409786e5dae14ce3, 1440},
+		{"lattice3d-uniform", "lattice3d-uniform", map[string]float64{"b": 1, "c": 1, "reqs": 1500, "maxt": 1}, 0x409a1f737373740f, 1500},
+		{"line64-bufferless", "uniform", map[string]float64{"n": 64, "b": 0, "c": 3, "reqs": 1500, "maxt": 8}, 0x4092a98f39cc5fe8, 1196},
+		{"uniform-deadline", "uniform-deadline", map[string]float64{"reqs": 2000, "maxt": 2}, 0x4097ee21fb3e4a26, 1503},
+		{"saturating", "saturating", map[string]float64{"n": 32, "rounds": 8, "burst": 4}, 0x408d4fd5ca402c66, 879},
+		{"line64-b1c1", "uniform", map[string]float64{"n": 64, "b": 1, "c": 1, "reqs": 1500, "maxt": 4}, 0x408e08d9364d930b, 859},
+	}
+	for _, tc := range cases {
+		g, reqs, err := scenario.Generate(tc.scenario, tc.params)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		upper, accepted := DualUpperBound(g, reqs, spacetime.SuggestHorizon(g, reqs, 1))
+		if math.Float64bits(upper) != tc.upperBits || accepted != tc.accepted {
+			t.Errorf("%s: upper %v (bits %#x), accepted %d; want bits %#x, accepted %d",
+				tc.name, upper, math.Float64bits(upper), accepted, tc.upperBits, tc.accepted)
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -65,7 +64,7 @@ type Scenario struct {
 	// non-decreasing Arrival, IDs 0..len-1 assigned in that order. The
 	// package-level Generate asserts this once after every generator run, so
 	// downstream consumers (the batch runner, the streaming engine's
-	// arrival-ordered Stream, detailed routing) must NOT re-sort the slice;
+	// in-order feed, detailed routing) must NOT re-sort the slice;
 	// re-sorting is at best a wasted pass and at worst, with an unstable
 	// sort, a silent reordering of same-arrival requests.
 	Generate func(Spec) (*grid.Grid, []grid.Request, error)
@@ -185,34 +184,6 @@ func Lookup(id string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
-}
-
-// Select returns the scenarios whose ID or any tag matches the regular
-// expression, preserving sorted order. An empty pattern selects everything.
-func Select(pattern string) ([]Scenario, error) {
-	if pattern == "" {
-		return Registered(), nil
-	}
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: bad pattern %q: %w", pattern, err)
-	}
-	var out []Scenario
-	for _, s := range registry {
-		if re.MatchString(s.ID) || matchesAny(re, s.Tags) {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
-func matchesAny(re *regexp.Regexp, ss []string) bool {
-	for _, s := range ss {
-		if re.MatchString(s) {
-			return true
-		}
-	}
-	return false
 }
 
 // Resolve validates the overrides against the scenario's parameter specs

@@ -163,26 +163,6 @@ func TestResolveValidation(t *testing.T) {
 	}
 }
 
-func TestSelectByIDAndTag(t *testing.T) {
-	advs, err := Select("adversarial")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(advs) < 3 {
-		t.Fatalf("want convoy, convoy-rate and appendixf-model2 under tag adversarial, got %d", len(advs))
-	}
-	three, err := Select("^lattice3d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(three) != 2 {
-		t.Fatalf("want the 3-d pair, got %d", len(three))
-	}
-	if _, err := Select("("); err == nil {
-		t.Fatal("bad regexp must fail")
-	}
-}
-
 func TestBitReversalRequiresPowerOfTwo(t *testing.T) {
 	if _, _, err := Generate("bit-reversal", map[string]float64{"n": 48}); err == nil {
 		t.Fatal("n=48 must be rejected")

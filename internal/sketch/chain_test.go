@@ -42,18 +42,19 @@ func randomWeights(rng *rand.Rand, xs []float64) {
 
 // chainCoverage counts the query shapes one (dimension, mode) case reached.
 type chainCoverage struct {
-	wChain, pastSource, wideRay, spaceChain, single, found, noRoute, dp int
+	wChain, pastSource, wideRay, spaceChain, single, found, noRoute, overBound, dp int
 }
 
 // TestChainRouteMatchesDP is the reference check of the chain path: on
 // every prepared query whose window is a chain, chainRoute must agree with
-// the DP path (RunFlat + extractRoute on the same query and weights) in
-// found, cost bits, tiles, axes and edges. Graphs are random 1-D, 2-D and
-// 3-D grids with random tile sides and phases, in both modes; weights mix
-// ties, IPP-grown values and +Inf masks; queries mix destinations in the
-// source's spatial tile (chains along w, single tiles), rays that start past
-// the source or are narrow, and tight tile budgets (chains along a space
-// axis).
+// the DP path (RunFlatBounded + extractRoute on the same query, weights and
+// bound) in found, cost bits, tiles, axes and edges. Graphs are random 1-D,
+// 2-D and 3-D grids with random tile sides and phases, in both modes;
+// weights mix ties, IPP-grown values and +Inf masks; queries mix
+// destinations in the source's spatial tile (chains along w, single tiles),
+// rays that start past the source or are narrow, and tight tile budgets
+// (chains along a space axis). Bounds alternate between +Inf and 1–5, so
+// some routes are found only when unbounded.
 func TestChainRouteMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for d := 1; d <= 3; d++ {
@@ -64,7 +65,7 @@ func TestChainRouteMatchesDP(t *testing.T) {
 			}
 			name := fmt.Sprintf("d=%d mode=%d", d, mode)
 			if cov.wChain == 0 || cov.pastSource == 0 || cov.wideRay == 0 || cov.spaceChain == 0 ||
-				cov.single == 0 || cov.found == 0 || cov.noRoute == 0 || cov.dp == 0 {
+				cov.single == 0 || cov.found == 0 || cov.noRoute == 0 || cov.overBound == 0 || cov.dp == 0 {
 				t.Errorf("%s: a query shape went unexercised: %+v", name, cov)
 			}
 		}
@@ -120,7 +121,11 @@ func checkChainGraph(t *testing.T, rng *rand.Rand, d int, mode Mode, cov *chainC
 		if !sess.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 			continue
 		}
-		found, chain := sess.chainRoute(xs, &chainOut)
+		bound := math.Inf(1)
+		if q%2 == 1 {
+			bound = float64(1 + q%5)
+		}
+		found, chain := sess.chainRoute(xs, bound, &chainOut)
 		if !chain {
 			cov.dp++
 			continue
@@ -139,22 +144,25 @@ func checkChainGraph(t *testing.T, rng *rand.Rand, d int, mode Mode, cov *chainC
 		if sess.rayHi > sess.rayLo {
 			cov.wideRay++
 		}
-		sess.dp.RunFlat(sess.winLo, sess.winHi, sess.srcTile, xs, sk.nodeWeights(xs))
-		want := sess.extractRoute(&dpOut)
+		sess.dp.RunFlatBounded(sess.winLo, sess.winHi, sess.srcTile, xs, sk.nodeWeights(xs), bound)
+		want := sess.extractRoute(bound, &dpOut)
 		if found != want {
-			t.Fatalf("d=%d mode=%d %v→%v w∈[%d,%d] maxTiles %d: chain found=%v, DP found=%v",
-				d, mode, src, dst, wLo, wHi, maxTiles, found, want)
+			t.Fatalf("d=%d mode=%d %v→%v w∈[%d,%d] maxTiles %d bound %v: chain found=%v, DP found=%v",
+				d, mode, src, dst, wLo, wHi, maxTiles, bound, found, want)
 		}
 		if !found {
 			cov.noRoute++
+			if unbounded, _ := sess.chainRoute(xs, math.Inf(1), &chainOut); unbounded {
+				cov.overBound++
+			}
 			continue
 		}
 		cov.found++
 		if math.Float64bits(chainOut.Cost) != math.Float64bits(dpOut.Cost) ||
 			!slices.Equal(chainOut.Tiles, dpOut.Tiles) || !slices.Equal(chainOut.Axes, dpOut.Axes) ||
 			!slices.Equal(chainOut.Edges, dpOut.Edges) {
-			t.Fatalf("d=%d mode=%d %v→%v w∈[%d,%d] maxTiles %d: chain route diverges from DP:\nchain %+v\n   dp %+v",
-				d, mode, src, dst, wLo, wHi, maxTiles, chainOut, dpOut)
+			t.Fatalf("d=%d mode=%d %v→%v w∈[%d,%d] maxTiles %d bound %v: chain route diverges from DP:\nchain %+v\n   dp %+v",
+				d, mode, src, dst, wLo, wHi, maxTiles, bound, chainOut, dpOut)
 		}
 	}
 }

@@ -12,7 +12,10 @@
 //     never materialized.
 //   - Raw (Sec. 7.2): a space-axis edge gets capacity c·(face area), the w
 //     edge gets B·(face area); there are no interior edges. Used by the
-//     randomized algorithm.
+//     randomized algorithm, and over tiles of side 1 (SpaceTime) by the
+//     dual certificate and the Theorem 13 algorithm: with unit tiles the
+//     sketch graph is the space-time graph itself, and its Raw capacities
+//     are c and B.
 //
 // Sink nodes (one per destination, or per request when deadlines are
 // present) have infinite capacity, so their edges never acquire weight and
@@ -44,7 +47,7 @@ const (
 // itself holds only immutable topology (tiling, capacities, edge-id scheme);
 // all per-query mutable state lives in Sessions, so a long-lived Graph can
 // back any number of query sessions (the streaming engine keeps one warm
-// Session per engine, batch callers use the Graph's own default session).
+// Session per engine; a batch run makes its own).
 type Graph struct {
 	ST   *spacetime.Graph
 	Tl   *tiling.Tiling
@@ -53,10 +56,6 @@ type Graph struct {
 	// axes is d+1 (number of lattice axes).
 	axes     int
 	faceArea []int // Π side[j], j≠axis
-
-	// def is the Graph's default session, backing the LightestRoute
-	// convenience method (not safe for concurrent use, like before).
-	def *Session
 }
 
 // New builds a sketch graph for st under tiling tl.
@@ -76,8 +75,20 @@ func New(st *spacetime.Graph, tl *tiling.Tiling, mode Mode) *Graph {
 		}
 		g.faceArea[a] = area
 	}
-	g.def = g.NewSession()
 	return g
+}
+
+// SpaceTime returns the Raw sketch over tiles of side 1 and phase 0: the
+// space-time graph st itself (Sec. 3.4 with unit tiles). Tile coordinates
+// are lattice points, TBox is st.Box, and the capacities are c on the space
+// axes and B on the w axis.
+func SpaceTime(st *spacetime.Graph) *Graph {
+	axes := st.G.D() + 1
+	side := make([]int, axes)
+	for i := range side {
+		side[i] = 1
+	}
+	return New(st, tiling.New(st.Box, side, make([]int, axes)), Raw)
 }
 
 // Session holds the mutable state of lightest-route queries against one
@@ -103,14 +114,16 @@ type Session struct {
 	rayLo, rayHi int
 
 	// Warm-start cache: the DP solution of the last query answers the next
-	// one outright when the packer, window and source match and no path has
-	// committed since (an unchanged ipp.Version means unchanged weights).
-	// Anything else runs the full RunFlat: in Downscaled mode every accepted
-	// route pays the interior edge of its source tile, so a commit changes
-	// every cost of a window that shares its source.
+	// one outright when the packer, window, source and bound match and no
+	// path has committed since (an unchanged ipp.Version means unchanged
+	// weights). Anything else reruns the DP: in Downscaled mode every
+	// accepted route pays the interior edge of its source tile, so a commit
+	// changes every cost of a window that shares its source. The bound is
+	// part of the key because a bounded solution is exact only below it.
 	warm      bool
 	lastPk    *ipp.Packer
 	lastVer   uint64
+	lastBound float64
 	lastWinLo []int
 	lastWinHi []int
 	lastSrc   []int
@@ -137,10 +150,10 @@ func (g *Graph) NewSession() *Session {
 }
 
 // SetWarmStart toggles DP reuse between successive queries (default on):
-// a warm session skips the DP when the packer version, window and source
-// are those of its last query. Warm and cold sessions answer every query
-// identically — a skipped run would recompute the same solution — so this
-// exists for benchmarks, parity tests, and as an escape hatch.
+// a warm session skips the DP when the packer version, window, source and
+// bound are those of its last query. Warm and cold sessions answer every
+// query identically — a skipped run would recompute the same solution — so
+// this exists for benchmarks, parity tests, and as an escape hatch.
 func (s *Session) SetWarmStart(on bool) {
 	s.warm = on
 	s.lastValid = false
@@ -157,20 +170,24 @@ func equalInts(a, b []int) bool {
 
 // warmHit reports whether the cached DP solution already answers the
 // current query (window/source already in s.winLo/s.winHi/s.srcTile): same
-// packer, window and source as the last query, and no commit since.
+// packer, window, source and bound as the last query, and no commit since.
 //
 //gridroute:hotpath
-func (s *Session) warmHit(pk *ipp.Packer) bool {
+func (s *Session) warmHit(pk *ipp.Packer, bound float64) bool {
 	return s.warm && s.lastValid && pk == s.lastPk && pk.Version() == s.lastVer &&
-		equalInts(s.lastWinLo, s.winLo) && equalInts(s.lastWinHi, s.winHi) &&
-		equalInts(s.lastSrc, s.srcTile)
+		bound == s.lastBound && equalInts(s.lastWinLo, s.winLo) &&
+		equalInts(s.lastWinHi, s.winHi) && equalInts(s.lastSrc, s.srcTile)
 }
 
 // Universe returns the size of the sketch graph's ipp edge-id space:
-// TBox.Size()·axes inter-tile edges followed by TBox.Size() interior edges.
-// It is the universe argument for ipp.NewDense; the resulting weight slice
-// is laid out so the lightest-path DP can index it directly (RunFlat).
+// TBox.Size()·axes inter-tile edges, followed in Downscaled mode by
+// TBox.Size() interior edges (Raw mode has none). It is the universe
+// argument for ipp.NewDense; the resulting weight slice is laid out so the
+// lightest-path DP can index it directly (RunFlat).
 func (g *Graph) Universe() int {
+	if g.Mode == Raw {
+		return g.Tl.TBox.Size() * g.axes
+	}
 	return g.Tl.TBox.Size() * (g.axes + 1)
 }
 
@@ -212,18 +229,13 @@ func (g *Graph) DecodeEdge(e ipp.EdgeID) (tileID, axis int, interior bool) {
 // CapFunc handed to the ipp packer.
 func (g *Graph) Cap(e ipp.EdgeID) float64 {
 	_, axis, interior := g.DecodeEdge(e)
-	switch g.Mode {
-	case Downscaled:
-		if interior {
-			return float64(g.ST.G.D() + 1)
-		}
-		return 1
-	default: // Raw
-		if interior {
-			return math.Inf(1)
-		}
-		return float64(g.ST.Cap(axis) * g.faceArea[axis])
+	if g.Mode == Raw {
+		return float64(g.RawCap(axis))
 	}
+	if interior {
+		return float64(g.ST.G.D() + 1)
+	}
+	return 1
 }
 
 // RawCap returns the aggregated (pre-downscaling) capacity of an inter-tile
@@ -256,28 +268,6 @@ type Route struct {
 
 // NumTiles returns the number of tiles traversed.
 func (r *Route) NumTiles() int { return len(r.Tiles) }
-
-// LightestRoute finds the lightest sketch path on the Graph's default
-// session. It is a convenience for single-threaded batch callers; see
-// Session.LightestRoute.
-func (g *Graph) LightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) *Route {
-	return g.def.LightestRoute(pk, srcPoint, dst, wLo, wHi, maxTiles)
-}
-
-// LightestRoute finds the lightest sketch path for a request from the tile
-// containing srcPoint to any tile containing a copy of the destination
-// (spatial coordinates dst, w ∈ [wLo, wHi]), visiting at most maxTiles
-// tiles. It returns nil when no legal route exists.
-//
-// In Downscaled mode the cost includes the interior edge of every visited
-// tile (the path s¹_in → … → sᴸ_out of Sec. 5.1).
-func (s *Session) LightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int) *Route {
-	r := &Route{}
-	if !s.LightestRouteInto(pk, srcPoint, dst, wLo, wHi, maxTiles, r) {
-		return nil
-	}
-	return r
-}
 
 // prepareQuery computes the weight-independent geometry of a lightest-route
 // query: source/destination tiles, the destination ray on the w axis, and
@@ -342,16 +332,17 @@ func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 }
 
 // extractRoute minimizes the solved DP over the prepared destination ray and
-// materializes the winning path into out. False means every ray tile is
-// unreachable under the solved weights.
+// materializes the winning path into out. False means no ray tile costs
+// less than bound under the solved weights (with bound = +Inf: every ray
+// tile is unreachable).
 //
 //gridroute:hotpath
-func (s *Session) extractRoute(out *Route) bool {
+func (s *Session) extractRoute(bound float64, out *Route) bool {
 	wa := s.g.ST.G.D()
 	probe := s.probe
 	copy(probe, s.dstTile)
 	best, bestW := s.dp.MinCostRay(probe, wa, s.rayLo, s.rayHi)
-	if math.IsInf(best, 1) {
+	if best >= bound {
 		return false
 	}
 	probe[wa] = bestW
@@ -365,22 +356,23 @@ func (s *Session) extractRoute(out *Route) bool {
 // chainRoute answers a prepared query whose window is a chain — at most one
 // axis of extent > 1, as when source and destination share a spatial tile —
 // without the DP. chain reports whether the window is one; found and out are
-// then exactly what RunFlat and extractRoute would produce:
+// then exactly what RunFlatBounded and extractRoute would produce at bound:
 //
 //   - a chain holds one path from the source tile to each of its tiles;
 //   - weights are never negative (a commit only grows them, and an outage
 //     mask writes +Inf), so costs never fall along the chain, and
 //     MinCostRay's strict < picks the ray's first tile, rayLo, or reports
-//     no route when that tile costs +Inf;
+//     no route when that tile costs bound or more;
 //   - summing xs over the edge list left to right (interior, axis,
 //     interior, …) repeats the DP's own order, (pc + edge) + node, so the
-//     cost has the same bits.
+//     cost has the same bits; and a prefix that reaches bound, which the
+//     bounded DP prunes, leaves the whole cost at bound or more.
 //
 // It neither runs nor reads the DP, so the warm-start cache still describes
 // the DP buffers afterwards.
 //
 //gridroute:hotpath
-func (s *Session) chainRoute(xs []float64, out *Route) (found, chain bool) {
+func (s *Session) chainRoute(xs []float64, bound float64, out *Route) (found, chain bool) {
 	axis := -1
 	for a := range s.winLo {
 		if s.winHi[a]-s.winLo[a] > 1 {
@@ -407,38 +399,73 @@ func (s *Session) chainRoute(xs []float64, out *Route) (found, chain bool) {
 	for _, e := range out.Edges {
 		cost += xs[e]
 	}
-	if math.IsInf(cost, 1) {
+	if cost >= bound {
 		return false, true
 	}
 	out.Cost = cost
 	return true, true
 }
 
-// LightestRouteInto is LightestRoute writing into a caller-provided Route,
-// reusing its slices. It reports false (leaving out unspecified) when no
-// legal route exists. A warm (Session, Route) pair queries without
-// allocating — the property the streaming engine's 0-alloc admit gate rests
-// on.
+// LightestRouteInto finds the lightest sketch path for a request from the
+// tile containing srcPoint to any tile containing a copy of the destination
+// (spatial coordinates dst, w ∈ [wLo, wHi]), visiting at most maxTiles
+// tiles, and writes it into out, reusing its slices. It reports false
+// (leaving out unspecified) when no legal route exists. A warm (Session,
+// Route) pair queries without allocating — the property the streaming
+// engine's 0-alloc admit gate rests on.
+//
+// In Downscaled mode the cost includes the interior edge of every visited
+// tile (the path s¹_in → … → sᴸ_out of Sec. 5.1).
 //
 //gridroute:hotpath
 func (s *Session) LightestRouteInto(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, out *Route) bool {
+	return s.lightestRoute(pk, srcPoint, dst, wLo, wHi, maxTiles, lattice.Inf, out)
+}
+
+// Offer runs one step of Algorithm 3 (Appendix E) for a request: it finds
+// the lightest route lighter than 1, the accept threshold, and offers it to
+// pk, or offers nil when there is none, so that pk counts the rejection. It
+// reports whether pk accepted; out then holds the committed route.
+//
+// The search is bounded at 1. A request whose lightest route weighs ≥ 1 is
+// rejected whether or not its exact weight is known, and the packer evolves
+// the same way for "no route" and "too heavy"; so pruning the DP at the
+// threshold (RunFlatBounded) changes nothing but the work done. On a
+// saturated lattice most of the window lies beyond the bound and is never
+// relaxed.
+//
+//gridroute:hotpath
+func (s *Session) Offer(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, out *Route) bool {
+	if !s.lightestRoute(pk, srcPoint, dst, wLo, wHi, maxTiles, 1, out) {
+		pk.Offer(nil, 0)
+		return false
+	}
+	return pk.Offer(out.Edges, out.Cost)
+}
+
+// lightestRoute is the query behind LightestRouteInto and Offer: it reports
+// the lightest route only when it costs less than bound, and the DP prunes
+// relaxations from tiles at or beyond bound.
+//
+//gridroute:hotpath
+func (s *Session) lightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, bound float64, out *Route) bool {
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	if found, chain := s.chainRoute(pk.Weights(), out); chain {
+	if found, chain := s.chainRoute(pk.Weights(), bound, out); chain {
 		return found
 	}
-	if !s.warmHit(pk) {
+	if !s.warmHit(pk, bound) {
 		xs := pk.Weights()
-		s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
+		s.dp.RunFlatBounded(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs), bound)
 	}
 	if s.warm {
-		s.lastPk, s.lastVer, s.lastValid = pk, pk.Version(), true
+		s.lastPk, s.lastVer, s.lastBound, s.lastValid = pk, pk.Version(), bound, true
 		copy(s.lastWinLo, s.winLo)
 		copy(s.lastWinHi, s.winHi)
 		copy(s.lastSrc, s.srcTile)
 	}
-	return s.extractRoute(out)
+	return s.extractRoute(bound, out)
 }
 
 // snapshotWindow copies the weight rows covered by the prepared window from
@@ -486,12 +513,12 @@ func (s *Session) snapshotWindow(from, into []float64) {
 //
 //gridroute:hotpath
 func (s *Session) solveSnapshot(xs []float64, out *Route) bool {
-	if found, chain := s.chainRoute(xs, out); chain {
+	if found, chain := s.chainRoute(xs, lattice.Inf, out); chain {
 		return found
 	}
 	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
 	s.lastValid = false
-	return s.extractRoute(out)
+	return s.extractRoute(lattice.Inf, out)
 }
 
 // LightestRouteMasked is LightestRouteInto under a resource-outage mask: the

@@ -39,9 +39,12 @@ func TestCapacities(t *testing.T) {
 	if got := down.Cap(down.InteriorEdgeID(0)); got != 2 {
 		t.Fatalf("interior cap = %v, want 2", got)
 	}
-	// Raw mode has no interior constraint.
-	if got := raw.Cap(raw.InteriorEdgeID(0)); !math.IsInf(got, 1) {
-		t.Fatalf("raw interior cap = %v, want +Inf", got)
+	// Raw mode has no interior edges: its universe is the inter-tile edges.
+	if got, want := raw.Universe(), raw.Tl.TBox.Size()*2; got != want {
+		t.Fatalf("raw universe = %d, want %d (no interior tail)", got, want)
+	}
+	if got, want := down.Universe(), down.Tl.TBox.Size()*3; got != want {
+		t.Fatalf("downscaled universe = %d, want %d", got, want)
 	}
 }
 
@@ -67,8 +70,8 @@ func TestLightestRouteStraightLine(t *testing.T) {
 	r := &grid.Request{Src: grid.Vec{1}, Dst: grid.Vec{9}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
-	route := down.LightestRoute(pk, src, r.Dst, wLo, wHi, 100)
-	if route == nil {
+	var route Route
+	if !down.NewSession().LightestRouteInto(pk, src, r.Dst, wLo, wHi, 100, &route) {
 		t.Fatal("no route found")
 	}
 	// With zero weights the lightest route is the spatially-direct one:
@@ -95,14 +98,15 @@ func TestLightestRouteRespectsDeadlineRay(t *testing.T) {
 	if wHi-wLo > 9 {
 		t.Fatalf("ray too wide: [%d,%d]", wLo, wHi)
 	}
-	route := down.LightestRoute(pk, src, r.Dst, wLo, wHi, 100)
-	if route == nil {
+	sess := down.NewSession()
+	var route Route
+	if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 100, &route) {
 		t.Fatal("route should exist for feasible deadline")
 	}
 	// Infeasible spatial request.
 	r2 := &grid.Request{Src: grid.Vec{20}, Dst: grid.Vec{9}, Arrival: 0, Deadline: grid.InfDeadline}
 	src2 := st.SourcePoint(r2)
-	if down.LightestRoute(pk, src2, r2.Dst, wLo, wHi, 100) != nil {
+	if sess.LightestRouteInto(pk, src2, r2.Dst, wLo, wHi, 100, &route) {
 		t.Fatal("backwards request must have no route")
 	}
 }
@@ -114,12 +118,13 @@ func TestMaxTilesBudget(t *testing.T) {
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
 	// Needs ≥ 11 tiles spatially (rows 0..10); a budget of 5 must fail.
-	if down.LightestRoute(pk, src, r.Dst, wLo, wHi, 5) != nil {
+	sess := down.NewSession()
+	var route Route
+	if sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 5, &route) {
 		t.Fatal("budget 5 should make route impossible")
 	}
-	route := down.LightestRoute(pk, src, r.Dst, wLo, wHi, 11)
-	if route == nil || route.NumTiles() != 11 {
-		t.Fatalf("budget 11 should give exactly 11 tiles, got %v", route)
+	if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 11, &route) || route.NumTiles() != 11 {
+		t.Fatalf("budget 11 should give exactly 11 tiles, got %+v", route)
 	}
 }
 
@@ -131,25 +136,25 @@ func TestWeightsDivertRoutes(t *testing.T) {
 	wLo, wHi := st.DestRay(r)
 	// Saturate the direct route a few times; the oracle should start
 	// picking routes that detour in w.
-	var first *Route
+	sess := down.NewSession()
+	var route Route
+	firstCost := math.NaN()
 	for i := 0; i < 6; i++ {
-		route := down.LightestRoute(pk, src, r.Dst, wLo, wHi, 50)
-		if route == nil {
+		if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 50, &route) {
 			break
 		}
-		if first == nil {
-			first = route
+		if math.IsNaN(firstCost) {
+			firstCost = route.Cost
 		}
 		if !pk.Offer(route.Edges, route.Cost) {
 			break
 		}
 	}
-	last := down.LightestRoute(pk, src, r.Dst, wLo, wHi, 50)
-	if last == nil {
+	if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, 50, &route) {
 		t.Fatal("expected some route even under load")
 	}
-	if last.Cost <= first.Cost {
-		t.Fatalf("route cost should grow under load: first %v last %v", first.Cost, last.Cost)
+	if !(route.Cost > firstCost) {
+		t.Fatalf("route cost should grow under load: first %v last %v", firstCost, route.Cost)
 	}
 }
 
@@ -159,8 +164,8 @@ func TestRouteTilesConsistent(t *testing.T) {
 	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{20}, Arrival: 3, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
-	route := raw.LightestRoute(pk, src, r.Dst, wLo, wHi, 100)
-	if route == nil {
+	var route Route
+	if !raw.NewSession().LightestRouteInto(pk, src, r.Dst, wLo, wHi, 100, &route) {
 		t.Fatal("no route")
 	}
 	// Tiles must be adjacent along the declared axes.
@@ -197,8 +202,8 @@ func TestGrid2DRoute(t *testing.T) {
 	r := &grid.Request{Src: grid.Vec{0, 1}, Dst: grid.Vec{6, 5}, Arrival: 0, Deadline: grid.InfDeadline}
 	src := st.SourcePoint(r)
 	wLo, wHi := st.DestRay(r)
-	route := sk.LightestRoute(pk, src, r.Dst, wLo, wHi, 100)
-	if route == nil {
+	var route Route
+	if !sk.NewSession().LightestRouteInto(pk, src, r.Dst, wLo, wHi, 100, &route) {
 		t.Fatal("no 2-d route")
 	}
 	if !pk.Offer(route.Edges, route.Cost) {

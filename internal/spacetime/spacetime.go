@@ -22,7 +22,8 @@ import (
 
 // Graph is the untilted space-time graph of a grid over the finite horizon
 // [0, T]. It is infinite in the paper; the horizon is a simulation window and
-// all OPT certificates are computed over the same window (see DESIGN.md §2).
+// all OPT certificates are computed over the same window (see package
+// optbound).
 type Graph struct {
 	G *grid.Grid
 	// T is the last simulated time step (inclusive).
