@@ -149,44 +149,64 @@ func checkAdmitAllocFree(t *testing.T, opts engine.Options) {
 			if path == "loop" {
 				o.Injector = fault.NewInjector(nil)
 			}
-			eng := saturateEngine(t, o, pk.pkt)
-			ctx := context.Background()
-			allocs := testing.AllocsPerRun(200, func() {
-				dec, err := eng.Admit(ctx, pk.pkt)
-				if err != nil || dec.Verdict != engine.RejectedCost {
-					t.Fatalf("%s/%s: steady state broken: %+v, %v", path, pk.name, dec, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%s: warm engine Admit allocates %v/run, want 0", path, pk.name, allocs)
-			}
-			if err := eng.Drain(ctx); err != nil {
-				t.Fatal(err)
-			}
+			checkSteadyAdmitAllocFree(t, path+"/"+pk.name, saturateEngine(t, o, pk.pkt), pk.pkt)
 		}
 	}
 }
 
-// TestEngineAdmitWarmAllocFree: the streaming admit path must not allocate
-// once warm, on both the inline and the queued path (see
-// checkAdmitAllocFree). The gate pins the saturated cost-reject steady state
-// with warm-start reuse disabled, so dpPacket's FULL DP query runs on every
-// admit (the warm-start skip has its own gate below), and chainPacket's
-// chain walk runs on every admit under either setting; the accept path
-// additionally retains the route into chunked arenas, which is amortized
-// O(1) per accept but not 0.
-func TestEngineAdmitWarmAllocFree(t *testing.T) {
-	skipIfRace(t)
-	checkAdmitAllocFree(t, engine.Options{NoWarmStart: true})
+// checkSteadyAdmitAllocFree fails the test if a further admit of pkt on the
+// saturated engine eng allocates or leaves the cost-reject steady state,
+// then drains eng.
+func checkSteadyAdmitAllocFree(t *testing.T, name string, eng *engine.Engine, pkt engine.Packet) {
+	t.Helper()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		dec, err := eng.Admit(ctx, pkt)
+		if err != nil || dec.Verdict != engine.RejectedCost {
+			t.Fatalf("%s: steady state broken: %+v, %v", name, dec, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%s: warm engine Admit allocates %v/run, want 0", name, allocs)
+	}
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestEngineAdmitWarmStartAllocFree: the same gate for the default engine
-// configuration — repeated queries against an unchanged packer take the
-// version-delta-0 warm-start path (no DP at all) and must stay 0-alloc on
-// both paths.
-func TestEngineAdmitWarmStartAllocFree(t *testing.T) {
+// TestEngineAdmitWarmAllocFree: the streaming admit path of the default
+// engine must not allocate once warm, on both the inline and the queued
+// path (see checkAdmitAllocFree). The gate pins the saturated cost-reject
+// steady state: dpPacket's query runs the full DP on every admit, and
+// chainPacket's the chain walk; the accept path additionally retains the
+// route into chunked arenas, which is amortized O(1) per accept but not 0.
+func TestEngineAdmitWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
 	checkAdmitAllocFree(t, engine.Options{})
+}
+
+// TestEngineAdmitWarmStartAllocFree: the same gate under a resource outage
+// that stands from the engine's start, so every admit answers its query with
+// LightestRouteMasked, which writes +Inf at the blocked ids of the live
+// weights and restores them. Once the session's save slice has grown, that
+// must allocate nothing. The outage fails node 60 over the whole horizon;
+// its tile, [48, 64), lies outside both gated packets' windows, so the
+// steady state is still the cost reject. An injector keeps every admit on
+// the queued path. The name is the deleted warm-start skip's gate;
+// TestEngineAdmitWarmAllocFree pins the default engine.
+func TestEngineAdmitWarmStartAllocFree(t *testing.T) {
+	skipIfRace(t)
+	sched, err := fault.Parse("outage(node=60,t=0-256)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range []struct {
+		name string
+		pkt  engine.Packet
+	}{{"dp", dpPacket}, {"chain", chainPacket}} {
+		eng := saturateEngine(t, engine.Options{Injector: fault.NewInjector(sched)}, pk.pkt)
+		checkSteadyAdmitAllocFree(t, "outage/"+pk.name, eng, pk.pkt)
+	}
 }
 
 // TestEngineAdmitCancelNoLeak: the leak audit for abandoned waits. An Admit
@@ -229,10 +249,10 @@ func TestEngineAdmitCancelNoLeak(t *testing.T) {
 
 // TestSTPackerLightestPathWarmAllocFree: the space-time query of the dual
 // certificate and the Theorem 13 algorithm allocates nothing once its Route
-// is warm: an unbounded LightestRouteInto on a SpaceTime session with the
-// warm skip off (every call runs the DP and the destination-ray scan), and
-// the bounded Session.Offer step. The name is the space-time packer's,
-// whose queries the session took over.
+// is warm: an unbounded LightestRouteInto on a SpaceTime session (every call
+// runs the DP and the destination-ray scan), and the bounded Session.Offer
+// step. The name is the space-time packer's, whose queries the session took
+// over.
 func TestSTPackerLightestPathWarmAllocFree(t *testing.T) {
 	skipIfRace(t)
 	g := grid.Line(32, 3, 3)
@@ -241,7 +261,6 @@ func TestSTPackerLightestPathWarmAllocFree(t *testing.T) {
 	pmax := core.PMaxDet(g)
 	pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
 	sess := sk.NewSession()
-	sess.SetWarmStart(false)
 	r := &grid.Request{Src: grid.Vec{2}, Dst: grid.Vec{20}, Arrival: 1, Deadline: grid.InfDeadline}
 	src := make([]int, 2)
 	var out sketch.Route

@@ -70,12 +70,12 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 	b.Run("SketchQueryCold", func(b *testing.B) {
-		// One cold admission query (SetWarmStart(false)) on the stream
-		// workload's geometry. A 16×16 grid with B = c = 3 fits in one
-		// spatial tile (k = 18), so every route window is a 1×1×L chain of
-		// tiles and the query takes the chain walk, not the DP (DPRunFlat
-		// times the DP). The first 2000 packets are admitted first, so the
-		// timed query sums committed weights.
+		// One admission query on the stream workload's geometry. A 16×16
+		// grid with B = c = 3 fits in one spatial tile (k = 18), so every
+		// route window is a 1×1×L chain of tiles and the query takes the
+		// chain walk, not the DP (DPRunFlat times the DP). The first 2000
+		// packets are admitted first, so the timed query sums committed
+		// weights.
 		b.ReportAllocs()
 		g, reqs, err := scenario.Generate("uniform", map[string]float64{
 			"d": 2, "n": 16, "reqs": 20000, "maxt": 5000, "seed": 1,
@@ -89,7 +89,6 @@ func BenchmarkHotPath(b *testing.B) {
 		sk := sketch.New(st, tiling.New(st.Box, side, make([]int, 3)), sketch.Downscaled)
 		pk := ipp.NewDense(2*pmax+1, sk.Cap, sk.Universe())
 		sess := sk.NewSession()
-		sess.SetWarmStart(false)
 		var out sketch.Route
 		src := make([]int, 3)
 		query := func(r *grid.Request) bool {
@@ -114,11 +113,10 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 	// STPackerLightestPath: the space-time query of the dual certificate and
-	// the Theorem 13 algorithm, unbounded, on a SpaceTime session with the
-	// warm skip off (as in SketchQueryCold), so every call runs the DP and
-	// the destination-ray scan. The row keeps the name of the space-time
-	// packer whose queries the session took over, so its trajectory stays
-	// one series.
+	// the Theorem 13 algorithm, unbounded, on a SpaceTime session, so every
+	// call runs the DP and the destination-ray scan. The row keeps the name
+	// of the space-time packer whose queries the session took over, so its
+	// trajectory stays one series.
 	b.Run("STPackerLightestPath", func(b *testing.B) {
 		b.ReportAllocs()
 		g := grid.Line(64, 3, 3)
@@ -127,7 +125,6 @@ func BenchmarkHotPath(b *testing.B) {
 		pmax := core.PMaxDet(g)
 		pk := ipp.NewDense(pmax, sk.Cap, sk.Universe())
 		sess := sk.NewSession()
-		sess.SetWarmStart(false)
 		var out sketch.Route
 		r := &grid.Request{Src: grid.Vec{4}, Dst: grid.Vec{40}, Arrival: 2, Deadline: grid.InfDeadline}
 		src := make([]int, 2)
@@ -179,12 +176,11 @@ func BenchmarkHotPath(b *testing.B) {
 // rejects); Saturated pins the cost-reject steady state, which is the
 // 0-alloc path gated by alloc_test.go.
 func BenchmarkEngineAdmit(b *testing.B) {
-	newEngine := func(b *testing.B, noWarm bool) *engine.Engine {
+	newEngine := func(b *testing.B) *engine.Engine {
 		b.Helper()
 		g := grid.Line(64, 3, 3)
 		eng, err := engine.New(g, engine.Options{
 			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-			NoWarmStart: noWarm,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -217,7 +213,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	}
 	b.Run("Mixed", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newEngine(b, false)
+		eng := newEngine(b)
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{0}, Dst: grid.Vec{0}, Deadline: grid.InfDeadline}
 		b.ResetTimer()
@@ -261,37 +257,14 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
 	})
-	// Saturated measures the full-DP cost-reject steady state, so warm-start
-	// reuse is disabled (a warm engine would skip the DP entirely here — that
-	// path is the WarmStart sub-benchmark). The extra post-saturation admits
-	// before ResetTimer retire lazily-grown scratch state and branch-predictor
-	// cold starts that previously spread the baseline by ~75%.
+	// Saturated measures the full-DP cost-reject steady state: every admit
+	// of the one packet runs the DP over its window. The extra
+	// post-saturation admits before ResetTimer retire lazily-grown scratch
+	// state and branch-predictor cold starts that previously spread the
+	// baseline by ~75%.
 	b.Run("Saturated", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newEngine(b, true)
-		ctx := context.Background()
-		pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
-		saturate(b, eng, pkt)
-		for i := 0; i < 256; i++ {
-			if _, err := eng.Admit(ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Admit(ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-		drain(b, eng)
-	})
-	// WarmStart is Saturated with DP reuse left on (the default engine
-	// configuration): repeated queries of an unchanged packer skip the DP
-	// outright.
-	b.Run("WarmStart", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := newEngine(b, false)
+		eng := newEngine(b)
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
 		saturate(b, eng, pkt)

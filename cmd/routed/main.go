@@ -148,6 +148,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "routed: -wal-sync must be ≥ 0")
 		return 2
 	}
+	if *gapTimeout < 0 {
+		fmt.Fprintln(stderr, "routed: -gap-timeout must be ≥ 0")
+		return 2
+	}
 	if *seed != 0 {
 		if int64(float64(*seed)) != *seed {
 			fmt.Fprintf(stderr, "seed %d exceeds exact float64 range (±2^53); pick a smaller seed\n", *seed)

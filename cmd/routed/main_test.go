@@ -229,6 +229,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-queue", "0"},
 		{"-queue", "-5"},
 		{"-wal-sync", "-1"},
+		// The engine arms its gap watchdog only for a positive timeout, so a
+		// negative one would let a dropped seq stall the stream for good.
+		{"-fault-seed", "7", "-gap-timeout", "-1ms"},
 		{"-faults", "storm(seq=1)", "-fault-seed", "7"},
 		{"-faults", "bogus(x=1)"},
 		// A panic drops its seq; without -gap-timeout the in-order stream

@@ -104,6 +104,20 @@ func TestRandomizedBufferlessExits1(t *testing.T) {
 	}
 }
 
+// A negative or NaN -gamma is an error (exit 1), not a run that exits 0
+// with a meaningless sparsification rate.
+func TestRandomizedBadGammaExits1(t *testing.T) {
+	for _, gamma := range []string{"-1", "NaN"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-alg", "rand", "-scenario", "uniform", "-p", "b=1", "-p", "c=1", "-gamma", gamma}, &out, &errb); code != 1 {
+			t.Fatalf("-gamma %s: exit = %d, want 1 (stderr: %s)", gamma, code, errb.String())
+		}
+		if !strings.HasPrefix(errb.String(), "error: core:") {
+			t.Fatalf("-gamma %s: stderr = %q, want an error: core: line", gamma, errb.String())
+		}
+	}
+}
+
 func TestSeedBeyondFloat64PrecisionExits2(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-scenario", "uniform", "-seed", "9007199254740993"}, &out, &errb); code != 2 {

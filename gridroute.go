@@ -209,10 +209,11 @@ func (p policyRouter) Route(g *Grid, reqs []Request) (*Result, error) {
 }
 
 // DualUpperBound returns a certified upper bound on the optimal fractional
-// throughput of the instance within horizon T, plus the throughput achieved
-// by the certifying packer itself (a feasible lower-bound witness). Package
-// optbound's documentation sets out how it stands in for OPT.
-func DualUpperBound(g *Grid, reqs []Request, T int64) (upper float64, witness int) {
+// throughput of the instance within horizon T, plus the number of requests
+// the certifying packer accepted, which may exceed OPT (see
+// optbound.DualUpperBound). Package optbound's documentation sets out how
+// upper stands in for OPT.
+func DualUpperBound(g *Grid, reqs []Request, T int64) (upper float64, accepted int) {
 	return optbound.DualUpperBound(g, reqs, T)
 }
 

@@ -27,12 +27,12 @@ func TestPublicAPIDeterministic(t *testing.T) {
 	if res.Throughput == 0 || res.Throughput > res.Admitted {
 		t.Fatalf("throughput %d / admitted %d", res.Throughput, res.Admitted)
 	}
-	upper, witness := DualUpperBound(g, reqs, SuggestHorizon(g, reqs, 3))
+	upper, accepted := DualUpperBound(g, reqs, SuggestHorizon(g, reqs, 3))
 	if float64(res.Throughput) > upper {
 		t.Fatalf("throughput %d above certified bound %v", res.Throughput, upper)
 	}
-	if witness == 0 {
-		t.Fatal("certifying packer routed nothing")
+	if accepted == 0 {
+		t.Fatal("certifying packer accepted nothing")
 	}
 }
 

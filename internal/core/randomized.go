@@ -234,6 +234,10 @@ func RunRandomized(g *grid.Grid, reqs []grid.Request, cfg RandConfig, rng *rand.
 		// Every regime B can reach divides by it (Def. 15 and Sec. 7.8).
 		return nil, fmt.Errorf("core: the randomized algorithm needs B ≥ 1 and c ≥ 1; got B=%d c=%d (for a bufferless line use the deterministic bufferless variant, Thm 11)", g.B, g.C)
 	}
+	// Written as !(x >= 0) so that NaN fails too.
+	if !(cfg.Gamma >= 0) || !(cfg.LoadCap >= 0) || cfg.Branch < 0 || cfg.Branch > 2 {
+		return nil, fmt.Errorf("core: RandConfig needs Gamma ≥ 0, LoadCap ≥ 0 and Branch ∈ {0, 1, 2}; got Gamma=%v LoadCap=%v Branch=%d", cfg.Gamma, cfg.LoadCap, cfg.Branch)
+	}
 	if i := grid.ValidateAll(g, reqs); i >= 0 {
 		return nil, fmt.Errorf("core: invalid request at index %d", i)
 	}

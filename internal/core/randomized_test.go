@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -196,6 +197,26 @@ func TestRandomizedRejectsBufferless(t *testing.T) {
 	_, err := RunRandomized(g, reqs, RandConfig{}, rand.New(rand.NewSource(1)))
 	if err == nil || !strings.Contains(err.Error(), "Thm 11") {
 		t.Fatalf("B = 0: err = %v, want an error naming the bufferless variant (Thm 11)", err)
+	}
+}
+
+// A negative or NaN γ makes λ = 1/(γk) meaningless, and a negative load cap
+// or an unknown branch has no reading in Sec. 7: each is an error, not a run
+// that silently delivers nothing.
+func TestRandomizedRejectsBadConfig(t *testing.T) {
+	g := grid.Line(32, 1, 1)
+	reqs := []grid.Request{{Src: grid.Vec{0}, Dst: grid.Vec{5}, Arrival: 0, Deadline: grid.InfDeadline}}
+	for _, cfg := range []RandConfig{
+		{Gamma: -1},
+		{Gamma: math.NaN()},
+		{LoadCap: -0.25},
+		{LoadCap: math.NaN()},
+		{Branch: -1},
+		{Branch: 3},
+	} {
+		if _, err := RunRandomized(g, reqs, cfg, rand.New(rand.NewSource(1))); err == nil || !strings.Contains(err.Error(), "RandConfig") {
+			t.Errorf("%+v: err = %v, want an error naming RandConfig", cfg, err)
+		}
 	}
 }
 

@@ -153,12 +153,6 @@ type Options struct {
 	// (queue-full rejections are not recorded: they never reach the
 	// decider).
 	RecordDecisions bool
-	// NoWarmStart turns off the sketch session's warm-start skip, which
-	// reuses the last DP solution when an admit has the previous one's
-	// window and source and no path committed in between. Warm and cold
-	// engines decide identically; the switch exists for parity tests and
-	// benchmarks.
-	NoWarmStart bool
 	// SpecWorkers is ignored: the engine always decides packets one at a
 	// time.
 	//
@@ -303,7 +297,6 @@ type Engine struct {
 	// Resource-outage mask cache (decideMu-guarded; see outage.go).
 	maskEpoch int
 	maskEdges []ipp.EdgeID
-	maskBuf   []float64
 	outBuf    []fault.Event
 
 	errMu    sync.Mutex
@@ -390,6 +383,9 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if opts.TileSide < 0 {
 		return nil, errors.New("engine: Options.TileSide must not be negative (0 derives k from PMax)")
 	}
+	if opts.GapTimeout < 0 {
+		return nil, errors.New("engine: Options.GapTimeout must not be negative (0 never skips a gap)")
+	}
 	k := opts.TileSide
 	if k == 0 {
 		k = ipp.K(opts.PMax)
@@ -428,9 +424,6 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	}
 	if opts.InOrder {
 		e.parked = make(map[int]*pending)
-	}
-	if opts.NoWarmStart {
-		e.sess.SetWarmStart(false)
 	}
 	e.pool.New = func() any {
 		return &pending{
@@ -741,7 +734,7 @@ func (e *Engine) decide(pkt *Packet) Decision {
 	}
 	var ok bool
 	if blocked := e.activeMask(pkt.Arrival); blocked != nil {
-		ok = e.sess.LightestRouteMasked(e.pk, src, r.Dst, wLo, wHi, e.pmax, blocked, e.maskBuf, &e.scratch)
+		ok = e.sess.LightestRouteMasked(e.pk, src, r.Dst, wLo, wHi, e.pmax, blocked, &e.scratch)
 	} else {
 		ok = e.sess.LightestRouteInto(e.pk, src, r.Dst, wLo, wHi, e.pmax, &e.scratch)
 	}

@@ -31,9 +31,6 @@ func (e *Engine) activeMask(arrival int64) []ipp.EdgeID {
 		e.maskEpoch = ep
 		e.outBuf = e.inj.ActiveOutages(arrival, e.outBuf[:0])
 		e.maskEdges = e.buildMask(e.outBuf, e.maskEdges[:0])
-		if e.maskBuf == nil {
-			e.maskBuf = make([]float64, e.sk.Universe())
-		}
 	}
 	if len(e.maskEdges) == 0 {
 		return nil

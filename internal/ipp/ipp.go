@@ -64,11 +64,6 @@ type Packer struct {
 	primalEdges float64 // Σ x_e·c(e)
 	primalZ     float64 // Σ z_i
 	maxLoad     float64
-
-	// version counts committed paths: a consumer holding weights derived
-	// from version v — the sketch session's warm-start skip — knows they are
-	// current while it is unchanged.
-	version uint64
 }
 
 // NewDense creates a packer for paths of at most pmax edges whose edge state
@@ -94,7 +89,10 @@ func NewDense(pmax int, capFn CapFunc, universe int) *Packer {
 func (p *Packer) PMax() int { return int(p.pmax) }
 
 // Weights returns the weight slice, indexed by EdgeID. Oracles use it to
-// read edge weights without a call per edge; they must not write to it.
+// read edge weights without a call per edge. They must leave it as they
+// found it: sketch.Session.LightestRouteMasked writes +Inf at the blocked
+// entries for the length of one query and restores their values before it
+// returns.
 func (p *Packer) Weights() []float64 { return p.xs }
 
 // Weight returns the current weight x_e. The caller's lightest-path oracle
@@ -153,7 +151,6 @@ func (p *Packer) Offer(path []EdgeID, cost float64) bool {
 //
 //gridroute:hotpath
 func (p *Packer) commit(path []EdgeID) {
-	p.version++
 	for _, e := range path {
 		ce := p.cap(e)
 		f := p.flows[e] + 1
@@ -172,12 +169,6 @@ func (p *Packer) commit(path []EdgeID) {
 		}
 	}
 }
-
-// Version returns the number of committed paths so far. It increases by
-// exactly one per accepted Offer, so a consumer holding weights derived from
-// version v knows the weight state is unchanged while Version() == v — the
-// contract the sketch session's warm-start skip builds on.
-func (p *Packer) Version() uint64 { return p.version }
 
 // Accepted returns the number of routed requests (the dual objective).
 func (p *Packer) Accepted() int { return p.accepted }

@@ -35,8 +35,9 @@ import (
 // DualUpperBound offers every request to a true-capacity packer over the
 // space-time graph and returns (a) the certified primal upper bound on the
 // fractional OPT within the horizon, and (b) the number of requests the
-// packer itself routed (a feasible online throughput, hence a lower bound
-// witness).
+// packer accepted. That count is no lower bound on OPT: Algorithm 3 keeps
+// edge loads within log₂(1+3·pmax)·c(e), not c(e). Theorem 1 gives
+// upper ≤ 2·accepted.
 func DualUpperBound(g *grid.Grid, reqs []grid.Request, T int64) (upper float64, accepted int) {
 	st := spacetime.New(g, T)
 	sk := sketch.SpaceTime(st)

@@ -90,99 +90,3 @@ func TestSessionsIndependent(t *testing.T) {
 		t.Fatal("s1 re-query diverges after interleaving")
 	}
 }
-
-// TestSessionWarmStartParity drives a warm-start session and a cold session
-// through the same query/commit sequence and requires identical routes and
-// verdicts. The sequence deliberately hits every warm-start branch:
-// repeated identical queries with no commit between them (unchanged
-// version — the DP is skipped entirely), re-queries of the same window
-// right after an accepted commit (version moved — full rerun), window
-// changes (cache miss), and long streaks that saturate edges (reject after
-// reject, still a skip). Of each request's six repeats, the first two and
-// the fifth are LightestRouteInto queries and the rest are the bounded
-// Offer on the same window, so skips happen at both bounds, and an
-// unbounded query follows a rejected bounded step with no commit in
-// between: only the bound in the warm key keeps it from reading the
-// bounded solve's pruned costs.
-func TestSessionWarmStartParity(t *testing.T) {
-	st, down, _ := lineSetup(32, 3, 3, 200, 4)
-	pkWarm := ipp.NewDense(50, down.Cap, down.Universe())
-	pkCold := ipp.NewDense(50, down.Cap, down.Universe())
-	warm := down.NewSession()
-	cold := down.NewSession()
-	cold.SetWarmStart(false)
-	var ow, oc Route
-
-	queries := make([]*grid.Request, 0, 240)
-	for q := 0; q < 40; q++ {
-		r := &grid.Request{
-			Src: grid.Vec{q % 6}, Dst: grid.Vec{10 + q%18},
-			Arrival: int64(q / 3), Deadline: grid.InfDeadline,
-		}
-		// Each request repeats several times in a row: the repeats after an
-		// accept rerun the DP, the repeats after a reject skip it.
-		for rep := 0; rep < 6; rep++ {
-			queries = append(queries, r)
-		}
-	}
-	same := func(qi int) {
-		t.Helper()
-		if !reflect.DeepEqual(ow.Tiles, oc.Tiles) || !reflect.DeepEqual(ow.Axes, oc.Axes) ||
-			!reflect.DeepEqual(ow.Edges, oc.Edges) || ow.Cost != oc.Cost {
-			t.Fatalf("query %d: warm route diverges from cold:\nwarm %+v\ncold %+v", qi, ow, oc)
-		}
-	}
-	accepted, heavyAfterOffer := 0, 0
-	offerRejected := false
-	for qi, r := range queries {
-		src := st.SourcePoint(r)
-		wLo, wHi := st.DestRay(r)
-		if rep := qi % 6; rep == 2 || rep == 3 || rep == 5 {
-			accW := warm.Offer(pkWarm, src, r.Dst, wLo, wHi, 50, &ow)
-			accC := cold.Offer(pkCold, src, r.Dst, wLo, wHi, 50, &oc)
-			if accW != accC {
-				t.Fatalf("query %d: Offer diverges: warm accept=%v cold=%v", qi, accW, accC)
-			}
-			if accW {
-				same(qi)
-				accepted++
-			}
-			offerRejected = !accW
-			continue
-		}
-		okW := warm.LightestRouteInto(pkWarm, src, r.Dst, wLo, wHi, 50, &ow)
-		okC := cold.LightestRouteInto(pkCold, src, r.Dst, wLo, wHi, 50, &oc)
-		if okW != okC {
-			t.Fatalf("query %d: warm ok=%v cold ok=%v", qi, okW, okC)
-		}
-		if !okW {
-			pkWarm.Offer(nil, 0)
-			pkCold.Offer(nil, 0)
-			continue
-		}
-		same(qi)
-		if qi%6 == 4 && offerRejected && oc.Cost >= 1 {
-			heavyAfterOffer++
-		}
-		accW := pkWarm.Offer(ow.Edges, ow.Cost)
-		accC := pkCold.Offer(oc.Edges, oc.Cost)
-		if accW != accC {
-			t.Fatalf("query %d: packers diverge: warm accept=%v cold=%v", qi, accW, accC)
-		}
-		if accW {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("no accepts: the rerun after a commit was never exercised")
-	}
-	if heavyAfterOffer == 0 {
-		t.Fatal("no route of cost ≥ 1 followed a rejected Offer on its window: the bound in the warm key was never exercised")
-	}
-	if pkWarm.Version() != pkCold.Version() || pkWarm.Accepted() != pkCold.Accepted() ||
-		pkWarm.Rejected() != pkCold.Rejected() {
-		t.Fatalf("packer states diverged: warm v%d/%d/%d cold v%d/%d/%d",
-			pkWarm.Version(), pkWarm.Accepted(), pkWarm.Rejected(),
-			pkCold.Version(), pkCold.Accepted(), pkCold.Rejected())
-	}
-}

@@ -46,7 +46,7 @@ const (
 // Graph is a sketch graph over the tiles of a space-time lattice. The Graph
 // itself holds only immutable topology (tiling, capacities, edge-id scheme);
 // all per-query mutable state lives in Sessions, so a long-lived Graph can
-// back any number of query sessions (the streaming engine keeps one warm
+// back any number of query sessions (the streaming engine keeps one
 // Session per engine; a batch run makes its own).
 type Graph struct {
 	ST   *spacetime.Graph
@@ -106,28 +106,12 @@ type Session struct {
 	winLo   []int
 	winHi   []int
 	probe   []int
-	snapCur []int        // snapshotWindow row odometer
+	saved   []float64    // live weights under LightestRouteMasked's mask
 	path    lattice.Path // reused by route extraction and chainRoute
 
 	// Prepared-query geometry (prepareQuery): the destination ray on the w
 	// axis, inclusive, in tile coordinates.
 	rayLo, rayHi int
-
-	// Warm-start cache: the DP solution of the last query answers the next
-	// one outright when the packer, window, source and bound match and no
-	// path has committed since (an unchanged ipp.Version means unchanged
-	// weights). Anything else reruns the DP: in Downscaled mode every
-	// accepted route pays the interior edge of its source tile, so a commit
-	// changes every cost of a window that shares its source. The bound is
-	// part of the key because a bounded solution is exact only below it.
-	warm      bool
-	lastPk    *ipp.Packer
-	lastVer   uint64
-	lastBound float64
-	lastWinLo []int
-	lastWinHi []int
-	lastSrc   []int
-	lastValid bool
 }
 
 // NewSession creates a fresh query session over the graph.
@@ -140,43 +124,7 @@ func (g *Graph) NewSession() *Session {
 		winLo:   make([]int, g.axes),
 		winHi:   make([]int, g.axes),
 		probe:   make([]int, g.axes),
-		snapCur: make([]int, g.axes),
-
-		warm:      true,
-		lastWinLo: make([]int, g.axes),
-		lastWinHi: make([]int, g.axes),
-		lastSrc:   make([]int, g.axes),
 	}
-}
-
-// SetWarmStart toggles DP reuse between successive queries (default on):
-// a warm session skips the DP when the packer version, window, source and
-// bound are those of its last query. Warm and cold sessions answer every
-// query identically — a skipped run would recompute the same solution — so
-// this exists for benchmarks, parity tests, and as an escape hatch.
-func (s *Session) SetWarmStart(on bool) {
-	s.warm = on
-	s.lastValid = false
-}
-
-func equalInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// warmHit reports whether the cached DP solution already answers the
-// current query (window/source already in s.winLo/s.winHi/s.srcTile): same
-// packer, window, source and bound as the last query, and no commit since.
-//
-//gridroute:hotpath
-func (s *Session) warmHit(pk *ipp.Packer, bound float64) bool {
-	return s.warm && s.lastValid && pk == s.lastPk && pk.Version() == s.lastVer &&
-		bound == s.lastBound && equalInts(s.lastWinLo, s.winLo) &&
-		equalInts(s.lastWinHi, s.winHi) && equalInts(s.lastSrc, s.srcTile)
 }
 
 // Universe returns the size of the sketch graph's ipp edge-id space:
@@ -368,9 +316,6 @@ func (s *Session) extractRoute(bound float64, out *Route) bool {
 //     cost has the same bits; and a prefix that reaches bound, which the
 //     bounded DP prunes, leaves the whole cost at bound or more.
 //
-// It neither runs nor reads the DP, so the warm-start cache still describes
-// the DP buffers afterwards.
-//
 //gridroute:hotpath
 func (s *Session) chainRoute(xs []float64, bound float64, out *Route) (found, chain bool) {
 	axis := -1
@@ -443,101 +388,43 @@ func (s *Session) Offer(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi i
 	return pk.Offer(out.Edges, out.Cost)
 }
 
-// lightestRoute is the query behind LightestRouteInto and Offer: it reports
-// the lightest route only when it costs less than bound, and the DP prunes
-// relaxations from tiles at or beyond bound.
+// lightestRoute is the query behind LightestRouteInto, LightestRouteMasked
+// and Offer: it reports the lightest route only when it costs less than
+// bound, and the DP prunes relaxations from tiles at or beyond bound.
 //
 //gridroute:hotpath
 func (s *Session) lightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, bound float64, out *Route) bool {
 	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
 		return false
 	}
-	if found, chain := s.chainRoute(pk.Weights(), bound, out); chain {
+	xs := pk.Weights()
+	if found, chain := s.chainRoute(xs, bound, out); chain {
 		return found
 	}
-	if !s.warmHit(pk, bound) {
-		xs := pk.Weights()
-		s.dp.RunFlatBounded(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs), bound)
-	}
-	if s.warm {
-		s.lastPk, s.lastVer, s.lastBound, s.lastValid = pk, pk.Version(), bound, true
-		copy(s.lastWinLo, s.winLo)
-		copy(s.lastWinHi, s.winHi)
-		copy(s.lastSrc, s.srcTile)
-	}
+	s.dp.RunFlatBounded(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs), bound)
 	return s.extractRoute(bound, out)
 }
 
-// snapshotWindow copies the weight rows covered by the prepared window from
-// the packer weight slice `from` into the caller's snapshot buffer
-// `into` (both laid out over the full edge universe, Universe() long). Only
-// the window's rows are touched, so a snapshot costs O(window), not
-// O(universe). The axis-edge weights of a contiguous last-axis run of tiles
-// are themselves contiguous (AxisEdgeID stride), as are the interior-edge
-// weights in Downscaled mode, so each row is two copy calls.
+// LightestRouteMasked is LightestRouteInto under a resource-outage mask: no
+// route may traverse a blocked edge id. It saves the live weight at each
+// blocked id, writes +Inf there in pk.Weights(), runs the unbounded query,
+// and restores the saved weights in reverse order, so an id listed twice
+// also ends at its live value. A found route costs less than +Inf, so it
+// crosses no blocked edge and its cost is live.
 //
 //gridroute:hotpath
-func (s *Session) snapshotWindow(from, into []float64) {
-	g := s.g
-	tb := g.Tl.TBox
-	axes := g.axes
-	last := axes - 1
-	n := s.winHi[last] - s.winLo[last]
-	base := tb.Size() * axes
-	cur := s.snapCur
-	copy(cur, s.winLo)
-	for {
-		start := tb.Index(cur)
-		copy(into[start*axes:(start+n)*axes], from[start*axes:(start+n)*axes])
-		if g.Mode == Downscaled {
-			copy(into[base+start:base+start+n], from[base+start:base+start+n])
-		}
-		a := last - 1
-		for ; a >= 0; a-- {
-			cur[a]++
-			if cur[a] < s.winHi[a] {
-				break
-			}
-			cur[a] = s.winLo[a]
-		}
-		if a < 0 {
-			break
-		}
-	}
-}
-
-// solveSnapshot answers the prepared query over a snapshot weight slice
-// (laid out like the packer's weights) and extracts the route into out. A
-// run of the DP invalidates the session's packer-keyed warm cache: the DP
-// state then reflects snapshot, not live, weights.
-//
-//gridroute:hotpath
-func (s *Session) solveSnapshot(xs []float64, out *Route) bool {
-	if found, chain := s.chainRoute(xs, lattice.Inf, out); chain {
-		return found
-	}
-	s.dp.RunFlat(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs))
-	s.lastValid = false
-	return s.extractRoute(lattice.Inf, out)
-}
-
-// LightestRouteMasked is LightestRouteInto under a resource-outage mask: the
-// query is solved over a snapshot of the packer weights in which every
-// blocked edge id costs +Inf, so no route can traverse a failed resource.
-// Reported costs remain true live costs — a masked edge can only appear on an
-// infinite-cost route, which extraction rejects. buf must be Universe() long;
-// only the prepared window's rows are (re)written per call, and entries
-// outside the window may hold stale values from earlier calls — the DP never
-// reads outside the window, so they are harmless.
-func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, buf []float64, out *Route) bool {
-	if !s.prepareQuery(srcPoint, dst, wLo, wHi, maxTiles) {
-		return false
-	}
-	s.snapshotWindow(pk.Weights(), buf)
+func (s *Session) LightestRouteMasked(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wLo, wHi int, maxTiles int, blocked []ipp.EdgeID, out *Route) bool {
+	xs := pk.Weights()
+	s.saved = s.saved[:0]
 	for _, e := range blocked {
-		buf[e] = math.Inf(1)
+		s.saved = append(s.saved, xs[e])
+		xs[e] = math.Inf(1)
 	}
-	return s.solveSnapshot(buf, out)
+	found := s.lightestRoute(pk, srcPoint, dst, wLo, wHi, maxTiles, lattice.Inf, out)
+	for i := len(blocked) - 1; i >= 0; i-- {
+		xs[blocked[i]] = s.saved[i]
+	}
+	return found
 }
 
 // routeInto materializes a DP path as a sketch Route, reusing out's slices.
