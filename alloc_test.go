@@ -58,13 +58,12 @@ func TestDPRunWarmAllocFree(t *testing.T) {
 		edgeX[i] = rng.Float64()
 	}
 	dp := b.NewDP()
-	src := []int{0, 0}
-	dp.RunFlat(b.Lo, b.Hi, src, edgeX, nodeX) // warm the window buffers
+	dp.RunFlatBounded(b.Lo, b.Hi, edgeX, nodeX, lattice.Inf) // warm the window buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		dp.RunFlat(b.Lo, b.Hi, src, edgeX, nodeX)
+		dp.RunFlatBounded(b.Lo, b.Hi, edgeX, nodeX, lattice.Inf)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm DP.RunFlat allocates %v/run, want 0", allocs)
+		t.Fatalf("warm DP.RunFlatBounded allocates %v/run, want 0", allocs)
 	}
 }
 

@@ -243,7 +243,8 @@ OPT is known by construction. The claims being checked are the paper's
 the paper itself leaves astronomically loose (γ = 200, k⁴ tile factors).
 
 The ASCII reproductions of Figures 1–10/12 are printed by `+"`go run ./cmd/viz`"+`;
-their structural claims are enforced by unit tests (see DESIGN.md §5).
+their structural claims are checked by the `+"`BenchmarkFigure*`"+` benchmarks in
+`+"`bench_test.go`"+`, which CI's bench smoke runs once.
 
 `, mode)
 }

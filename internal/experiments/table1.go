@@ -86,7 +86,7 @@ func runTable1(ctx context.Context, cfg Config) (Report, error) {
 		Tables: []*stats.Table{t, g},
 		Notes: []string{
 			"The convoy keeps FIFO greedy busy with doomed long-haul packets; OPT (by construction) serves the short hops.",
-			"At laptop-scale n the deterministic algorithm's k^4·(B+c) polylog factor exceeds √n, so its measured ratio is larger than greedy's even though its growth is asymptotically flat — the honest crossover lies beyond n ≈ 10^6 (see DESIGN.md §5 E1).",
+			"At laptop-scale n the deterministic algorithm's k^4·(B+c) polylog factor exceeds √n, so its measured ratio is larger than greedy's even though its growth is asymptotically flat — the honest crossover lies beyond n ≈ 10^6 (see the E1-E3 table of this report).",
 		},
 	})
 }

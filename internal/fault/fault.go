@@ -457,19 +457,6 @@ func (in *Injector) OutageEpoch(arrival int64) int {
 	return sort.Search(len(in.bounds), func(i int) bool { return in.bounds[i] > arrival })
 }
 
-// OutageActive reports whether any outage covers the arrival time. Lock-free.
-func (in *Injector) OutageActive(arrival int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, ev := range in.outages {
-		if arrival >= ev.From && arrival < ev.To {
-			return true
-		}
-	}
-	return false
-}
-
 // ActiveOutages appends the outage events covering arrival to buf.
 func (in *Injector) ActiveOutages(arrival int64, buf []Event) []Event {
 	if in == nil {

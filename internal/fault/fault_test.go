@@ -138,8 +138,11 @@ func TestOutageQueries(t *testing.T) {
 	if !in.HasOutages() {
 		t.Fatal("HasOutages = false")
 	}
-	if in.OutageActive(9) || !in.OutageActive(10) || !in.OutageActive(29) || in.OutageActive(30) {
-		t.Fatal("OutageActive interval semantics wrong")
+	// Outages cover [From, To): t = 10 and 29 are inside, 9 and 30 outside.
+	for at, want := range map[int64]int{9: 0, 10: 1, 29: 1, 30: 0} {
+		if got := len(in.ActiveOutages(at, nil)); got != want {
+			t.Fatalf("ActiveOutages(%d) = %d events, want %d", at, got, want)
+		}
 	}
 	// Epochs change at every boundary {10, 15, 20, 30}.
 	epochs := map[int64]int{}
@@ -182,7 +185,7 @@ func TestRandDeterministic(t *testing.T) {
 func TestNilInjectorSafe(t *testing.T) {
 	var in *Injector
 	if in.StallBefore(1) != 0 || in.PauseBefore(1) != 0 || in.PanicAt(1) ||
-		in.CancelFirst(1) || in.StormBounce(1) || in.HasOutages() || in.OutageActive(1) {
+		in.CancelFirst(1) || in.StormBounce(1) || in.HasOutages() || len(in.ActiveOutages(1, nil)) != 0 {
 		t.Fatal("nil injector hooks must be no-ops")
 	}
 }

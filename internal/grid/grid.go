@@ -37,16 +37,6 @@ func (v Vec) Sum() int {
 	return s
 }
 
-// LE reports whether v ≤ w coordinate-wise.
-func (v Vec) LE(w Vec) bool {
-	for i := range v {
-		if v[i] > w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Eq reports whether v == w.
 func (v Vec) Eq(w Vec) bool {
 	for i := range v {
@@ -112,17 +102,6 @@ func (g *Grid) D() int { return len(g.Dims) }
 
 // N returns the number of nodes n = Π ℓi.
 func (g *Grid) N() int { return g.n }
-
-// NumEdges returns the number of directed edges.
-func (g *Grid) NumEdges() int {
-	total := 0
-	for _, l := range g.Dims {
-		if l > 1 {
-			total += (g.n / l) * (l - 1)
-		}
-	}
-	return total
-}
 
 // Diameter returns the diameter Σ (ℓi − 1): the longest shortest path.
 func (g *Grid) Diameter() int {

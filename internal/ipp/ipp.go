@@ -18,7 +18,7 @@
 //
 // Edge state lives in flat slices over a known edge universe (a space-time
 // box has exactly box.Size()·(d+1) edge ids), so the lightest-path DP
-// indexes the weight slice directly (see lattice.DP.RunFlat). The packer
+// indexes the weight slice directly (see lattice.DP.RunFlatBounded). The packer
 // memoizes the per-capacity constants 2^{1/c} and (2^{1/c}−1)/pmax — a grid
 // has at most two distinct finite capacities (B and c), so after warm-up
 // Offer never calls math.Exp2.

@@ -103,15 +103,15 @@ func runTheorem1Trial(t *testing.T, rng *rand.Rand, numReq int) {
 	pmax := nx + ny // all source→dest paths fit
 	p := NewDense(pmax, capFn, len(capArr))
 	dp := box.NewDP()
+	var lp lattice.Path
 
 	for i := 0; i < numReq; i++ {
 		sx, sy := rng.Intn(nx), rng.Intn(ny)
 		dx, dy := sx+rng.Intn(nx-sx), sy+rng.Intn(ny-sy)
 		src := []int{sx, sy}
 		dst := []int{dx, dy}
-		dp.RunFlat(src, []int{dx + 1, dy + 1}, src, p.Weights(), nil)
-		lp := dp.PathTo(dst)
-		if lp == nil {
+		dp.RunFlatBounded(src, []int{dx + 1, dy + 1}, p.Weights(), nil, lattice.Inf)
+		if !dp.PathInto(dst, &lp) {
 			t.Fatalf("no path in a full window")
 		}
 		edges := make([]EdgeID, 0, lp.Len())

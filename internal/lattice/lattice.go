@@ -13,6 +13,10 @@
 //  2. any traversal of points in non-decreasing coordinate order is a
 //     topological order; ordering by t = w + Σx makes the traversal coincide
 //     with simulation time.
+//
+// DP is the lightest-path oracle's kernel (Theorem 1, Sec. 5.1): it solves
+// one window shape, a sub-box of the box whose low corner is the source, as
+// package sketch builds it from a request's source tile and destination ray.
 package lattice
 
 import (
@@ -60,9 +64,6 @@ func (b *Box) D() int { return len(b.Lo) }
 
 // Size returns the number of points in the box.
 func (b *Box) Size() int { return b.size }
-
-// Dim returns the extent of axis i.
-func (b *Box) Dim(i int) int { return b.dims[i] }
 
 // Contains reports whether p lies inside the box.
 func (b *Box) Contains(p []int) bool {
@@ -112,25 +113,6 @@ func (b *Box) Step(id, axis int) (int, bool) {
 	return id + b.stride[axis], true
 }
 
-// Back returns the id of the neighbor of node id along −axis, and whether it
-// exists.
-func (b *Box) Back(id, axis int) (int, bool) {
-	c := (id / b.stride[axis]) % b.dims[axis]
-	if c == 0 {
-		return 0, false
-	}
-	return id - b.stride[axis], true
-}
-
-// NumEdges returns the number of directed edges in the box.
-func (b *Box) NumEdges() int {
-	total := 0
-	for _, d := range b.dims {
-		total += (b.size / d) * (d - 1)
-	}
-	return total
-}
-
 // L1 returns ‖v−u‖₁ for u ≤ v, which is the (unique) number of edges on any
 // directed path from u to v. It returns -1 if v is not reachable from u.
 func L1(u, v []int) int {
@@ -177,8 +159,9 @@ func (p *Path) Visit(fn func(pt []int)) {
 // Inf is the cost of an unreachable node.
 var Inf = math.Inf(1)
 
-// DP computes lightest directed paths inside a window of a box. A DP value is
-// reusable across calls to RunFlat; it grows its buffers as needed.
+// DP computes lightest directed paths from the low corner of a window of a
+// box. A DP value is reusable across calls to RunFlatBounded; it grows its
+// buffers as needed.
 //
 // Path cost convention: cost(path) = Σ_nodes nodeX[v] + Σ_edges edgeX[e],
 // where the sum over nodes includes both endpoints. Node weights fold the
@@ -194,16 +177,14 @@ type DP struct {
 	wsize int
 	cost  []float64
 	pred  []int8
-	valid bool // the last run's window was non-empty and held src: cost/pred are its solution
 
-	srcW       int // window index of the source (meaningful when valid)
-	winBoxBase int // box.Index(winLo): box id of the window origin
+	winBoxBase int // box.Index(winLo): box id of the window origin, the source
 
 	sweep sweepArgs // arguments of the current run's pull kernel
 }
 
 // maxAxes bounds the number of axes of a DP's box: the generic pull kernel
-// advances each row's coordinates in stack scratch of this size, and NewDP
+// advances each node's coordinates in stack scratch of this size, and NewDP
 // refuses larger boxes. Scenario grids have at most 4 spatial axes, so
 // their space-time boxes have at most 5.
 const maxAxes = 16
@@ -249,33 +230,28 @@ func (dp *DP) inWindow(p []int) bool {
 	return true
 }
 
-// setupWindow clips the window to the box and sizes the cost/pred buffers.
-// It returns the window index of src, or ok=false when the window is empty
-// or src lies outside it. Buffers are reused across calls, so a warm DP
+// setupWindow records the window and sizes the cost/pred buffers. It panics
+// when the window is not a non-empty sub-box of the box: package sketch
+// builds every window from a source tile inside its tiling, so any other
+// window is a caller bug. Buffers are reused across calls, so a warm DP
 // allocates nothing. The buffers are NOT reset here: the pull kernels write
 // every node of the window themselves.
 //
 //gridroute:hotpath
-func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
-	d := dp.box.D()
+func (dp *DP) setupWindow(winLo, winHi []int) {
+	b := dp.box
 	dp.wsize = 1
-	for i := 0; i < d; i++ {
-		lo := winLo[i]
-		if lo < dp.box.Lo[i] {
-			lo = dp.box.Lo[i]
-		}
-		hi := winHi[i]
-		if hi > dp.box.Hi[i] {
-			hi = dp.box.Hi[i]
-		}
-		if hi <= lo {
-			dp.valid = false
-			return 0, false
+	dp.winBoxBase = 0
+	for i := range dp.wdims {
+		lo, hi := winLo[i], winHi[i]
+		if lo < b.Lo[i] || hi > b.Hi[i] || hi <= lo {
+			panic("lattice: DP window is not a non-empty sub-box of the box")
 		}
 		dp.winLo[i], dp.winHi[i] = lo, hi
 		dp.wdims[i] = hi - lo
+		dp.winBoxBase += (lo - b.Lo[i]) * b.stride[i]
 	}
-	for i := d - 1; i >= 0; i-- {
+	for i := len(dp.wdims) - 1; i >= 0; i-- {
 		dp.wstr[i] = dp.wsize
 		dp.wsize *= dp.wdims[i]
 	}
@@ -285,63 +261,44 @@ func (dp *DP) setupWindow(winLo, winHi, src []int) (srcW int, ok bool) {
 	}
 	dp.cost = dp.cost[:dp.wsize]
 	dp.pred = dp.pred[:dp.wsize]
-	if !dp.inWindow(src) {
-		dp.valid = false
-		return 0, false
-	}
-	dp.winBoxBase = dp.box.Index(dp.winLo)
-	dp.valid = true
-	dp.srcW = dp.winIndex(src)
-	return dp.srcW, true
 }
 
-// RunFlat computes lightest paths from src to every point of the window
-// [winLo, winHi) ∩ box; src must lie in the window. Weights are read from
+// RunFlatBounded computes lightest paths from the window's low corner winLo,
+// the source, to every point of the window [winLo, winHi), which must be a
+// non-empty sub-box of the box (it panics otherwise). Weights are read from
 // flat slices indexed by box node id: the edge leaving node id along axis a
 // costs edgeX[id·D+a] (D = box.D()), and visiting node id costs nodeX[id]
 // (nil nodeX means zero node weights). This is the packing hot path: the
 // slices are an ipp packer's weight universe, indexed directly with no call
-// or hash per relaxation. After RunFlat, use CostAt and PathTo.
+// or hash per relaxation. Afterwards, use CostAt, MinCostRay and PathInto.
+//
+// Relaxation may stop at nodes whose cost has reached bound (pass Inf for
+// none). Every node whose exact lightest cost is < bound gets the exact cost
+// and predecessor, bit for bit (a pruned candidate has cost ≥ bound and so
+// can neither win nor tie below the bound); nodes at or beyond the bound
+// report some cost ≥ bound, or Inf. Callers that only consume results
+// strictly below bound — sketch.Session.Offer's accept test at cost < 1 —
+// therefore see exact answers, at a fraction of the relaxation work on
+// saturated lattices where the kernel prunes.
 //
 //gridroute:hotpath
-func (dp *DP) RunFlat(winLo, winHi, src []int, edgeX, nodeX []float64) {
-	dp.runFlatBounded(winLo, winHi, src, edgeX, nodeX, Inf)
-}
-
-// RunFlatBounded is RunFlat except that relaxation stops at nodes whose cost
-// has reached bound: their outgoing edges are never relaxed. Every node whose
-// exact lightest cost is < bound gets the bit-identical cost and predecessor
-// RunFlat would compute (a pruned candidate has cost ≥ bound and so can
-// neither win nor tie below the bound); nodes at or beyond the bound report
-// some cost ≥ bound, or Inf. Callers that only consume results strictly below
-// bound — sketch.Session.Offer's accept test at cost < 1 — therefore see
-// exact answers at a fraction of the relaxation work on saturated lattices.
-//
-//gridroute:hotpath
-func (dp *DP) RunFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bound float64) {
-	dp.runFlatBounded(winLo, winHi, src, edgeX, nodeX, bound)
-}
-
-//gridroute:hotpath
-func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bound float64) {
-	srcW, ok := dp.setupWindow(winLo, winHi, src)
-	if !ok {
-		return
-	}
+func (dp *DP) RunFlatBounded(winLo, winHi []int, edgeX, nodeX []float64, bound float64) {
+	dp.setupWindow(winLo, winHi)
 	// Pull sweep: every window node is computed from its (already final)
 	// predecessors and written exactly once, so no O(window) Inf/−1 reset
 	// pass is needed. Each node takes the min over its in-window
 	// predecessors, axes in ascending order, strict <; that is also the
 	// order in which a naive row-major push sweep (the tests' reference)
 	// reaches it, so both keep the lowest-axis predecessor on cost ties. The
-	// source is written up front and skipped by the kernels.
+	// source, window index 0, is written up front and the kernels start one
+	// node past it.
 	dp.sweep = sweepArgs{edgeX: edgeX, nodeX: nodeX, bound: bound}
 	if nodeX != nil {
-		dp.cost[srcW] = nodeX[dp.box.Index(src)]
+		dp.cost[0] = nodeX[dp.winBoxBase]
 	} else {
-		dp.cost[srcW] = 0
+		dp.cost[0] = 0
 	}
-	dp.pred[srcW] = -1
+	dp.pred[0] = -1
 	// The kernel follows the window's shape, not the box's: an axis of
 	// extent 1 carries no in-window edge, so a window with at most two axes
 	// of extent > 1 is a rows × cols grid over them, stored row-major. The
@@ -349,10 +306,12 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 	//   - runPull2 (≤ 2 such axes, nodeX set): Downscaled sketch sessions —
 	//     the engine and core.RunDeterministic — on a line, and on grids
 	//     whose route windows are planes of tiles (a chain window, with one
-	//     such axis, never reaches the DP: the session walks it directly);
+	//     such axis, never reaches the DP: the session walks it directly).
+	//     These queries run at bound Inf, and the kernel relaxes every node;
 	//   - runPull2NoNode (≤ 2 such axes, nodeX nil): Raw sketch sessions
 	//     on a line — core.RunRandomized (lines only), and on unit tiles
-	//     (sketch.SpaceTime) the dual certificate and Theorem 13;
+	//     (sketch.SpaceTime) the dual certificate and Theorem 13, which run
+	//     at bound 1. It is the one kernel that prunes beyond the bound;
 	//   - runChunkGeneric (3 or more such axes): Downscaled sessions and
 	//     unit-tile Raw sessions on 2-D and 3-D grids.
 	ra, ca, n := -1, -1, 0
@@ -371,17 +330,11 @@ func (dp *DP) runFlatBounded(winLo, winHi, src []int, edgeX, nodeX []float64, bo
 }
 
 // runPull2 is the pull sweep over a window whose only axes of extent > 1
-// are the row axis ra and the column axis ca > ra (ra < 0: a single row),
-// with a dead-row cutoff. Edge weights are read at the box's edge stride D,
-// and pred stores the real axis ids. Once a row at or past the source's row
-// ends with every cost ≥ bound, every later row is all-Inf — a candidate
-// pulled from the dead row is pruned by the bound gate, and a within-row
-// candidate is Inf by induction along the row — so the remainder is
-// bulk-filled with the exact values (Inf, −1) the full sweep would compute.
-// Results are bit-identical to pulling every node of the window; the payoff
-// is on saturated bounded runs (sketch.Session.Offer at bound = 1), where
-// the reachable region collapses to a few rows near the source and the fill
-// is several times cheaper per node than the pull.
+// are the row axis ra and the column axis ca > ra (ra < 0: a single row).
+// Edge weights are read at the box's edge stride D, and pred stores the
+// real axis ids. It relaxes every node, so its costs are exact, which meets
+// RunFlatBounded's contract at any bound: Downscaled sessions, the only
+// callers with node weights, query at bound Inf, where nothing is pruned.
 //
 //gridroute:hotpath
 func (dp *DP) runPull2(ra, ca int) {
@@ -391,7 +344,7 @@ func (dp *DP) runPull2(ra, ca int) {
 	}
 	sw := &dp.sweep
 	cost, pred := dp.cost, dp.pred
-	edgeX, nodeX, bound := sw.edgeX, sw.nodeX, sw.bound
+	edgeX, nodeX := sw.edgeX, sw.nodeX
 	d := dp.box.D()
 	rows, bsR := 1, 0
 	if ra >= 0 {
@@ -399,72 +352,66 @@ func (dp *DP) runPull2(ra, ca int) {
 	}
 	cols, bsC := dp.wdims[ca], dp.box.stride[ca]
 	predR, predC := int8(ra), int8(ca)
-	srcW := dp.srcW
-	srcRow := srcW / cols
+	inf := Inf
 	for i := 0; i < rows; i++ {
-		alive := false
-		w := i * cols
+		row, prow := cost[i*cols:(i+1)*cols], pred[i*cols:(i+1)*cols]
+		up := row // the row above; unused in the top row
 		bID := dp.winBoxBase + i*bsR
-		for c := 0; c < cols; c++ {
-			if w == srcW {
-				if cost[w] < bound {
-					alive = true
-				}
-				w++
-				bID += bsC
-				continue
+		if i > 0 {
+			// Column 0 pulls from above only. In the top row it is the
+			// source, written up front.
+			up = cost[(i-1)*cols : i*cols]
+			best, bp := inf, int8(-1)
+			if ec := up[0] + edgeX[(bID-bsR)*d+ra] + nodeX[bID]; ec < best {
+				best, bp = ec, predR
 			}
-			best, bp := Inf, int8(-1)
-			if i > 0 {
-				if pc := cost[w-cols]; pc < bound {
-					ec := pc + edgeX[(bID-bsR)*d+ra] + nodeX[bID]
-					if ec < best {
-						best, bp = ec, predR
-					}
-				}
-			}
-			if c > 0 {
-				if pc := cost[w-1]; pc < bound {
-					ec := pc + edgeX[(bID-bsC)*d+ca] + nodeX[bID]
-					if ec < best {
-						best, bp = ec, predC
-					}
-				}
-			}
-			cost[w], pred[w] = best, bp
-			if best < bound {
-				alive = true
-			}
-			w++
-			bID += bsC
+			row[0], prow[0] = best, bp
 		}
-		// Rows before the source's row are legitimately all-Inf — the
-		// up-front source write revives row srcRow, so the induction only
-		// starts there.
-		if !alive && i >= srcRow {
-			dp.fillDead((i+1)*cols, dp.wsize)
-			return
+		// As in runPull2NoNode: `left` carries the just-written cell, and
+		// the edge indices advance by bsC·D per column.
+		left := row[0]
+		vE := (bID+bsC-bsR)*d + ra
+		hE := bID*d + ca
+		step := bsC * d
+		up, prow = up[:len(row)], prow[:len(row)]
+		for c := 1; c < len(row); c++ {
+			bID += bsC
+			best, bp := inf, int8(-1)
+			if i > 0 {
+				if ec := up[c] + edgeX[vE] + nodeX[bID]; ec < best {
+					best, bp = ec, predR
+				}
+			}
+			if ec := left + edgeX[hE] + nodeX[bID]; ec < best {
+				best, bp = ec, predC
+			}
+			row[c], prow[c] = best, bp
+			left = best
+			vE += step
+			hE += step
 		}
 	}
 }
 
-// runPull2NoNode is runPull2 for nil node weights: Raw sketch sessions and
-// the space-time packer, which index edge weights only. Column 0 and the
-// source's row are peeled so the steady-state inner loop carries no per-node
-// boundary, source, or nil checks; dp fields are hoisted into locals because
-// stores through cost/pred keep the compiler from proving dp itself is
-// unmodified.
+// runPull2NoNode is runPull2 for nil node weights: Raw sketch sessions,
+// which index edge weights only and run at bound 1. Column 0 and the top
+// row are peeled so the steady-state inner loop carries no per-node
+// boundary or nil checks; dp fields are hoisted into locals because stores
+// through cost/pred keep the compiler from proving dp itself is unmodified,
+// and the loops index the row and the row above through their own slices,
+// which leaves fewer values live across an iteration than one running
+// window index (measured: BenchmarkHotPath/STPackerLightestPath).
 //
-// Beyond the dead-row cutoff, each row's scan terminates early at the alive
-// frontier. A cell is alive when its cost is < bound; a dead cell — Inf or a
-// finite cost at/past the bound — is pruned as a predecessor by the bound
-// gate, so a cell can only be non-Inf if its vertical or horizontal
-// predecessor is alive. Scanning row i left to right, once the column is past
-// `revive` (the last alive column of row i−1, or the source's column in its
-// row) and the cell just written is dead, no later cell in the row has an
-// alive predecessor: the remainder is exactly (Inf, −1) and is bulk-filled.
-// On bounded runs the per-offer work shrinks from the window's area to
-// roughly the reachable-below-bound region's.
+// Each row's scan terminates early at the alive frontier. A cell is alive
+// when its cost is < bound; a dead cell — Inf or a finite cost at/past the
+// bound — is pruned as a predecessor by the bound gate, so a cell can only
+// be non-Inf if its vertical or horizontal predecessor is alive. Scanning
+// row i left to right, once the column is past `revive` (the last alive
+// column of row i−1) and the cell just written is dead, no later cell in
+// the row has an alive predecessor: the remainder is exactly (Inf, −1) and
+// is bulk-filled. A row with no alive cell ends the sweep the same way:
+// every later row is (Inf, −1). On bounded runs the per-offer work shrinks
+// from the window's area to roughly the reachable-below-bound region's.
 //
 //gridroute:hotpath
 func (dp *DP) runPull2NoNode(ra, ca int) {
@@ -478,102 +425,56 @@ func (dp *DP) runPull2NoNode(ra, ca int) {
 	}
 	cols, bsC := dp.wdims[ca], dp.box.stride[ca]
 	predR, predC := int8(ra), int8(ca)
-	srcW := dp.srcW
-	srcRow, srcCol := srcW/cols, srcW%cols
-	srcAlive := cost[srcW] < bound
+	inf := Inf
 	revive := -1 // last column of the previous row that can revive this one
 	for i := 0; i < rows; i++ {
-		if i == srcRow && srcAlive && srcCol > revive {
-			revive = srcCol
-		}
 		maxA := -1   // last alive column written in this row
 		stop := cols // first column of the row's dead remainder
-		w := i * cols
+		row, prow := cost[i*cols:(i+1)*cols], pred[i*cols:(i+1)*cols]
 		bID := dp.winBoxBase + i*bsR
-		// Column 0: no horizontal predecessor.
-		if w == srcW {
-			if srcAlive {
+		// Column 0: no horizontal predecessor. In the top row it is the
+		// source, written up front.
+		if i == 0 {
+			if row[0] < bound {
 				maxA = 0
 			}
 		} else {
-			best, bp := Inf, int8(-1)
-			if i > 0 {
-				if pc := cost[w-cols]; pc < bound {
-					if ec := pc + edgeX[(bID-bsR)*d+ra]; ec < best {
-						best, bp = ec, predR
-					}
+			best, bp := inf, int8(-1)
+			if pc := cost[(i-1)*cols]; pc < bound {
+				if ec := pc + edgeX[(bID-bsR)*d+ra]; ec < best {
+					best, bp = ec, predR
 				}
 			}
-			cost[w], pred[w] = best, bp
+			row[0], prow[0] = best, bp
 			if best < bound {
 				maxA = 0
 			} else if revive < 0 {
 				stop = 1
 			}
 		}
-		w++
 		// The inner loops carry the just-written cell in `left` (sparing the
-		// cost[w−1] reload) and advance the two edgeX indices by strength
+		// row[c−1] reload) and advance the two edgeX indices by strength
 		// reduction: a +1 column step moves the vertical-pull index
 		// (bID−bsR)·D+ra and the horizontal-pull index (bID−bsC)·D+ca by
 		// bsC·D each.
-		left := cost[w-1]
+		left := row[0]
 		vE := (bID+bsC-bsR)*d + ra
 		hE := bID*d + ca
 		step := bsC * d
 		switch {
 		case stop < cols:
 			// Row died at column 0.
-		case i == srcRow:
-			// The source's row (this also covers a top row holding the
-			// source): per-cell source skip, vertical pulls only when a row
-			// exists above.
-			for c := 1; c < cols; c++ {
-				if w == srcW {
-					if srcAlive {
-						maxA = c
-					}
-					left = cost[w]
-					w++
-					vE += step
-					hE += step
-					continue
-				}
-				best, bp := Inf, int8(-1)
-				if i > 0 {
-					if pc := cost[w-cols]; pc < bound {
-						if ec := pc + edgeX[vE]; ec < best {
-							best, bp = ec, predR
-						}
-					}
-				}
-				if left < bound {
-					if ec := left + edgeX[hE]; ec < best {
-						best, bp = ec, predC
-					}
-				}
-				cost[w], pred[w] = best, bp
-				left = best
-				if best < bound {
-					maxA = c
-				} else if c > revive {
-					stop = c + 1
-					break
-				}
-				w++
-				vE += step
-				hE += step
-			}
 		case i == 0:
-			// Top row without the source: horizontal prefix only.
-			for c := 1; c < cols; c++ {
-				best, bp := Inf, int8(-1)
+			// Top row: horizontal prefix from the source.
+			prow = prow[:len(row)]
+			for c := 1; c < len(row); c++ {
+				best, bp := inf, int8(-1)
 				if left < bound {
 					if ec := left + edgeX[hE]; ec < best {
 						best, bp = ec, predC
 					}
 				}
-				cost[w], pred[w] = best, bp
+				row[c], prow[c] = best, bp
 				left = best
 				if best < bound {
 					maxA = c
@@ -581,15 +482,15 @@ func (dp *DP) runPull2NoNode(ra, ca int) {
 					stop = c + 1
 					break
 				}
-				w++
 				hE += step
 			}
 		default:
-			// Steady state: both predecessors exist, the source is
-			// elsewhere.
-			for c := 1; c < cols; c++ {
-				best, bp := Inf, int8(-1)
-				if pc := cost[w-cols]; pc < bound {
+			// Steady state: both predecessors exist.
+			up := cost[(i-1)*cols : i*cols]
+			up, prow = up[:len(row)], prow[:len(row)]
+			for c := 1; c < len(row); c++ {
+				best, bp := inf, int8(-1)
+				if pc := up[c]; pc < bound {
 					if ec := pc + edgeX[vE]; ec < best {
 						best, bp = ec, predR
 					}
@@ -599,7 +500,7 @@ func (dp *DP) runPull2NoNode(ra, ca int) {
 						best, bp = ec, predC
 					}
 				}
-				cost[w], pred[w] = best, bp
+				row[c], prow[c] = best, bp
 				left = best
 				if best < bound {
 					maxA = c
@@ -607,7 +508,6 @@ func (dp *DP) runPull2NoNode(ra, ca int) {
 					stop = c + 1
 					break
 				}
-				w++
 				vE += step
 				hE += step
 			}
@@ -615,9 +515,8 @@ func (dp *DP) runPull2NoNode(ra, ca int) {
 		if stop < cols {
 			dp.fillDead(i*cols+stop, (i+1)*cols)
 		}
-		if maxA < 0 && i >= srcRow {
-			// Fully dead row at or past the source's: everything below is
-			// dead too.
+		if maxA < 0 {
+			// Fully dead row: everything below is dead too.
 			dp.fillDead((i+1)*cols, dp.wsize)
 			return
 		}
@@ -641,7 +540,8 @@ func (dp *DP) fillDead(from, to int) {
 
 // runChunkGeneric is the pull sweep for any number of axes ≤ maxAxes: each
 // row's rest-space coordinates (axes 1..d−1) live in stack scratch and are
-// advanced with an odometer.
+// advanced with an odometer (nextRest). The top row starts one node past
+// the source.
 //
 //gridroute:hotpath
 func (dp *DP) runChunkGeneric() {
@@ -653,54 +553,57 @@ func (dp *DP) runChunkGeneric() {
 	cols := dp.wsize / rows
 	for i := 0; i < rows; i++ {
 		var off [maxAxes]int
-		bID := dp.winBoxBase + i*dp.box.stride[0]
-		w := i * cols
-		for c := 0; c < cols; c++ {
-			if w == dp.srcW {
-				goto next
-			}
-			{
-				best, bp := Inf, int8(-1)
-				if i > 0 {
-					if pc := cost[w-cols]; pc < bound {
-						ec := pc + edgeX[(bID-dp.box.stride[0])*d]
-						if nodeX != nil {
-							ec += nodeX[bID]
-						}
-						if ec < best {
-							best, bp = ec, 0
-						}
+		w, bID := i*cols, dp.winBoxBase+i*dp.box.stride[0]
+		if i == 0 {
+			w, bID = 1, dp.nextRest(&off, bID)
+		}
+		for end := (i + 1) * cols; w < end; w, bID = w+1, dp.nextRest(&off, bID) {
+			best, bp := Inf, int8(-1)
+			if i > 0 {
+				if pc := cost[w-cols]; pc < bound {
+					ec := pc + edgeX[(bID-dp.box.stride[0])*d]
+					if nodeX != nil {
+						ec += nodeX[bID]
+					}
+					if ec < best {
+						best, bp = ec, 0
 					}
 				}
-				for a := 1; a < d; a++ {
-					if off[a] == 0 {
-						continue
+			}
+			for a := 1; a < d; a++ {
+				if off[a] == 0 {
+					continue
+				}
+				if pc := cost[w-dp.wstr[a]]; pc < bound {
+					ec := pc + edgeX[(bID-dp.box.stride[a])*d+a]
+					if nodeX != nil {
+						ec += nodeX[bID]
 					}
-					if pc := cost[w-dp.wstr[a]]; pc < bound {
-						ec := pc + edgeX[(bID-dp.box.stride[a])*d+a]
-						if nodeX != nil {
-							ec += nodeX[bID]
-						}
-						if ec < best {
-							best, bp = ec, int8(a)
-						}
+					if ec < best {
+						best, bp = ec, int8(a)
 					}
 				}
-				cost[w], pred[w] = best, bp
 			}
-		next:
-			w++
-			for a := d - 1; a >= 1; a-- {
-				off[a]++
-				bID += dp.box.stride[a]
-				if off[a] < dp.wdims[a] {
-					break
-				}
-				bID -= dp.wdims[a] * dp.box.stride[a]
-				off[a] = 0
-			}
+			cost[w], pred[w] = best, bp
 		}
 	}
+}
+
+// nextRest advances the rest-space odometer off (axes 1..d−1, row-major) by
+// one node and returns that node's box id, given the current one's.
+//
+//gridroute:hotpath
+func (dp *DP) nextRest(off *[maxAxes]int, bID int) int {
+	for a := len(dp.wdims) - 1; a >= 1; a-- {
+		off[a]++
+		bID += dp.box.stride[a]
+		if off[a] < dp.wdims[a] {
+			break
+		}
+		bID -= dp.wdims[a] * dp.box.stride[a]
+		off[a] = 0
+	}
+	return bID
 }
 
 // CostAt returns the lightest-path cost from the source to p, or Inf if p is
@@ -708,7 +611,7 @@ func (dp *DP) runChunkGeneric() {
 //
 //gridroute:hotpath
 func (dp *DP) CostAt(p []int) float64 {
-	if !dp.valid || !dp.inWindow(p) {
+	if !dp.inWindow(p) {
 		return Inf
 	}
 	return dp.cost[dp.winIndex(p)]
@@ -717,36 +620,18 @@ func (dp *DP) CostAt(p []int) float64 {
 // MinCostRay returns the least cost over the points obtained from p by
 // ranging p[axis] over [lo, hi], together with the coordinate achieving it
 // (ties resolve to the lowest coordinate, like an ascending CostAt scan with
-// a strict comparison). Out-of-window coordinates contribute Inf, and a DP
-// whose last run was over an empty window reports (Inf, lo). This is the
-// destination-ray scan of the lightest-path oracle's route extraction
-// (package sketch): one strided walk over the window buffer instead of a
-// window check and a winIndex dot product per probe.
+// a strict comparison). The ray must lie inside the last run's window, as
+// the destination ray of package sketch's lightest-path oracle does:
+// prepareQuery clips it into the window it builds. This is that oracle's
+// route-extraction scan: one strided walk over the window buffer instead of
+// a window check and a winIndex dot product per probe.
 //
 //gridroute:hotpath
 func (dp *DP) MinCostRay(p []int, axis, lo, hi int) (best float64, bestAt int) {
 	best, bestAt = Inf, lo
-	if !dp.valid {
-		return best, bestAt
-	}
-	for i, x := range p {
-		if i != axis && (x < dp.winLo[i] || x >= dp.winHi[i]) {
-			return best, bestAt
-		}
-	}
-	clo, chi := lo, hi
-	if wlo := dp.winLo[axis]; clo < wlo {
-		clo = wlo
-	}
-	if whi := dp.winHi[axis] - 1; chi > whi {
-		chi = whi
-	}
-	if clo > chi {
-		return best, bestAt
-	}
 	str := dp.wstr[axis]
-	id := dp.winIndex(p) + (clo-p[axis])*str
-	for w := clo; w <= chi; w++ {
+	id := dp.winIndex(p) + (lo-p[axis])*str
+	for w := lo; w <= hi; w++ {
 		if c := dp.cost[id]; c < best {
 			best, bestAt = c, w
 		}
@@ -755,21 +640,10 @@ func (dp *DP) MinCostRay(p []int, axis, lo, hi int) (best float64, bestAt int) {
 	return best, bestAt
 }
 
-// PathTo reconstructs the lightest path to p. It returns nil when p is
-// unreachable. The path is materialized in at most three allocations (Path,
-// start coords, axes).
-func (dp *DP) PathTo(p []int) *Path {
-	var out Path
-	if !dp.PathInto(p, &out) {
-		return nil
-	}
-	return &out
-}
-
-// PathInto is PathTo writing into a caller-provided Path, reusing its Start
-// and Axes slices. It reports false (leaving out untouched) when p is
-// unreachable. A warm out (slices grown once) makes reconstruction
-// allocation-free — the streaming admit path depends on this.
+// PathInto reconstructs the lightest path to p into a caller-provided Path,
+// reusing its Start and Axes slices. It reports false (leaving out
+// untouched) when p is unreachable. A warm out (slices grown once) makes
+// reconstruction allocation-free — the streaming admit path depends on this.
 //
 //gridroute:hotpath
 func (dp *DP) PathInto(p []int, out *Path) bool {

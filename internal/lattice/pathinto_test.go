@@ -3,12 +3,14 @@ package lattice
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// TestPathIntoMatchesPathTo checks the allocation-reusing path extraction
-// against the allocating one across random DPs and repeated reuse of the
-// same output Path.
+// TestPathIntoMatchesPathTo checks that path extraction into a reused
+// output Path matches extraction into a fresh one, across random DPs and
+// destinations, so that reused slices never leak a previous path. (The name
+// is that of the deleted allocating PathTo, which the fresh Path replaces.)
 func TestPathIntoMatchesPathTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var out Path
@@ -26,7 +28,7 @@ func TestPathIntoMatchesPathTo(t *testing.T) {
 			ew[i] = rng.Float64()
 		}
 		dp := b.NewDP()
-		dp.RunFlat(lo, hi, lo, ew, nil)
+		dp.RunFlatBounded(lo, hi, ew, nil, Inf)
 
 		// Probe several destinations per DP so the reused Path shrinks and
 		// grows across calls.
@@ -35,22 +37,18 @@ func TestPathIntoMatchesPathTo(t *testing.T) {
 			for i := range dst {
 				dst[i] = lo[i] + rng.Intn(hi[i]-lo[i])
 			}
-			want := dp.PathTo(dst)
-			ok := dp.PathInto(dst, &out)
-			if (want == nil) != !ok {
-				t.Fatalf("trial %d: PathTo nil=%v but PathInto ok=%v", trial, want == nil, ok)
+			var fresh Path
+			ok := dp.PathInto(dst, &fresh)
+			if reused := dp.PathInto(dst, &out); reused != ok {
+				t.Fatalf("trial %d: fresh PathInto ok=%v but reused ok=%v", trial, ok, reused)
 			}
-			if want == nil {
+			if !ok {
 				continue
 			}
 			// A reused out.Axes may be empty-but-non-nil where a fresh
 			// path's is nil; compare contents, not headers.
-			sameAxes := len(want.Axes) == len(out.Axes)
-			for i := 0; sameAxes && i < len(out.Axes); i++ {
-				sameAxes = want.Axes[i] == out.Axes[i]
-			}
-			if !reflect.DeepEqual(want.Start, out.Start) || !sameAxes {
-				t.Fatalf("trial %d: PathInto (%v,%v) != PathTo (%v,%v)", trial, out.Start, out.Axes, want.Start, want.Axes)
+			if !reflect.DeepEqual(fresh.Start, out.Start) || !slices.Equal(fresh.Axes, out.Axes) {
+				t.Fatalf("trial %d: reused PathInto (%v,%v) != fresh (%v,%v)", trial, out.Start, out.Axes, fresh.Start, fresh.Axes)
 			}
 		}
 	}

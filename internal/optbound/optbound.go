@@ -24,6 +24,7 @@
 package optbound
 
 import (
+	"math"
 	"sort"
 
 	"gridroute/internal/grid"
@@ -83,13 +84,16 @@ func ExactBufferlessLine(g *grid.Grid, reqs []grid.Request) int {
 	total := 0
 	for _, ivs := range cols {
 		sort.Slice(ivs, func(a, b int) bool { return ivs[a].hi < ivs[b].hi })
-		machines := make([]int, g.C) // finishing coordinate per machine
+		// Finishing coordinate per machine. A free machine ends at
+		// MinInt+1, strictly above the search's starting bestEnd, so it is
+		// found; both fit in int on 32-bit targets.
+		machines := make([]int, g.C)
 		for i := range machines {
-			machines[i] = -1 << 60
+			machines[i] = math.MinInt + 1
 		}
 		for _, v := range ivs {
 			// Latest compatible machine (open intervals: endpoints may touch).
-			bestM, bestEnd := -1, -1<<62
+			bestM, bestEnd := -1, math.MinInt
 			for m, end := range machines {
 				if end <= v.lo && end > bestEnd {
 					bestM, bestEnd = m, end

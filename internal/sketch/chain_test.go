@@ -131,9 +131,9 @@ func checkChainGraph(t *testing.T, rng *rand.Rand, d int, mode Mode, cov *chainC
 			continue
 		}
 		switch {
-		case sess.winHi[wa]-sess.winLo[wa] > 1:
+		case sess.winHi[wa]-sess.srcTile[wa] > 1:
 			cov.wChain++
-		case sumExtent(sess) == len(sess.winLo):
+		case sumExtent(sess) == len(sess.srcTile):
 			cov.single++
 		default:
 			cov.spaceChain++
@@ -144,7 +144,7 @@ func checkChainGraph(t *testing.T, rng *rand.Rand, d int, mode Mode, cov *chainC
 		if sess.rayHi > sess.rayLo {
 			cov.wideRay++
 		}
-		sess.dp.RunFlatBounded(sess.winLo, sess.winHi, sess.srcTile, xs, sk.nodeWeights(xs), bound)
+		sess.dp.RunFlatBounded(sess.srcTile, sess.winHi, xs, sk.nodeWeights(xs), bound)
 		want := sess.extractRoute(bound, &dpOut)
 		if found != want {
 			t.Fatalf("d=%d mode=%d %v→%v w∈[%d,%d] maxTiles %d bound %v: chain found=%v, DP found=%v",
@@ -171,16 +171,18 @@ func checkChainGraph(t *testing.T, rng *rand.Rand, d int, mode Mode, cov *chainC
 // equals the axis count exactly for a single-tile window.
 func sumExtent(s *Session) int {
 	n := 0
-	for a := range s.winLo {
-		n += s.winHi[a] - s.winLo[a]
+	for a, lo := range s.srcTile {
+		n += s.winHi[a] - lo
 	}
 	return n
 }
 
 // TestLightestRouteSourceOffLattice: a source before the lattice's first
 // tile (an arrival before time 0) has no route, in a graph where every
-// window is a chain. The DP reports it through its clipped window; the
-// chain path must not step from a tile the tiling does not hold.
+// window is a chain: prepareQuery rejects it, so the chain path never steps
+// from a tile the tiling does not hold. A destination past the grid's last
+// tile has no route either: prepareQuery rejects it before the DP, which
+// solves only windows inside its box and panics on any other.
 func TestLightestRouteSourceOffLattice(t *testing.T) {
 	g := grid.Line(8, 3, 3)
 	st := spacetime.New(g, 40)
@@ -191,5 +193,13 @@ func TestLightestRouteSourceOffLattice(t *testing.T) {
 	var out Route
 	if sk.NewSession().LightestRouteInto(pk, st.SourcePoint(r), r.Dst, wLo, wHi, 50, &out) {
 		t.Fatalf("source off the lattice found a route: %+v", out)
+	}
+
+	sk = New(st, tiling.New(st.Box, []int{2, 2}, []int{0, 0}), Downscaled)
+	pk = ipp.NewDense(50, sk.Cap, sk.Universe())
+	r = &grid.Request{Src: grid.Vec{1}, Dst: grid.Vec{9}, Arrival: 0, Deadline: grid.InfDeadline}
+	wLo, wHi = st.DestRay(r)
+	if sk.NewSession().LightestRouteInto(pk, st.SourcePoint(r), r.Dst, wLo, wHi, 50, &out) {
+		t.Fatalf("destination off the tiling found a route: %+v", out)
 	}
 }

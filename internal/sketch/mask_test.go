@@ -167,7 +167,7 @@ func (s *Session) inWindow(e ipp.EdgeID) bool {
 	tile, _, _ := s.g.DecodeEdge(e)
 	pt := s.g.TileCoords(tile, make([]int, s.g.axes))
 	for a := range pt {
-		if pt[a] < s.winLo[a] || pt[a] >= s.winHi[a] {
+		if pt[a] < s.srcTile[a] || pt[a] >= s.winHi[a] {
 			return false
 		}
 	}

@@ -101,9 +101,8 @@ type Session struct {
 	dp *lattice.DP
 
 	// scratch buffers
-	srcTile []int
+	srcTile []int // also the DP window's low corner
 	dstTile []int
-	winLo   []int
 	winHi   []int
 	probe   []int
 	saved   []float64    // live weights under LightestRouteMasked's mask
@@ -121,7 +120,6 @@ func (g *Graph) NewSession() *Session {
 		dp:      g.Tl.TBox.NewDP(),
 		srcTile: make([]int, g.axes),
 		dstTile: make([]int, g.axes),
-		winLo:   make([]int, g.axes),
 		winHi:   make([]int, g.axes),
 		probe:   make([]int, g.axes),
 	}
@@ -131,7 +129,7 @@ func (g *Graph) NewSession() *Session {
 // TBox.Size()·axes inter-tile edges, followed in Downscaled mode by
 // TBox.Size() interior edges (Raw mode has none). It is the universe
 // argument for ipp.NewDense; the resulting weight slice is laid out so the
-// lightest-path DP can index it directly (RunFlat).
+// lightest-path DP can index it directly (lattice.DP.RunFlatBounded).
 func (g *Graph) Universe() int {
 	if g.Mode == Raw {
 		return g.Tl.TBox.Size() * g.axes
@@ -139,9 +137,9 @@ func (g *Graph) Universe() int {
 	return g.Tl.TBox.Size() * (g.axes + 1)
 }
 
-// nodeWeights returns RunFlat's node-weight slice for a weight universe xs:
+// nodeWeights returns the DP's node-weight slice for a weight universe xs:
 // the interior-edge tail in Downscaled mode, nil in Raw mode. The head of xs
-// is already RunFlat's edge layout, since AxisEdgeID(id, a) = id·axes+a.
+// is already the DP's edge layout, since AxisEdgeID(id, a) = id·axes+a.
 //
 //gridroute:hotpath
 func (g *Graph) nodeWeights(xs []float64) []float64 {
@@ -193,17 +191,6 @@ func (g *Graph) RawCap(axis int) int {
 	return g.ST.Cap(axis) * g.faceArea[axis]
 }
 
-// RawNodeCap returns the paper's tile node capacity
-// (d+1)·k^{d+1}·(B + d·c) — 2·k²·(B+c) on a line.
-func (g *Graph) RawNodeCap() int {
-	d := g.ST.G.D()
-	vol := 1
-	for _, s := range g.Tl.Side {
-		vol *= s
-	}
-	return (d + 1) * vol * (g.ST.G.B + d*g.ST.G.C)
-}
-
 // Route is a sketch path: a sequence of tiles, the axes stepped between
 // them, and the flat ipp edge list (including interior edges in Downscaled
 // mode) with its current total weight.
@@ -237,8 +224,8 @@ func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 	// Destination tile coordinates: fixed per space axis, ranging on w.
 	for i := 0; i < d; i++ {
 		s.dstTile[i] = lattice.FloorDiv(dst[i]-g.Tl.Phase[i], g.Tl.Side[i])
-		if s.dstTile[i] < s.srcTile[i] {
-			return false // unreachable (cannot happen for feasible requests)
+		if s.dstTile[i] < s.srcTile[i] || s.dstTile[i] >= g.Tl.TBox.Hi[i] {
+			return false // unreachable or off the tiling (cannot happen for feasible requests)
 		}
 	}
 	dwLo := lattice.FloorDiv(wLo-g.Tl.Phase[wa], g.Tl.Side[wa])
@@ -269,12 +256,12 @@ func (s *Session) prepareQuery(srcPoint []int, dst grid.Vec, wLo, wHi int, maxTi
 	}
 	s.rayLo, s.rayHi = dwLo, dwHi
 
-	// DP window: [srcTile .. dstTile] per space axis, [srcW .. dwHi] on w.
+	// DP window: [srcTile .. dstTile] per space axis, [srcW .. dwHi] on w,
+	// so the window is a sub-box of TBox whose low corner is the source
+	// tile, and the destination ray lies inside it.
 	for i := 0; i < d; i++ {
-		s.winLo[i] = s.srcTile[i]
 		s.winHi[i] = s.dstTile[i] + 1
 	}
-	s.winLo[wa] = s.srcTile[wa]
 	s.winHi[wa] = dwHi + 1
 	return true
 }
@@ -319,8 +306,8 @@ func (s *Session) extractRoute(bound float64, out *Route) bool {
 //gridroute:hotpath
 func (s *Session) chainRoute(xs []float64, bound float64, out *Route) (found, chain bool) {
 	axis := -1
-	for a := range s.winLo {
-		if s.winHi[a]-s.winLo[a] > 1 {
+	for a, lo := range s.srcTile {
+		if s.winHi[a]-lo > 1 {
 			if axis >= 0 {
 				return false, false
 			}
@@ -401,7 +388,7 @@ func (s *Session) lightestRoute(pk *ipp.Packer, srcPoint []int, dst grid.Vec, wL
 	if found, chain := s.chainRoute(xs, bound, out); chain {
 		return found
 	}
-	s.dp.RunFlatBounded(s.winLo, s.winHi, s.srcTile, xs, s.g.nodeWeights(xs), bound)
+	s.dp.RunFlatBounded(s.srcTile, s.winHi, xs, s.g.nodeWeights(xs), bound)
 	return s.extractRoute(bound, out)
 }
 

@@ -28,10 +28,6 @@ func TestCapacities(t *testing.T) {
 	if got := raw.RawCap(1); got != 8 {
 		t.Fatalf("raw w cap = %d, want 8", got)
 	}
-	// Raw node capacity (paper, line): 2·k²·(B+c) = 2·16·5 = 160.
-	if got := raw.RawNodeCap(); got != 160 {
-		t.Fatalf("raw node cap = %d, want 160", got)
-	}
 	// Downscaled (Fig. 4): inter-tile 1, interior 2.
 	if got := down.Cap(down.AxisEdgeID(0, 0)); got != 1 {
 		t.Fatalf("downscaled edge cap = %v, want 1", got)

@@ -50,9 +50,6 @@ func New(g *grid.Grid, T int64) *Graph {
 // D returns the dimension d of the underlying grid.
 func (st *Graph) D() int { return st.G.D() }
 
-// WAxis returns the index of the w (buffer) axis.
-func (st *Graph) WAxis() int { return st.G.D() }
-
 // Cap returns the capacity of edges along the given lattice axis: c for
 // space axes (E0), B for the w axis (E1).
 func (st *Graph) Cap(axis int) int {

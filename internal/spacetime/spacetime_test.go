@@ -65,7 +65,7 @@ func TestCaps(t *testing.T) {
 	if st.Cap(0) != 3 || st.Cap(1) != 3 {
 		t.Fatal("space axes should have capacity c")
 	}
-	if st.Cap(st.WAxis()) != 5 {
+	if st.Cap(g.D()) != 5 {
 		t.Fatal("w axis should have capacity B")
 	}
 }

@@ -100,16 +100,6 @@ func (tl *Tiling) Offset(p []int, out []int) []int {
 	return out
 }
 
-// SameTile reports whether points p and q lie in the same tile.
-func (tl *Tiling) SameTile(p, q []int) bool {
-	for i := range p {
-		if lattice.FloorDiv(p[i]-tl.Phase[i], tl.Side[i]) != lattice.FloorDiv(q[i]-tl.Phase[i], tl.Side[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Quadrant identifies a quarter of a 2-axis tile (d = 1 lines only):
 // axis 0 (space, x) splits south/north, axis 1 (w) splits west/east
 // (Sec. 7.2, Fig. 8).

@@ -44,17 +44,6 @@ func TestTilesPartition(t *testing.T) {
 	}
 }
 
-func TestSameTile(t *testing.T) {
-	box := lattice.NewBox([]int{0, 0}, []int{16, 16})
-	tl := New(box, []int{4, 4}, []int{0, 0})
-	if !tl.SameTile([]int{0, 0}, []int{3, 3}) {
-		t.Fatal("corner points of one tile")
-	}
-	if tl.SameTile([]int{3, 3}, []int{4, 3}) {
-		t.Fatal("adjacent tiles differ")
-	}
-}
-
 func TestPhaseShiftMovesBoundaries(t *testing.T) {
 	box := lattice.NewBox([]int{0, 0}, []int{16, 16})
 	a := New(box, []int{4, 4}, []int{0, 0})
