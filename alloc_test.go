@@ -133,10 +133,11 @@ func saturateEngine(t *testing.T, opts engine.Options, pkt engine.Packet) *engin
 // checkAdmitAllocFree runs saturateEngine's steady state once per admit
 // path and gated packet, and fails the test if any allocates. "inline" has
 // no injector, so a lone producer's Admit decides on its own goroutine
-// (envelope pool, warm sketch session query, packer offer, buffered reply);
-// "loop" attaches an empty fault.Injector, which keeps every Admit on the
-// queued path (envelope pool, bounded queue, consumer loop, the same
-// decide, reply).
+// (warm sketch session query on the caller's packet, packer offer, the
+// decision returned directly: no envelope, no reply channel); "loop"
+// attaches an empty fault.Injector, which keeps every Admit on the queued
+// path (envelope pool, bounded queue, consumer loop, the same decide,
+// buffered reply).
 func checkAdmitAllocFree(t *testing.T, opts engine.Options) {
 	t.Helper()
 	for _, path := range []string{"inline", "loop"} {
@@ -228,7 +229,9 @@ func TestEngineAdmitCancelNoLeak(t *testing.T) {
 			// both exits recycle exactly one envelope.
 			_ = err
 		}
-		// A live Admit right after must find a pooled envelope again.
+		// A live Admit right after decides inline if the loop has already
+		// settled the abandoned packet; otherwise it queues behind it and
+		// must find a pooled envelope again.
 		dec, err := eng.Admit(ctx, pkt)
 		if err != nil || dec.Verdict != engine.RejectedCost {
 			t.Fatalf("steady state broken: %+v, %v", dec, err)

@@ -22,6 +22,7 @@ import (
 	"gridroute/internal/core"
 	"gridroute/internal/engine"
 	"gridroute/internal/experiments"
+	"gridroute/internal/fault"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
 	"gridroute/internal/lattice"
@@ -58,18 +59,19 @@ func BenchmarkHotPath(b *testing.B) {
 		// the deletion of DP.RunFlat and is kept so this row's trajectory and
 		// its bench/baseline.txt entry stay one series.
 		b.ReportAllocs()
-		box := lattice.NewBox([]int{0, 0}, []int{48, 48})
-		edgeX := make([]float64, box.Size()*2)
-		rng := rand.New(rand.NewSource(1))
-		for i := range edgeX {
-			edgeX[i] = rng.Float64()
-		}
-		dp := box.NewDP()
-		dp.RunFlatBounded(box.Lo, box.Hi, edgeX, nil, lattice.Inf)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dp.RunFlatBounded(box.Lo, box.Hi, edgeX, nil, lattice.Inf)
-		}
+		benchDP(b, []int{48, 48}, false)
+	})
+	// DPRunFlatNode is DPRunFlat with node weights, which selects the
+	// node-weighted 2-axis kernel that Downscaled sketch sessions run.
+	b.Run("DPRunFlatNode", func(b *testing.B) {
+		b.ReportAllocs()
+		benchDP(b, []int{48, 48}, true)
+	})
+	// DPRunFlatGeneric is DPRunFlat on a 3-axis box, which takes the generic
+	// odometer sweep (three or more axes of extent > 1).
+	b.Run("DPRunFlatGeneric", func(b *testing.B) {
+		b.ReportAllocs()
+		benchDP(b, []int{13, 13, 13}, false)
 	})
 	b.Run("SketchQueryCold", func(b *testing.B) {
 		// One admission query on the stream workload's geometry. A 16×16
@@ -167,23 +169,48 @@ func BenchmarkHotPath(b *testing.B) {
 	})
 }
 
+// benchDP times an unbounded full-box DP from the origin of a box with the
+// given extents, with random edge weights and, if node, random node weights.
+func benchDP(b *testing.B, hi []int, node bool) {
+	box := lattice.NewBox(make([]int, len(hi)), hi)
+	rng := rand.New(rand.NewSource(1))
+	edgeX := make([]float64, box.Size()*len(hi))
+	for i := range edgeX {
+		edgeX[i] = rng.Float64()
+	}
+	var nodeX []float64
+	if node {
+		nodeX = make([]float64, box.Size())
+		for i := range nodeX {
+			nodeX[i] = rng.Float64()
+		}
+	}
+	dp := box.NewDP()
+	dp.RunFlatBounded(box.Lo, box.Hi, edgeX, nodeX, lattice.Inf)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dp.RunFlatBounded(box.Lo, box.Hi, edgeX, nodeX, lattice.Inf)
+	}
+}
+
 // BenchmarkEngineAdmit measures the streaming admission path end to end.
 // The one-producer cases find the engine idle on every admit, so each runs
-// the inline path on the benchmark goroutine: envelope pool → warm sketch
-// query → packer offer → buffered reply. FanIn mostly takes the queued
-// path: envelope pool → bounded queue → consumer loop → the same decide →
-// reply. The packets/sec custom metric is the engine's headline in the
-// BENCH_hotpath.json trajectory (recorded via cmd/benchjson). Mixed streams
-// varying src/dst pairs (accepts until the packer fills, then cost
-// rejects); Saturated pins the cost-reject steady state, which is the
-// 0-alloc path gated by alloc_test.go.
+// the inline path on the benchmark goroutine: warm sketch query on the
+// caller's packet → packer offer → the decision returned directly, with no
+// envelope and no reply channel. Queued and FanIn take the queued path:
+// envelope pool → bounded queue → consumer loop → the same decide →
+// buffered reply. The packets/sec custom metric is the engine's headline in
+// the BENCH_hotpath.json trajectory (recorded via cmd/benchjson). Mixed
+// streams varying src/dst pairs through one reused pair of slices (accepts
+// until the packer fills, then cost rejects); Saturated pins the
+// cost-reject steady state, which is the 0-alloc path gated by
+// alloc_test.go.
 func BenchmarkEngineAdmit(b *testing.B) {
-	newEngine := func(b *testing.B) *engine.Engine {
+	newEngine := func(b *testing.B, opts engine.Options) *engine.Engine {
 		b.Helper()
 		g := grid.Line(64, 3, 3)
-		eng, err := engine.New(g, engine.Options{
-			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-		})
+		opts.Horizon, opts.PMax, opts.ExpectPackets = 256, core.PMaxDet(g), 4096
+		eng, err := engine.New(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,9 +240,9 @@ func BenchmarkEngineAdmit(b *testing.B) {
 			}
 		}
 	}
-	b.Run("Mixed", func(b *testing.B) {
+	// mixed times Mixed's packet stream on eng from one producer.
+	mixed := func(b *testing.B, eng *engine.Engine) {
 		b.ReportAllocs()
-		eng := newEngine(b)
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{0}, Dst: grid.Vec{0}, Deadline: grid.InfDeadline}
 		b.ResetTimer()
@@ -229,6 +256,16 @@ func BenchmarkEngineAdmit(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 		drain(b, eng)
+	}
+	b.Run("Mixed", func(b *testing.B) {
+		mixed(b, newEngine(b, engine.Options{}))
+	})
+	// Queued is Mixed with an empty fault.Injector attached, which keeps
+	// every admit on the queued path: the control for what the inline path
+	// saves. It is absent from bench/baseline.txt, so the perf gate reports
+	// it as a new benchmark.
+	b.Run("Queued", func(b *testing.B) {
+		mixed(b, newEngine(b, engine.Options{Injector: fault.NewInjector(nil)}))
 	})
 	// WAL is Mixed with the write-ahead decision log on (fsync batched at the
 	// default cadence): the fault-tolerance tax on streaming throughput. New
@@ -236,28 +273,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	// skips this entry (disk-speed dependent); benchjson still records it as
 	// a labelled trajectory point.
 	b.Run("WAL", func(b *testing.B) {
-		b.ReportAllocs()
-		g := grid.Line(64, 3, 3)
-		eng, err := engine.New(g, engine.Options{
-			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-			WALPath: filepath.Join(b.TempDir(), "bench.wal"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		pkt := engine.Packet{Src: grid.Vec{0}, Dst: grid.Vec{0}, Deadline: grid.InfDeadline}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pkt.Seq = i
-			pkt.Src[0] = i % 40
-			pkt.Dst[0] = pkt.Src[0] + 8 + i%16
-			if _, err := eng.Admit(ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-		drain(b, eng)
+		mixed(b, newEngine(b, engine.Options{WALPath: filepath.Join(b.TempDir(), "bench.wal")}))
 	})
 	// Saturated measures the full-DP cost-reject steady state: every admit
 	// of the one packet runs the DP over its window. The extra
@@ -266,7 +282,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	// baseline by ~75%.
 	b.Run("Saturated", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newEngine(b)
+		eng := newEngine(b, engine.Options{})
 		ctx := context.Background()
 		pkt := engine.Packet{Src: grid.Vec{4}, Dst: grid.Vec{40}, Deadline: grid.InfDeadline}
 		saturate(b, eng, pkt)
@@ -293,13 +309,7 @@ func BenchmarkEngineAdmit(b *testing.B) {
 	// the procs value instead of merging them with the serial baseline.
 	b.Run("FanIn", func(b *testing.B) {
 		b.ReportAllocs()
-		g := grid.Line(64, 3, 3)
-		eng, err := engine.New(g, engine.Options{
-			Horizon: 256, PMax: core.PMaxDet(g), ExpectPackets: 4096,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := newEngine(b, engine.Options{})
 		ctx := context.Background()
 		var seq atomic.Int64
 		b.SetParallelism(4)

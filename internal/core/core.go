@@ -28,7 +28,8 @@ func PMaxDet(g *grid.Grid) int {
 		return g.Diameter()
 	}
 	bc := float64(g.B) / float64(g.C)
-	pm := 2 * float64(g.Diameter()) * (1 + float64(g.N())*(bc+float64(g.D())))
+	// float64(...) rounds the product before the add: no fused multiply-add.
+	pm := 2 * float64(g.Diameter()) * (1 + float64(float64(g.N())*(bc+float64(g.D()))))
 	return int(math.Ceil(pm))
 }
 

@@ -22,9 +22,11 @@
 // the paper's bounded buffers (a router with full ingress buffers drops).
 //
 // The warm admit path is allocation-free in steady state: the sketch query
-// session, the DP path, the route scratch and the per-packet envelopes are
-// all reused, and accepted packets are retained in chunked, pointer-stable
-// arenas (see alloc_test.go's gate at the repository root).
+// session, the DP path and the route scratch are reused, an inline admit
+// decides on the caller's packet and returns its decision directly, only a
+// queued packet takes an envelope (pooled) to carry it to the loop and its
+// decision back, and accepted packets are retained in chunked,
+// pointer-stable arenas (see alloc_test.go's gate at the repository root).
 package engine
 
 import (
@@ -89,8 +91,9 @@ func (v Verdict) String() string {
 // Packet is one admission attempt. Seq is the packet's position in the
 // online order: in InOrder mode every sequence number from FirstSeq upward
 // must be submitted exactly once, and decisions are made in Seq order
-// regardless of producer interleaving. Src and Dst are copied at submission
-// time, so the caller may reuse the backing slices as soon as Admit returns.
+// regardless of producer interleaving. The engine reads Src and Dst only
+// until Admit returns (it copies what it keeps), so the caller may reuse the
+// backing slices as soon as Admit returns.
 // Deadline uses the grid.Request convention: grid.InfDeadline means none.
 type Packet struct {
 	Seq      int
@@ -114,8 +117,9 @@ type Decision struct {
 	Cost float64
 	// Tiles is the number of tiles of the assigned route (Accepted only).
 	Tiles int
-	// Wait is the wall-clock latency from submission to decision. It is the
-	// only non-deterministic Decision field: determinism tests compare
+	// Wait is the latency from submission to decision, read from the
+	// monotonic clock at both ends (offsets from the engine's start). It is
+	// the only non-deterministic Decision field: determinism tests compare
 	// decisions with Wait stripped.
 	Wait time.Duration
 }
@@ -249,20 +253,20 @@ const (
 	envAbandoned               // submitter won: ctx cancelled, nobody will receive
 )
 
-// pending is the envelope of one in-flight admission: the packet (with
-// engine-owned coordinate copies), the submission timestamp, a reply channel
-// and a delivery state. Envelopes are pooled; ownership passes submit →
-// decider → submitter, where the decider is the loop for a queued packet and
-// the submitter itself for an inline one (which then finds its decision in
-// the buffered reply). Exactly one side returns each envelope to the pool:
-// the submitter after consuming the reply, or — when the submitter's ctx was
-// cancelled and its CAS to envAbandoned won — the loop at delivery time, so
-// a cancelled Admit leaks nothing and a reply can never bleed into a
-// recycled envelope.
+// pending is the envelope of one queued admission: the packet (with
+// engine-owned coordinate copies), the submission stamp, a reply channel and
+// a delivery state. An inline Admit takes none. Envelopes are pooled;
+// ownership passes submit → decider → submitter, where the decider is the
+// loop, or for a parked packet possibly an inline Admit that decides the
+// parked run behind its own packet. Exactly one side returns each envelope
+// to the pool: the submitter after consuming the reply, or — when the
+// submitter's ctx was cancelled and its CAS to envAbandoned won — the
+// decider at delivery time, so a cancelled Admit leaks nothing and a reply
+// can never bleed into a recycled envelope.
 type pending struct {
 	pkt      Packet
 	src, dst []int
-	enq      time.Time
+	enq      time.Duration // submission time, as an offset from Engine.epoch
 	state    atomic.Uint32
 	reply    chan Decision
 }
@@ -288,6 +292,10 @@ type Engine struct {
 
 	gapTimeout time.Duration
 	inj        *fault.Injector
+
+	// epoch is the monotonic origin of the submission stamps: Decision.Wait
+	// is the difference of two time.Since(epoch) reads.
+	epoch time.Time
 
 	// Write-ahead log state (decideMu-guarded after start; see recover.go).
 	wal      *wal.Writer
@@ -415,6 +423,7 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 		firstSeq:   opts.FirstSeq,
 		gapTimeout: opts.GapTimeout,
 		inj:        opts.Injector,
+		epoch:      time.Now(), //gridlint:allow metrics-only clock origin (Decision.Wait), never reaches the log
 		maskEpoch:  -1,
 		in:         make(chan *pending, queue),
 		done:       make(chan struct{}),
@@ -450,8 +459,9 @@ func (e *Engine) Params() (horizon int64, pmax, k int) { return e.horizon, e.pma
 // number of goroutines. After Drain has begun it returns ErrClosed.
 //
 // When no other packet is in flight, Admit decides the packet on the
-// calling goroutine instead of handing it to the consumer loop; the
-// decision is the same either way.
+// calling goroutine and returns the decision directly: no envelope, no
+// hand-off to the consumer loop, no reply channel. The decision is the same
+// either way.
 //
 // On ctx cancellation a queued packet's Admit returns promptly with
 // ctx.Err(), but the packet may still be decided (and, if accepted, routed)
@@ -464,14 +474,7 @@ func (e *Engine) Params() (horizon int64, pmax, k int) { return e.horizon, e.pma
 //
 //gridroute:hotpath
 func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
-	p := e.pool.Get().(*pending)
-	p.pkt = pkt
-	p.src = append(p.src[:0], pkt.Src...)
-	p.dst = append(p.dst[:0], pkt.Dst...)
-	p.pkt.Src = p.src
-	p.pkt.Dst = p.dst
-	p.enq = time.Now() //gridlint:allow metrics-only latency stamp (Decision.Wait), never reaches the log
-	p.state.Store(envWaiting)
+	enq := time.Since(e.epoch) //gridlint:allow metrics-only latency stamp (Decision.Wait), never reaches the log
 
 	// The closed flag, the inline decide and the channel send sit under a
 	// read lock so Drain's close(e.in) (under the write lock) cannot race a
@@ -481,14 +484,12 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 	e.mu.RLock()
 	if e.shut {
 		e.mu.RUnlock()
-		e.pool.Put(p)
 		return Decision{}, ErrClosed
 	}
 	e.submitted.Add(1)
 	if e.inj != nil && e.inj.StormBounce(pkt.Seq) {
 		// Injected queue-full storm: bounce exactly as a full queue would.
 		e.mu.RUnlock()
-		e.pool.Put(p)
 		e.rejQFull.Add(1)
 		return Decision{Seq: pkt.Seq, Verdict: RejectedQueueFull}, nil
 	}
@@ -500,17 +501,28 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 	if e.inj == nil && ctx.Err() == nil && e.inflight.CompareAndSwap(0, 1) {
 		e.decideMu.Lock()
 		if !e.inOrder || pkt.Seq == e.nextSeq {
-			e.step(p)
+			d := e.settle(&pkt, enq)
+			if e.inOrder {
+				// A later packet can have parked between the CAS and the
+				// lock; decide the run behind this one as the loop would.
+				e.advance()
+			}
 			e.decideMu.Unlock()
 			e.mu.RUnlock()
-			d := <-p.reply
-			e.pool.Put(p)
 			return d, nil
 		}
 		e.decideMu.Unlock()
 	} else {
 		e.inflight.Add(1)
 	}
+	p := e.pool.Get().(*pending)
+	p.pkt = pkt
+	p.src = append(p.src[:0], pkt.Src...)
+	p.dst = append(p.dst[:0], pkt.Dst...)
+	p.pkt.Src = p.src
+	p.pkt.Dst = p.dst
+	p.enq = enq
+	p.state.Store(envWaiting)
 	select {
 	case e.in <- p:
 		e.mu.RUnlock()
@@ -528,7 +540,7 @@ func (e *Engine) Admit(ctx context.Context, pkt Packet) (Decision, error) {
 		return d, nil
 	case <-ctx.Done():
 		if p.state.CompareAndSwap(envWaiting, envAbandoned) {
-			// The loop observes the abandonment at delivery time and
+			// The decider observes the abandonment at delivery time and
 			// recycles the envelope itself.
 			return Decision{}, ctx.Err()
 		}
@@ -608,25 +620,20 @@ func (e *Engine) loop() {
 			break
 		}
 		e.decideMu.Lock()
-		e.step(p)
+		if e.inOrder {
+			e.processOrdered(p)
+		} else {
+			e.process(p)
+		}
 		e.decideMu.Unlock()
 	}
 	e.flushParked()
 }
 
-// step is the decide step shared by the loop and an inline Admit: decide the
-// packet, or in InOrder mode park it until its Seq comes up. The caller
-// holds decideMu.
+// processOrdered decides a queued packet that is next in Seq order, and the
+// parked run behind it, or parks it until its Seq comes up. The caller holds
+// decideMu.
 //
-//gridroute:hotpath
-func (e *Engine) step(p *pending) {
-	if e.inOrder {
-		e.processOrdered(p)
-	} else {
-		e.process(p)
-	}
-}
-
 //gridroute:hotpath
 func (e *Engine) processOrdered(p *pending) {
 	if p.pkt.Seq != e.nextSeq {
@@ -634,15 +641,23 @@ func (e *Engine) processOrdered(p *pending) {
 		return
 	}
 	e.process(p)
-	e.nextSeq++
+	e.advance()
+}
+
+// advance moves nextSeq past the packet just decided and decides the run of
+// parked packets that follows it. The loop and an inline Admit both call it
+// after an in-order decision. The caller holds decideMu.
+//
+//gridroute:hotpath
+func (e *Engine) advance() {
 	for {
+		e.nextSeq++
 		q, ok := e.parked[e.nextSeq]
 		if !ok {
 			return
 		}
 		delete(e.parked, e.nextSeq)
 		e.process(q)
-		e.nextSeq++
 	}
 }
 
@@ -666,6 +681,9 @@ func (e *Engine) flushParked() {
 	}
 }
 
+// process decides a queued packet and delivers the decision to its
+// submitter. The caller holds decideMu.
+//
 //gridroute:hotpath
 func (e *Engine) process(p *pending) {
 	if e.inj != nil {
@@ -673,25 +691,27 @@ func (e *Engine) process(p *pending) {
 			time.Sleep(d) //gridlint:allow fault-injected slow-consumer stall: delays the loop, never changes a verdict
 		}
 	}
-	d := e.decide(&p.pkt)
-	d.Wait = time.Since(p.enq)
-	e.finalize(p, d)
+	e.deliver(p, e.settle(&p.pkt, p.enq))
 }
 
-// finalize is the single exit path of every decision, inline or from the
-// loop: count it, record it, journal it, deliver it.
+// settle is the single decide-and-record step of every decision, inline or
+// from the loop: decide the packet, stamp its Wait from the submission stamp
+// enq, count it, record it and journal it. It reads pkt only during the
+// call. The caller holds decideMu.
 //
 //gridroute:hotpath
-func (e *Engine) finalize(p *pending, d Decision) {
+func (e *Engine) settle(pkt *Packet, enq time.Duration) Decision {
+	d := e.decide(pkt)
+	d.Wait = time.Since(e.epoch) - enq
 	e.count(d)
 	if e.record {
 		e.decisions = append(e.decisions, d)
 	}
 	if e.wal != nil {
-		e.walAppend(&p.pkt, d)
+		e.walAppend(pkt, d)
 	}
 	e.inflight.Add(-1)
-	e.deliver(p, d)
+	return d
 }
 
 // deliver hands a decision to the submitter, or reclaims the envelope if the
@@ -704,7 +724,8 @@ func (e *Engine) deliver(p *pending, d Decision) {
 		p.reply <- d
 		return
 	}
-	// Abandoned: no receiver will ever come; the loop owns the envelope now.
+	// Abandoned: no receiver will ever come; the decider owns the envelope
+	// now.
 	e.pool.Put(p)
 }
 

@@ -1,10 +1,14 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"gridroute/internal/core"
 	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
+	"gridroute/internal/fault"
 	"gridroute/internal/grid"
 	"gridroute/internal/ipp"
 	"gridroute/internal/scenario"
@@ -122,9 +127,55 @@ func stripWait(ds []engine.Decision) []engine.Decision {
 // engine: N producer goroutines submit an interleaved partition of a seeded
 // arrival order into an InOrder engine, and the decision log must be
 // identical to the single-producer run — packet by packet, verdict by
-// verdict, cost by cost.
+// verdict, cost by cost. It runs at GOMAXPROCS ≥ 2 so that producers race
+// the consumer loop for the inline path: a later packet can park between an
+// inline Admit's in-flight check and its decide, and only that Admit's
+// drain of the parked run decides it. The stream case (perfbench's traffic
+// shape, many rounds) opens that window often; a lost parked run stalls
+// every producer, and the watchdog fails the round instead of hanging.
 func TestEngineDecisionDeterminismConcurrent(t *testing.T) {
+	atLeastTwoProcs(t)
 	g, reqs, opts := workload(t, 48, 200, 96, 7)
+	t.Run("line", func(t *testing.T) { checkConcurrentDeterminism(t, g, reqs, opts, 3) })
+	rounds := 20
+	if raceEnabled {
+		// The race detector slows each decision about 25-fold. Half the
+		// rounds keep CI's ten-run race gate near two minutes; an engine
+		// that loses a parked run stalls within the first few rounds.
+		rounds = 10
+	}
+	sg, sreqs, sopts := streamWorkload(t, 20000)
+	t.Run("stream", func(t *testing.T) { checkConcurrentDeterminism(t, sg, sreqs, sopts, rounds) })
+}
+
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the test if it is lower.
+func atLeastTwoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// streamWorkload is perfbench's stream traffic at a given packet count:
+// uniform sources and destinations on a 16×16 grid with B = c = 3, four
+// packets per time step, about 70% accepted.
+func streamWorkload(t *testing.T, n int) (*grid.Grid, []grid.Request, engine.Options) {
+	t.Helper()
+	g, reqs, err := scenario.Generate("uniform", map[string]float64{
+		"d": 2, "n": 16, "reqs": float64(n), "maxt": float64(n / 4), "seed": 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, reqs, engine.Options{
+		Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g), ExpectPackets: n,
+	}
+}
+
+// checkConcurrentDeterminism runs rounds of 8 strided producers into an
+// InOrder engine and compares each round's decision log and result with a
+// single-producer run.
+func checkConcurrentDeterminism(t *testing.T, g *grid.Grid, reqs []grid.Request, opts engine.Options, rounds int) {
 	opts.InOrder = true
 	opts.RecordDecisions = true
 
@@ -135,7 +186,7 @@ func TestEngineDecisionDeterminismConcurrent(t *testing.T) {
 	}
 
 	const producers = 8
-	for round := 0; round < 3; round++ {
+	for round := 0; round < rounds; round++ {
 		eng, err := engine.New(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +209,12 @@ func TestEngineDecisionDeterminismConcurrent(t *testing.T) {
 				}
 			}(p)
 		}
-		wg.Wait()
+		if !awaitProducers(eng, &wg, 10*time.Second) {
+			// The stuck producers stay blocked; draining would release them
+			// into a finished test.
+			t.Fatalf("round %d stuck: no decision for 10s with %d of %d packets decided (a parked packet was never decided)",
+				round, eng.Stats().Decided(), len(reqs))
+		}
 		if err := eng.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +229,141 @@ func TestEngineDecisionDeterminismConcurrent(t *testing.T) {
 			t.Fatalf("round %d: result diverges (throughput %d vs %d)", round, res.Throughput, seqRes.Throughput)
 		}
 	}
+}
+
+// awaitProducers waits for wg while the engine keeps deciding packets, and
+// reports false once no decision has landed for stall.
+func awaitProducers(eng *engine.Engine, wg *sync.WaitGroup, stall time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	tick := time.NewTicker(stall / 20)
+	defer tick.Stop()
+	last, since := eng.Stats().Decided(), time.Now()
+	for {
+		select {
+		case <-done:
+			return true
+		case <-tick.C:
+			if n := eng.Stats().Decided(); n != last {
+				last, since = n, time.Now()
+			} else if time.Since(since) >= stall {
+				return false
+			}
+		}
+	}
+}
+
+// reuseRun is one InOrder run with the WAL on, from producers strided
+// producers that admit under ctx. With reuse each producer submits every
+// packet through one Src and one Dst slice of its own, which it scribbles
+// over after every Admit; without, every packet gets fresh slices. It
+// returns the decision log (Wait stripped), the coordinates of every
+// admitted request in admission order, and the WAL bytes.
+func reuseRun(t *testing.T, ctx context.Context, g *grid.Grid, reqs []grid.Request, opts engine.Options, producers int, reuse bool) ([]engine.Decision, []int, []byte) {
+	t.Helper()
+	opts.InOrder = true
+	opts.RecordDecisions = true
+	opts.WALPath = filepath.Join(t.TempDir(), "engine.wal")
+	eng, err := engine.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			src, dst := make(grid.Vec, g.D()), make(grid.Vec, g.D())
+			for i := p; i < len(reqs); i += producers {
+				pkt := engine.PacketOf(&reqs[i])
+				if reuse {
+					copy(src, reqs[i].Src)
+					copy(dst, reqs[i].Dst)
+					pkt.Src, pkt.Dst = src, dst
+				} else {
+					pkt.Src = append(grid.Vec(nil), reqs[i].Src...)
+					pkt.Dst = append(grid.Vec(nil), reqs[i].Dst...)
+				}
+				if _, err := eng.Admit(ctx, pkt); err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("producer %d admit %d: %v", p, i, err)
+					return
+				}
+				if reuse {
+					for j := range src {
+						src[j], dst[j] = -1, -1
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	res := finishEngine(t, eng)
+	var coords []int
+	for _, a := range res.Admitted {
+		coords = append(coords, a.Req.Src...)
+		coords = append(coords, a.Req.Dst...)
+	}
+	log, err := os.ReadFile(opts.WALPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stripWait(res.Decisions), coords, log
+}
+
+// checkReuse compares rounds of reusing runs from producers producers with
+// one fresh-slice run.
+func checkReuse(t *testing.T, ctx context.Context, g *grid.Grid, reqs []grid.Request, opts engine.Options, producers, rounds int) {
+	t.Helper()
+	wantDec, wantCoords, wantLog := reuseRun(t, ctx, g, reqs, opts, 1, false)
+	if len(wantDec) != len(reqs) || len(wantCoords) == 0 {
+		t.Fatalf("fresh-slice run decided %d of %d packets and admitted %d coordinates", len(wantDec), len(reqs), len(wantCoords))
+	}
+	for round := 0; round < rounds; round++ {
+		gotDec, gotCoords, gotLog := reuseRun(t, ctx, g, reqs, opts, producers, true)
+		if !reflect.DeepEqual(wantDec, gotDec) {
+			t.Fatalf("round %d: decision log differs when producers reuse their Src/Dst slices", round)
+		}
+		if !reflect.DeepEqual(wantCoords, gotCoords) {
+			t.Fatalf("round %d: admitted requests' coordinates differ when producers reuse their Src/Dst slices", round)
+		}
+		if !bytes.Equal(wantLog, gotLog) {
+			t.Fatalf("round %d: WAL bytes differ when producers reuse their Src/Dst slices", round)
+		}
+	}
+}
+
+// TestEnginePacketReuse pins the Packet contract: the engine reads Src and
+// Dst only until Admit returns, so one producer may overwrite one pair of
+// slices after every Admit, as BenchmarkEngineAdmit/Mixed does. The run
+// must match a fresh-slice run's decision log, admitted coordinates and WAL
+// bytes, on the inline path and on the queued one (an empty fault.Injector
+// keeps every admit on the queue). In the abandoned case every Admit runs
+// under a cancelled context, so it may return with its packet still queued
+// and the producer scribbles over the slices before the loop decides it:
+// there the loop must read the envelope's copy.
+func TestEnginePacketReuse(t *testing.T) {
+	g, reqs, opts := streamWorkload(t, 4000)
+	ctx := context.Background()
+	t.Run("inline", func(t *testing.T) { checkReuse(t, ctx, g, reqs, opts, 1, 1) })
+	opts.Injector = fault.NewInjector(nil)
+	t.Run("queued", func(t *testing.T) { checkReuse(t, ctx, g, reqs, opts, 1, 1) })
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	opts.Queue = len(reqs) + 1
+	t.Run("abandoned", func(t *testing.T) { checkReuse(t, dead, g, reqs, opts, 1, 1) })
+}
+
+// TestEnginePacketReuseConcurrent is TestEnginePacketReuse with 4 InOrder
+// producers, each reusing its own pair of slices: admits mix the inline and
+// the queued path, and the race detector watches the engine read one
+// producer's slices while the others write theirs.
+func TestEnginePacketReuseConcurrent(t *testing.T) {
+	atLeastTwoProcs(t)
+	g, reqs, opts := streamWorkload(t, 4000)
+	checkReuse(t, context.Background(), g, reqs, opts, 4, 3)
 }
 
 // TestEngineBackpressure checks that a full bounded queue rejects instead of

@@ -161,9 +161,12 @@ func (p *Packer) commit(path []EdgeID) {
 		}
 		g, add := p.growth(ce)
 		old := p.xs[e]
-		nw := old*g + add
+		// The explicit float64 conversions round each product before the
+		// add, so no target fuses them into one multiply-add and the weights
+		// are the same bits on every GOARCH.
+		nw := float64(old*g) + add
 		p.xs[e] = nw
-		p.primalEdges += (nw - old) * ce
+		p.primalEdges += float64((nw - old) * ce)
 		if load := float64(f) / ce; load > p.maxLoad {
 			p.maxLoad = load
 		}
@@ -192,8 +195,9 @@ func (p *Packer) Load(e EdgeID) float64 {
 // guarantees MaxLoad ≤ log₂(1 + 3·pmax).
 func (p *Packer) MaxLoad() float64 { return p.maxLoad }
 
-// LoadBound returns the Theorem 1 load bound log₂(1 + 3·pmax).
-func (p *Packer) LoadBound() float64 { return math.Log2(1 + 3*p.pmax) }
+// LoadBound returns the Theorem 1 load bound log₂(1 + 3·pmax). The
+// float64 conversion keeps 3·pmax rounded apart from the add, as in commit.
+func (p *Packer) LoadBound() float64 { return math.Log2(1 + float64(3*p.pmax)) }
 
 // PrimalValue returns Σ_e x_e·c(e) + Σ_i z_i. It is a feasible primal
 // (covering) solution value and hence an upper bound on the optimal
@@ -202,7 +206,8 @@ func (p *Packer) LoadBound() float64 { return math.Log2(1 + 3*p.pmax) }
 func (p *Packer) PrimalValue() float64 { return p.primalEdges + p.primalZ }
 
 // K returns the tile-side parameter k = ⌈log₂(1 + 3·pmax)⌉ used by the
-// deterministic and randomized algorithms.
+// deterministic and randomized algorithms. The float64 conversion keeps
+// 3·pmax rounded apart from the add, as in Packer.commit.
 func K(pmax int) int {
-	return int(math.Ceil(math.Log2(1 + 3*float64(pmax))))
+	return int(math.Ceil(math.Log2(1 + float64(3*float64(pmax)))))
 }
