@@ -20,6 +20,7 @@ import (
 
 	"gridroute/internal/baseline"
 	"gridroute/internal/core"
+	"gridroute/internal/detroute"
 	"gridroute/internal/engine"
 	"gridroute/internal/experiments"
 	"gridroute/internal/fault"
@@ -143,6 +144,46 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			query()
+		}
+	})
+	// DetrouteRun times detailed routing alone, detroute.Router.Run, which
+	// is most of engine.Finish, on a fixed admitted set: the uniform
+	// scenario's 64-node line at seed 1, admitted once by an engine. The
+	// space-time graph, tiling and sketch are rebuilt as the engine builds
+	// them.
+	b.Run("DetrouteRun", func(b *testing.B) {
+		b.ReportAllocs()
+		g, reqs, err := scenario.Generate("uniform", map[string]float64{"seed": 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := engine.New(g, engine.Options{Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		for i := range reqs {
+			if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[i])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := eng.Drain(ctx); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := spacetime.New(g, res.Horizon)
+		side := make([]int, g.D()+1)
+		for i := range side {
+			side[i] = res.K
+		}
+		sk := sketch.New(st, tiling.New(st.Box, side, make([]int, len(side))), sketch.Downscaled)
+		rt := detroute.New(st, sk)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt.Run(res.Admitted)
 		}
 	})
 	// ReplayWarm: a warm Incremental.ReplayInto of the deterministic

@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,8 +54,10 @@ type Entry struct {
 	Pkg    string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS the benchmarks ran at: the child's value when
 	// benchjson ran go test itself, otherwise the procs suffix recovered
-	// from the result lines. 0 (omitted) means unknown — an -input file
-	// with no suffix. Multi-core entries label the trajectory instead of
+	// from the result lines, or 1 when no result line ends in -<digits>
+	// (go test appends -N to every name whenever N > 1). 0 (omitted) means
+	// unknown — an -input file whose names end in numbers that are not one
+	// shared suffix. Multi-core entries label the trajectory instead of
 	// silently losing the suffix to name normalization.
 	Procs     int         `json:"procs,omitempty"`
 	Count     int         `json:"count,omitempty"`
@@ -249,10 +252,15 @@ func parseBench(out string, knownProcs int) (Entry, error) {
 	}
 	// Label the entry with the procs value instead of discarding it with the
 	// suffix: known from the child process, else recovered from the names.
-	if knownProcs > 0 {
+	// go test appends -N to every name whenever it runs at N > 1, so an
+	// input where no name ends in -<digits> was run at GOMAXPROCS=1.
+	switch {
+	case knownProcs > 0:
 		e.Procs = knownProcs
-	} else if suffix != "" {
+	case suffix != "":
 		e.Procs, _ = strconv.Atoi(suffix[1:])
+	case !slices.ContainsFunc(names, hasNumericTail):
+		e.Procs = 1
 	}
 	byName := map[string]int{}
 	for _, l := range lines {
@@ -286,13 +294,10 @@ func parseBench(out string, knownProcs int) (Entry, error) {
 func commonProcsSuffix(names []string) string {
 	suffix := ""
 	for i, name := range names {
+		if !hasNumericTail(name) {
+			return ""
+		}
 		j := strings.LastIndexByte(name, '-')
-		if j < 0 {
-			return ""
-		}
-		if _, err := strconv.Atoi(name[j+1:]); err != nil {
-			return ""
-		}
 		if i == 0 {
 			suffix = name[j:]
 		} else if name[j:] != suffix {
@@ -300,4 +305,14 @@ func commonProcsSuffix(names []string) string {
 		}
 	}
 	return suffix
+}
+
+// hasNumericTail reports whether name ends in -<digits>.
+func hasNumericTail(name string) bool {
+	j := strings.LastIndexByte(name, '-')
+	if j < 0 {
+		return false
+	}
+	_, err := strconv.Atoi(name[j+1:])
+	return err == nil
 }

@@ -204,6 +204,35 @@ PASS
 	}
 }
 
+// An -input file run at GOMAXPROCS=1 has no procs suffix on any line: go
+// test appends -N to every name whenever N > 1, so such a file is labelled
+// procs=1. Names that end in numbers keep the old reading: a lone numeric
+// name is still read as a suffix, and mixed tails leave procs unknown.
+func TestParseBenchInputProcsLabel(t *testing.T) {
+	const procsFree = `BenchmarkHotPath/DetrouteRun 	    2763	    417586 ns/op	   83420 B/op	    1120 allocs/op
+BenchmarkHotPath/DetrouteRun 	    2553	    417693 ns/op	   83420 B/op	    1120 allocs/op
+BenchmarkEngineAdmit/Mixed 	  263941	      1209 ns/op
+PASS
+`
+	cases := []struct {
+		name, input string
+		procs       int
+	}{
+		{"no numeric tail", procsFree, 1},
+		{"lone numeric name", "BenchmarkHotPath/size-128 \t 500000\t 2105 ns/op\n", 128},
+		{"mixed tails", "BenchmarkHotPath/size-128 \t 500000\t 2105 ns/op\nBenchmarkThm4DetLine \t 220\t 5836721 ns/op\n", 0},
+	}
+	for _, tc := range cases {
+		e, err := parseBench(tc.input, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Procs != tc.procs {
+			t.Errorf("%s: procs = %d, want %d", tc.name, e.Procs, tc.procs)
+		}
+	}
+}
+
 func TestParseBenchRejectsEmpty(t *testing.T) {
 	if _, err := parseBench("PASS\nok x 1s\n", 0); err == nil {
 		t.Fatal("expected error on output with no benchmarks")

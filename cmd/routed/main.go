@@ -94,6 +94,10 @@ type metrics struct {
 	LoadBound        float64 `json:"load_bound"`
 	PrimalValue      float64 `json:"primal_value"`
 	ReplayViolations int     `json:"replay_violations"`
+	// RouteAnomalies is detailed routing's count of events its analysis
+	// rules out (detroute.Stats.Anomalies): overruns, packets unable to
+	// move, horizon overflow. On a line it cannot occur.
+	RouteAnomalies int `json:"route_anomalies"`
 
 	Partial bool `json:"partial"`
 }
@@ -354,6 +358,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Throughput: res.Throughput, ReachedLastTile: res.ReachedLastTile,
 		MaxLoad: res.MaxLoad, LoadBound: res.LoadBound, PrimalValue: res.PrimalValue,
 		ReplayViolations: violations,
+		RouteAnomalies:   res.RouteStats.Anomalies,
 		Partial:          interrupted,
 	}
 	out, err := json.MarshalIndent(m, "", "  ")

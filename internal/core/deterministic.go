@@ -98,9 +98,10 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 	// sketch/packer state is built once, not per request. With one
 	// producer nothing else is ever in flight, so every Admit decides on
 	// this goroutine, without a hand-off to the engine's consumer loop.
+	// No ExpectPackets: a batch run admits a fraction of what it is
+	// offered, and the engine's arenas grow with what it admits.
 	eng, err := engine.New(g, engine.Options{
-		Horizon: horizon, PMax: pmax, TileSide: k,
-		Queue: 1, ExpectPackets: len(reqs),
+		Horizon: horizon, PMax: pmax, TileSide: k, Queue: 1,
 	})
 	if err != nil {
 		return nil, err

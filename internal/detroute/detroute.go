@@ -20,11 +20,18 @@
 // realizable by the distributed online protocol the paper describes:
 // conflicting packets are always co-located at a node when the conflict is
 // decided.
+//
+// The sweep relies on one invariant: every packet in flight at step t lies
+// on the time slice t = w + Σx. A packet is injected at its arrival time, and
+// every move, a transmission or a hold, adds 1 to w + Σx. So two packets in
+// flight share a lattice node exactly when they share a grid node, and each
+// step groups its packets by grid node id. Each packet keeps its grid node
+// and its tile current as it moves: a move adds one stride to each and
+// compares the moved coordinate with the next tile boundary on that axis.
 package detroute
 
 import (
 	"sort"
-	"sync"
 
 	"gridroute/internal/dense"
 	"gridroute/internal/grid"
@@ -118,10 +125,6 @@ func New(st *spacetime.Graph, sk *sketch.Graph) *Router {
 	return &Router{ST: st, SK: sk}
 }
 
-// bucketsPool recycles the per-run node-grouping buckets across detailed
-// routing runs (sweeps run thousands of them).
-var bucketsPool = sync.Pool{New: func() any { return new(dense.Buckets) }}
-
 type phase int
 
 const (
@@ -142,7 +145,12 @@ type pkt struct {
 	dir   int // current travel axis
 	turn  int // pending knock-knee turn target axis (-1 none)
 	pos   []int
-	node  int // box id of pos, maintained incrementally
+	// gnode is the grid node id of pos and tile the dense id of the tile
+	// that holds pos; next[a] is the coordinate along axis a where the next
+	// tile begins. A move keeps all three current.
+	gnode int
+	tile  int
+	next  []int
 	// arrivedVia is the axis of the last move (-1 right after injection).
 	arrivedVia int
 	// pending is the axis claimed for the current step (-1: not yet).
@@ -167,8 +175,8 @@ type pkt struct {
 // path hands the walked path over to the caller. The packet dies with Run,
 // so its slices are returned, not copied; the full-slice expressions keep an
 // append by the caller from writing into spare capacity.
-func (p *pkt) path() *lattice.Path {
-	return &lattice.Path{Start: p.start[:len(p.start):len(p.start)], Axes: p.moves[:len(p.moves):len(p.moves)]}
+func (p *pkt) path() lattice.Path {
+	return lattice.Path{Start: p.start[:len(p.start):len(p.start)], Axes: p.moves[:len(p.moves):len(p.moves)]}
 }
 
 func (p *pkt) part() Part {
@@ -197,17 +205,43 @@ func (p *pkt) desired() int {
 func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	var stats Stats
 	stats.Injected = len(admitted)
-	d := rt.ST.G.D()
+	n := len(admitted)
+	g := rt.ST.G
+	d := g.D()
 	axes := d + 1
 	box := rt.ST.Box
+	tl := rt.SK.Tl
 	if len(rt.tileBuf) < axes {
 		rt.tileBuf = make([]int, axes)
 		rt.tcBuf = make([]int, axes)
 		rt.orgBuf = make([]int, axes)
 	}
 
-	all := make([]*pkt, len(admitted))
-	recs := make([]pkt, len(admitted))
+	// Per-axis steps of a packet's grouping key (a row-major grid node id;
+	// a hold stays at its node) and of its tile id, and the tile sides.
+	var gstride, tstride, side [MaxAxes]int
+	for a, s := d-1, 1; a >= 0; a-- {
+		gstride[a] = s
+		s *= g.Dims[a]
+	}
+	// A route of T tiles walks at most Σ(side−1) moves inside each tile and
+	// one move out of it, so T·span bounds its moves.
+	span := 1
+	for a := 0; a < axes; a++ {
+		tstride[a] = tl.TBox.Stride(a)
+		side[a] = tl.Side[a]
+		span += side[a] - 1
+	}
+	total := 0
+	for i := range admitted {
+		total += len(admitted[i].Route.Tiles) * span
+	}
+
+	// Each packet's coordinates and moves are cut from per-run slices.
+	coords := make([]int, 3*n*axes)
+	moves := make([]uint8, total)
+	all := make([]*pkt, n)
+	recs := make([]pkt, n)
 	for i := range admitted {
 		a := &admitted[i]
 		p := &recs[i]
@@ -216,9 +250,23 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			turn: -1, arrivedVia: -1, pending: -1,
 			firstBend: -1, lastBend: -1,
 		}
-		p.pos = rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, nil)
-		p.node = box.Index(p.pos)
-		p.start = append([]int(nil), p.pos...)
+		c := coords[3*i*axes : 3*(i+1)*axes]
+		p.pos = c[:axes:axes]
+		p.start = c[axes : 2*axes : 2*axes]
+		p.next = c[2*axes:]
+		rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, p.pos)
+		copy(p.start, p.pos)
+		for x := 0; x < d; x++ {
+			p.gnode += p.pos[x] * gstride[x]
+		}
+		tc := tl.TileOf(p.pos, rt.tileBuf)
+		p.tile = tl.TBox.Index(tc)
+		for x, o := range tl.Origin(tc, rt.orgBuf) {
+			p.next[x] = o + side[x]
+		}
+		m := len(a.Route.Tiles) * span
+		p.moves = moves[:0:m]
+		moves = moves[m:]
 		for j := 1; j < len(a.Route.Axes); j++ {
 			if a.Route.Axes[j] != a.Route.Axes[j-1] {
 				if p.firstBend < 0 {
@@ -230,6 +278,10 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		if len(a.Route.Axes) > 0 {
 			p.dir = int(a.Route.Axes[0])
 		}
+		// The first segment's interval end is fixed by the route and its
+		// first axis; arrive only replaces it when the packet leaves
+		// track 1's first segment.
+		p.endCoord = rt.firstEndpoint(p)
 		all[i] = p
 	}
 
@@ -270,20 +322,21 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		}
 	}
 
-	active := make([]*pkt, 0, len(admitted))
-	// Per-step node grouping uses pooled epoch-stamped buckets over the
-	// box's node ids: no hashing per packet and no per-step map churn.
-	// Bucket chains preserve active order and keys come out in first-seen
-	// order, so grouping is deterministic.
-	groups := bucketsPool.Get().(*dense.Buckets)
-	defer bucketsPool.Put(groups)
+	active := make([]*pkt, 0, n)
+	// Per-step node grouping uses epoch-stamped buckets over the grid's
+	// node ids: no hashing per packet and no per-step map churn. Bucket
+	// chains preserve active order and keys come out in first-seen order,
+	// so grouping is deterministic. The first Reset sizes the item chain
+	// for every packet at once.
+	var groups dense.Buckets
+	groups.Reset(g.N(), n)
 	groupBuf := make([]*pkt, 0, 16)
 
 	for t := minT; t <= endT; t++ {
 		for inCursor < len(arrOrder) && arrOrder[inCursor].req.Arrival == t {
 			p := arrOrder[inCursor]
 			inCursor++
-			if rt.arrive(p, &stats, drop) {
+			if rt.arrive(p, drop) {
 				active = append(active, p)
 			}
 		}
@@ -291,13 +344,15 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			if inCursor == len(arrOrder) {
 				break
 			}
+			// Nothing in flight: skip to the next arrival.
+			t = arrOrder[inCursor].req.Arrival - 1
 			continue
 		}
 
-		groups.Reset(box.Size(), len(active))
+		groups.Reset(g.N(), len(active))
 		for i, p := range active {
 			p.pending = -1
-			groups.Put(p.node, i)
+			groups.Put(p.gnode, i)
 		}
 		for _, key := range groups.Keys() {
 			groupBuf = groupBuf[:0]
@@ -318,16 +373,19 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			}
 			a := p.pending
 			p.pending = -1
-			nid, ok := box.Step(p.node, a)
-			if !ok {
+			if p.pos[a]+1 >= box.Hi[a] {
 				drop(p, p.part(), true) // fell off the box/horizon
 				continue
 			}
-			p.node = nid
 			p.pos[a]++
+			p.gnode += gstride[a]
+			if p.pos[a] == p.next[a] {
+				p.tile += tstride[a]
+				p.next[a] += side[a]
+			}
 			p.moves = append(p.moves, uint8(a))
 			p.arrivedVia = a
-			if rt.arrive(p, &stats, drop) {
+			if rt.arrive(p, drop) {
 				next = append(next, p)
 			}
 		}
@@ -339,11 +397,13 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		}
 	}
 
-	outs := make([]Outcome, len(admitted))
+	outs := make([]Outcome, n)
+	paths := make([]lattice.Path, n)
 	for i, p := range all {
 		o := &outs[i]
 		o.ReachedLastTile = p.reachedLast
-		o.Path = p.path()
+		paths[i] = p.path()
+		o.Path = &paths[i]
 		if p.phase == phDone {
 			o.Delivered = true
 			o.DeliveredAt = p.deliveredAt
@@ -361,10 +421,9 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 
 // arrive processes a packet that just landed on p.pos (or was injected).
 // It returns false when the packet left the system (delivered or dropped).
-func (rt *Router) arrive(p *pkt, stats *Stats, drop func(*pkt, Part, bool)) bool {
-	tl := rt.SK.Tl
+func (rt *Router) arrive(p *pkt, drop func(*pkt, Part, bool)) bool {
 	tiles := p.route.Tiles
-	cur := tl.TBox.Index(tl.TileOf(p.pos, rt.tileBuf))
+	cur := p.tile
 
 	// Advance along the tile sequence; leaving it is an overrun.
 	if p.routeIdx+1 < len(tiles) && cur == tiles[p.routeIdx+1] {
@@ -418,9 +477,6 @@ func (rt *Router) arrive(p *pkt, stats *Stats, drop func(*pkt, Part, bool)) bool
 				// this tile (track 1 → track 2).
 				p.turn = int(p.route.Axes[p.firstBend])
 			}
-		}
-		if p.phase == phFirst {
-			p.endCoord = rt.firstEndpoint(p)
 		}
 	case phInternal:
 		if p.routeIdx == p.lastBend {
@@ -613,8 +669,9 @@ func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
 
 // resolveStraight applies the GLL82 rule per outgoing edge: among the
 // packets of one track wanting the same edge, the one whose interval ends
-// first survives; the rest are preempted. Sorted arrival (by left endpoint)
-// is guaranteed by the time sweep.
+// first (the lowest admission index among equal ends) survives; the rest
+// are preempted. Sorted arrival (by left endpoint) is guaranteed by the
+// time sweep.
 func (rt *Router) resolveStraight(pkts []*pkt, axes int, track1 bool, drop func(*pkt, Part, bool)) {
 	byAxis := &rt.byAxis
 	for a := range byAxis {
@@ -640,17 +697,17 @@ func (rt *Router) resolveStraight(pkts []*pkt, axes int, track1 bool, drop func(
 		if len(group) == 0 {
 			continue
 		}
-		if len(group) > 1 {
-			sort.Slice(group, func(i, j int) bool {
-				if group[i].endCoord != group[j].endCoord {
-					return group[i].endCoord < group[j].endCoord
-				}
-				return group[i].idx < group[j].idx
-			})
-		}
-		group[0].pending = a
+		win := group[0]
 		for _, p := range group[1:] {
-			drop(p, p.part(), false)
+			if p.endCoord < win.endCoord || p.endCoord == win.endCoord && p.idx < win.idx {
+				win = p
+			}
+		}
+		win.pending = a
+		for _, p := range group {
+			if p != win {
+				drop(p, p.part(), false)
+			}
 		}
 	}
 }

@@ -16,37 +16,58 @@ import (
 // as more packets are accepted; coordinate and axis payloads are sub-sliced
 // (with full-slice expressions, so appends cannot bleed across entries)
 // from shared backing chunks. Steady-state cost is one allocation per
-// chunk, amortized to ~0 per accept; Options.ExpectPackets sizes the first
-// request/route chunks to cover a known workload outright.
+// chunk, amortized to ~0 per accept.
+//
+// Chunks start small and double up to maxReqChunk requests, maxIntChunk
+// ints and maxAxChunk axes, so a run allocates for what it admits, not for
+// what it is offered: batch runs (core.RunDeterministic) admit a fraction
+// of their requests and pass no ExpectPackets. A caller that sets
+// Options.ExpectPackets gets full-size chunks from the start, the first
+// request/route chunk sized to cover the workload outright, and pays their
+// page faults in New rather than in the timed admits (see ExpectPackets).
 type arena struct {
 	reqs   []grid.Request
 	routes []sketch.Route
 	ints   []int
 	axes   []uint8
 
+	// Sizes of the next chunk of each kind.
 	reqChunk, intChunk, axChunk int
 }
 
+const (
+	maxReqChunk = 1 << 10
+	maxIntChunk = 1 << 14
+	maxAxChunk  = 1 << 13
+	// The first chunks hold 1/64 of the largest.
+	growSteps = 6
+)
+
 func (a *arena) init(hint int) {
-	a.reqChunk = 1 << 10
-	a.intChunk = 1 << 14
-	a.axChunk = 1 << 13
-	if hint > a.reqChunk {
-		a.reqChunk = hint
+	if hint <= 0 {
+		a.reqChunk = maxReqChunk >> growSteps
+		a.intChunk = maxIntChunk >> growSteps
+		a.axChunk = maxAxChunk >> growSteps
+		return
 	}
-	if hint > 0 {
-		a.reqs = make([]grid.Request, 0, a.reqChunk)
-		a.routes = make([]sketch.Route, 0, a.reqChunk)
+	a.reqChunk, a.intChunk, a.axChunk = max(hint, maxReqChunk), maxIntChunk, maxAxChunk
+	a.reqs = make([]grid.Request, 0, a.reqChunk)
+	a.routes = make([]sketch.Route, 0, a.reqChunk)
+}
+
+// chunk returns the size of a new chunk that must hold at least n items
+// and doubles the next one's, up to limit.
+func chunk(next *int, n, limit int) int {
+	c := *next
+	if c < limit {
+		*next = min(2*c, limit)
 	}
+	return max(c, n)
 }
 
 func (a *arena) allocInts(n int) []int {
 	if len(a.ints)+n > cap(a.ints) {
-		c := a.intChunk
-		if c < n {
-			c = n
-		}
-		a.ints = make([]int, 0, c)
+		a.ints = make([]int, 0, chunk(&a.intChunk, n, maxIntChunk))
 	}
 	off := len(a.ints)
 	a.ints = a.ints[:off+n]
@@ -55,11 +76,7 @@ func (a *arena) allocInts(n int) []int {
 
 func (a *arena) allocAxes(n int) []uint8 {
 	if len(a.axes)+n > cap(a.axes) {
-		c := a.axChunk
-		if c < n {
-			c = n
-		}
-		a.axes = make([]uint8, 0, c)
+		a.axes = make([]uint8, 0, chunk(&a.axChunk, n, maxAxChunk))
 	}
 	off := len(a.axes)
 	a.axes = a.axes[:off+n]
@@ -74,7 +91,10 @@ func (a *arena) allocAxes(n int) []uint8 {
 // those).
 func (a *arena) retain(r *grid.Request, rt *sketch.Route) detroute.Admitted {
 	if len(a.reqs) == cap(a.reqs) {
-		a.reqs = make([]grid.Request, 0, a.reqChunk)
+		// Requests and routes fill in step, one of each per retain.
+		c := chunk(&a.reqChunk, 1, maxReqChunk)
+		a.reqs = make([]grid.Request, 0, c)
+		a.routes = make([]sketch.Route, 0, c)
 	}
 	a.reqs = a.reqs[:len(a.reqs)+1]
 	req := &a.reqs[len(a.reqs)-1]
@@ -84,9 +104,6 @@ func (a *arena) retain(r *grid.Request, rt *sketch.Route) detroute.Admitted {
 	req.Dst = a.allocInts(len(r.Dst))
 	copy(req.Dst, r.Dst)
 
-	if len(a.routes) == cap(a.routes) {
-		a.routes = make([]sketch.Route, 0, a.reqChunk)
-	}
 	a.routes = a.routes[:len(a.routes)+1]
 	ro := &a.routes[len(a.routes)-1]
 	ro.Tiles = a.allocInts(len(rt.Tiles))

@@ -90,6 +90,9 @@ func (b *Box) Index(p []int) int {
 	return id
 }
 
+// Stride returns how much a +1 step along axis adds to a point's dense id.
+func (b *Box) Stride(axis int) int { return b.stride[axis] }
+
 // Point maps a dense id back to coordinates, writing into out when non-nil.
 func (b *Box) Point(id int, out []int) []int {
 	if out == nil {
