@@ -5,10 +5,10 @@
 package gridroute
 
 import (
-	"math/rand"
-	"testing"
-
 	"context"
+	"math/rand"
+	"runtime"
+	"testing"
 
 	"gridroute/internal/core"
 	"gridroute/internal/engine"
@@ -285,5 +285,56 @@ func TestSTPackerLightestPathWarmAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { query(true) }); allocs != 0 {
 		t.Fatalf("warm Session.Offer allocates %v/run, want 0", allocs)
+	}
+}
+
+// TestFinishAllocsConstant: Finish allocates a fixed number of per-run
+// slabs (detailed routing's packets, coordinates, moves and index lists,
+// the outcomes and paths, the schedules' structs, source nodes and moves),
+// not one object per packet, so its allocation count is the same on
+// uniform at seed 1 and on an instance 4× larger in nodes, requests and
+// arrival span. A per-packet allocation coming back breaks the equality, and
+// so does a moves bound that is too small: each packet's moves are cut from
+// one slab at its bound, and an append past it reallocates. Some packet on
+// each instance walks exactly its bound.
+func TestFinishAllocsConstant(t *testing.T) {
+	skipIfRace(t)
+	finishAllocs := func(params map[string]float64) uint64 {
+		g, reqs, err := scenario.Generate("uniform", params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmax := core.PMaxDet(g)
+		eng, err := engine.New(g, engine.Options{
+			Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: pmax, TileSide: core.TileSideDet(pmax), Queue: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for i := range reqs {
+			if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := eng.Finish()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput == 0 {
+			t.Fatal("nothing delivered on time")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small := finishAllocs(map[string]float64{"seed": 1})
+	large := finishAllocs(map[string]float64{"seed": 1, "n": 256, "reqs": 800, "maxt": 512})
+	if small != large || small > 16 {
+		t.Fatalf("Finish allocates %d times on uniform and %d times on a 4× larger instance, want the same count of at most 16", small, large)
 	}
 }

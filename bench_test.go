@@ -148,43 +148,18 @@ func BenchmarkHotPath(b *testing.B) {
 	})
 	// DetrouteRun times detailed routing alone, detroute.Router.Run, which
 	// is most of engine.Finish, on a fixed admitted set: the uniform
-	// scenario's 64-node line at seed 1, admitted once by an engine. The
-	// space-time graph, tiling and sketch are rebuilt as the engine builds
-	// them.
+	// scenario's 64-node line at seed 1, where 67 of the 200 routes bend.
 	b.Run("DetrouteRun", func(b *testing.B) {
-		b.ReportAllocs()
-		g, reqs, err := scenario.Generate("uniform", map[string]float64{"seed": 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := engine.New(g, engine.Options{Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		for i := range reqs {
-			if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[i])); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := eng.Drain(ctx); err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := spacetime.New(g, res.Horizon)
-		side := make([]int, g.D()+1)
-		for i := range side {
-			side[i] = res.K
-		}
-		sk := sketch.New(st, tiling.New(st.Box, side, make([]int, len(side))), sketch.Downscaled)
-		rt := detroute.New(st, sk)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(res.Admitted)
-		}
+		benchDetroute(b, "uniform")
+	})
+	// DetrouteRunGrid is DetrouteRun on lattice3d-uniform's 6×6×6 grid at
+	// seed 1. Its tile side (k = 17) exceeds the grid, so every route is one
+	// tile and the run times last-tile routing over three space axes:
+	// dimension-order turns, track-3 preemption and overshoot losses. No
+	// route bends, so of the two only DetrouteRun reaches the knock-knee
+	// rules.
+	b.Run("DetrouteRunGrid", func(b *testing.B) {
+		benchDetroute(b, "lattice3d-uniform")
 	})
 	// ReplayWarm: a warm Incremental.ReplayInto of the deterministic
 	// algorithm's schedules on a 96-node line (Model 1): size the window,
@@ -208,6 +183,46 @@ func BenchmarkHotPath(b *testing.B) {
 			b.Fatalf("violations: %v", out.Violation)
 		}
 	})
+}
+
+// benchDetroute times detroute.Router.Run on scenario id's instance at
+// seed 1, admitted once by an engine at the scenario's default parameters.
+// The space-time graph, tiling and sketch are rebuilt as the engine builds
+// them.
+func benchDetroute(b *testing.B, id string) {
+	b.ReportAllocs()
+	g, reqs, err := scenario.Generate(id, map[string]float64{"seed": 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := engine.New(g, engine.Options{Horizon: spacetime.SuggestHorizon(g, reqs, 3), PMax: core.PMaxDet(g)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := range reqs {
+		if _, err := eng.Admit(ctx, engine.PacketOf(&reqs[i])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Drain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := spacetime.New(g, res.Horizon)
+	side := make([]int, g.D()+1)
+	for i := range side {
+		side[i] = res.K
+	}
+	sk := sketch.New(st, tiling.New(st.Box, side, make([]int, len(side))), sketch.Downscaled)
+	rt := detroute.New(st, sk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Run(res.Admitted)
+	}
 }
 
 // benchDP times an unbounded full-box DP from the origin of a box with the

@@ -68,49 +68,6 @@ func TestCountsEpochWrap(t *testing.T) {
 	}
 }
 
-func TestBucketsOrder(t *testing.T) {
-	var b Buckets
-	b.Reset(10, 6)
-	b.Put(4, 0)
-	b.Put(2, 1)
-	b.Put(4, 2)
-	b.Put(2, 3)
-	b.Put(4, 4)
-	b.Put(9, 5)
-	keys := b.Keys()
-	if len(keys) != 3 || keys[0] != 4 || keys[1] != 2 || keys[2] != 9 {
-		t.Fatalf("Keys = %v, want [4 2 9]", keys)
-	}
-	var chain []int
-	for it := b.First(4); it >= 0; it = b.Next(it) {
-		chain = append(chain, it)
-	}
-	if len(chain) != 3 || chain[0] != 0 || chain[1] != 2 || chain[2] != 4 {
-		t.Fatalf("bucket 4 chain = %v, want [0 2 4]", chain)
-	}
-	if b.First(3) != -1 {
-		t.Fatalf("empty bucket First = %d, want -1", b.First(3))
-	}
-}
-
-func TestBucketsReset(t *testing.T) {
-	var b Buckets
-	b.Reset(4, 2)
-	b.Put(1, 0)
-	b.Put(1, 1)
-	b.Reset(4, 2)
-	if b.First(1) != -1 {
-		t.Fatalf("bucket survives Reset")
-	}
-	if len(b.Keys()) != 0 {
-		t.Fatalf("Keys survive Reset: %v", b.Keys())
-	}
-	b.Put(1, 1)
-	if b.First(1) != 1 || b.Next(1) != -1 {
-		t.Fatalf("bucket after reuse broken")
-	}
-}
-
 func TestCountsWarmResetAllocFree(t *testing.T) {
 	var c Counts
 	c.Reset(64)

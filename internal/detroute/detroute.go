@@ -25,15 +25,43 @@
 // on the time slice t = w + Σx. A packet is injected at its arrival time, and
 // every move, a transmission or a hold, adds 1 to w + Σx. So two packets in
 // flight share a lattice node exactly when they share a grid node, and each
-// step groups its packets by grid node id. Each packet keeps its grid node
-// and its tile current as it moves: a move adds one stride to each and
-// compares the moved coordinate with the next tile boundary on that axis.
+// step groups its packets by grid node id. A packet alone at its node meets
+// no contention and advances along its desired axis at once; only a node
+// holding two or more packets runs the per-track rules. Each packet keeps its
+// grid node and its tile current as it moves: a move adds one stride to each
+// and compares the moved coordinate with the next tile boundary on that axis.
+//
+// The per-move bookkeeping (arrive) runs only where its outcome can change:
+// on a move into another tile, and on a move inside the last tile that
+// reaches the destination's coordinate on its axis. This is exact. A
+// route's tiles are distinct, so a move that stays in its tile keeps the
+// route index. arrive changes the phase only on entering a bend tile or
+// the last tile. It sets a pending bend when the travel axis differs from
+// the tile's exit axis and no bend is pending; that holds on entering the
+// tile, then not again until the bend is taken, and after it the travel
+// axis is the exit axis, since the travel axis changes only by a bend.
+// Inside the last tile a packet travels along one axis toward the
+// destination's coordinate on it and picks the next axis, or is
+// delivered, only on reaching it.
+//
+// The tile origins the interval ends need follow from the first tile's
+// origin and the route's axis counts: a route steps from each tile to the
+// next along one axis, so its tile j lies, on each axis, one side beyond
+// the first tile per step along that axis among its first j. The same
+// counts bound a packet's moves. A move adds 1 to one coordinate, so a
+// packet has made as many moves as its coordinates have grown in sum.
+// Inside its route a packet never passes the last tile's high corner on
+// any axis, since routes only step up. A move out of the route starts in a
+// tile other than the last, which lies a full side below the last tile on
+// some axis, so even that move keeps the sum within the corner's. Each
+// packet's moves are cut from one per-run slab at Σₐ (last tile's high
+// corner on a − start on a); some packets walk exactly that many.
 package detroute
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"gridroute/internal/dense"
 	"gridroute/internal/grid"
 	"gridroute/internal/lattice"
 	"gridroute/internal/sketch"
@@ -102,8 +130,8 @@ type Stats struct {
 }
 
 // MaxAxes is the largest number of space-time lattice axes (grid dimension
-// plus one) the router supports: its per-step grouping table has one slot
-// per travel axis.
+// plus one) the router supports: its per-node tables have one slot per
+// travel axis.
 const MaxAxes = 8
 
 // Router runs detailed routing over one space-time lattice.
@@ -111,13 +139,9 @@ type Router struct {
 	ST *spacetime.Graph
 	SK *sketch.Graph
 
-	// Scratch reused across nodes and steps.
-	in       []*pkt
-	outClaim []*pkt
-	byAxis   [MaxAxes][]*pkt
-	tileBuf  []int
-	tcBuf    []int
-	orgBuf   []int
+	// The packets and counters of the current Run.
+	pkts  []pkt
+	stats Stats
 }
 
 // New creates a detailed router for the deterministic algorithm.
@@ -137,7 +161,6 @@ const (
 )
 
 type pkt struct {
-	idx   int
 	req   *grid.Request
 	route *sketch.Route
 
@@ -153,7 +176,8 @@ type pkt struct {
 	next  []int
 	// arrivedVia is the axis of the last move (-1 right after injection).
 	arrivedVia int
-	// pending is the axis claimed for the current step (-1: not yet).
+	// pending is the axis claimed for the current step by a node holding
+	// two or more packets (-1: not yet).
 	pending int
 
 	routeIdx  int // index into route.Tiles of the current tile
@@ -161,15 +185,16 @@ type pkt struct {
 	lastBend  int // tile index of the last bend (-1 if none)
 
 	// endCoord is the right endpoint of the current track-1/track-3
-	// interval along dir, for GLL82 preemption comparisons.
+	// interval along dir, for GLL82 preemption comparisons; lastEnd is the
+	// last segment's, the last tile's entry side along its axis.
 	endCoord int
+	lastEnd  int
 
 	start []int
 	moves []uint8
 
 	reachedLast bool
 	droppedIn   Part
-	deliveredAt int64
 }
 
 // path hands the walked path over to the caller. The packet dies with Run,
@@ -200,89 +225,62 @@ func (p *pkt) desired() int {
 	return p.dir
 }
 
+func (rt *Router) drop(p *pkt, part Part, anomaly bool) {
+	p.phase = phDropped
+	p.droppedIn = part
+	rt.stats.DroppedBy[part]++
+	if anomaly {
+		rt.stats.Anomalies++
+	}
+}
+
 // Run performs detailed routing for all admitted requests and returns
 // per-request outcomes plus aggregate stats.
 func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
-	var stats Stats
-	stats.Injected = len(admitted)
 	n := len(admitted)
 	g := rt.ST.G
 	d := g.D()
 	axes := d + 1
-	box := rt.ST.Box
 	tl := rt.SK.Tl
-	if len(rt.tileBuf) < axes {
-		rt.tileBuf = make([]int, axes)
-		rt.tcBuf = make([]int, axes)
-		rt.orgBuf = make([]int, axes)
-	}
+	rt.stats = Stats{Injected: n}
 
-	// Per-axis steps of a packet's grouping key (a row-major grid node id;
-	// a hold stays at its node) and of its tile id, and the tile sides.
-	var gstride, tstride, side [MaxAxes]int
+	var gm geom
 	for a, s := d-1, 1; a >= 0; a-- {
-		gstride[a] = s
+		gm.gstride[a] = s
 		s *= g.Dims[a]
 	}
-	// A route of T tiles walks at most Σ(side−1) moves inside each tile and
-	// one move out of it, so T·span bounds its moves.
-	span := 1
 	for a := 0; a < axes; a++ {
-		tstride[a] = tl.TBox.Stride(a)
-		side[a] = tl.Side[a]
-		span += side[a] - 1
-	}
-	total := 0
-	for i := range admitted {
-		total += len(admitted[i].Route.Tiles) * span
+		gm.tstride[a] = tl.TBox.Stride(a)
+		gm.side[a] = tl.Side[a]
+		gm.hi[a] = rt.ST.Box.Hi[a]
 	}
 
-	// Each packet's coordinates and moves are cut from per-run slices.
+	// Every per-run list is cut from one slab of int32 packet indexes (and,
+	// for the grouping table, grid node ids): the injection order, each
+	// packet's move bound, this step's and the next step's in-flight
+	// packets, the group chain and the group being resolved; then a stamp,
+	// a head and a tail per grid node.
+	nodes := g.N()
+	ix := make([]int32, 6*n+3*nodes)
+	order, bound, active, spare, link, grp := ix[:n], ix[n:2*n], ix[2*n:2*n:3*n], ix[3*n:3*n:4*n], ix[4*n:5*n], ix[5*n:5*n:6*n]
+	stamp, head, tail := ix[6*n:6*n+nodes], ix[6*n+nodes:6*n+2*nodes], ix[6*n+2*nodes:]
+
+	// Each packet's coordinates are cut from one per-run slice.
+	pkts := make([]pkt, n)
+	rt.pkts = pkts
 	coords := make([]int, 3*n*axes)
-	moves := make([]uint8, total)
-	all := make([]*pkt, n)
-	recs := make([]pkt, n)
+	total := 0
 	for i := range admitted {
-		a := &admitted[i]
-		p := &recs[i]
-		*p = pkt{
-			idx: i, req: a.Req, route: a.Route,
-			turn: -1, arrivedVia: -1, pending: -1,
-			firstBend: -1, lastBend: -1,
-		}
-		c := coords[3*i*axes : 3*(i+1)*axes]
-		p.pos = c[:axes:axes]
-		p.start = c[axes : 2*axes : 2*axes]
-		p.next = c[2*axes:]
-		rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, p.pos)
-		copy(p.start, p.pos)
-		for x := 0; x < d; x++ {
-			p.gnode += p.pos[x] * gstride[x]
-		}
-		tc := tl.TileOf(p.pos, rt.tileBuf)
-		p.tile = tl.TBox.Index(tc)
-		for x, o := range tl.Origin(tc, rt.orgBuf) {
-			p.next[x] = o + side[x]
-		}
-		m := len(a.Route.Tiles) * span
-		p.moves = moves[:0:m]
+		m := rt.inject(&pkts[i], &admitted[i], coords[3*i*axes:3*(i+1)*axes], &gm)
+		bound[i] = int32(m)
+		total += m
+		order[i] = int32(i)
+	}
+	moves := make([]uint8, total)
+	for i := range pkts {
+		m := int(bound[i])
+		pkts[i].moves = moves[:0:m]
 		moves = moves[m:]
-		for j := 1; j < len(a.Route.Axes); j++ {
-			if a.Route.Axes[j] != a.Route.Axes[j-1] {
-				if p.firstBend < 0 {
-					p.firstBend = j
-				}
-				p.lastBend = j
-			}
-		}
-		if len(a.Route.Axes) > 0 {
-			p.dir = int(a.Route.Axes[0])
-		}
-		// The first segment's interval end is fixed by the route and its
-		// first axis; arrive only replaces it when the packet leaves
-		// track 1's first segment.
-		p.endCoord = rt.firstEndpoint(p)
-		all[i] = p
 	}
 
 	// Injection order: packets by arrival time (same-time packets keep their
@@ -290,174 +288,228 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	// preserves the scenario.Generate arrival-order invariant, so admitted
 	// requests arrive here already sorted — verify with one linear pass and
 	// only fall back to a stable sort for hand-built unsorted inputs.
-	arrOrder := all
-	for i := 1; i < len(all); i++ {
-		if all[i].req.Arrival < all[i-1].req.Arrival {
-			arrOrder = make([]*pkt, len(all))
-			copy(arrOrder, all)
-			sort.SliceStable(arrOrder, func(a, b int) bool {
-				return arrOrder[a].req.Arrival < arrOrder[b].req.Arrival
+	for i := 1; i < n; i++ {
+		if pkts[i].req.Arrival < pkts[i-1].req.Arrival {
+			slices.SortStableFunc(order, func(a, b int32) int {
+				return cmp.Compare(pkts[a].req.Arrival, pkts[b].req.Arrival)
 			})
 			break
 		}
 	}
 	var minT int64
-	if len(arrOrder) > 0 {
-		minT = arrOrder[0].req.Arrival
+	if n > 0 {
+		minT = pkts[order[0]].req.Arrival
 	}
 	inCursor := 0
 
 	// Hard stop: the largest reachable time in the box.
-	endT := int64(box.Hi[axes-1] - 1)
+	endT := int64(gm.hi[axes-1] - 1)
 	for a := 0; a < d; a++ {
-		endT += int64(box.Hi[a] - 1)
+		endT += int64(gm.hi[a] - 1)
 	}
 
-	drop := func(p *pkt, part Part, anomaly bool) {
-		p.phase = phDropped
-		p.droppedIn = part
-		stats.DroppedBy[part]++
-		if anomaly {
-			stats.Anomalies++
-		}
-	}
-
-	active := make([]*pkt, 0, n)
-	// Per-step node grouping uses epoch-stamped buckets over the grid's
-	// node ids: no hashing per packet and no per-step map churn. Bucket
-	// chains preserve active order and keys come out in first-seen order,
-	// so grouping is deterministic. The first Reset sizes the item chain
-	// for every packet at once.
-	var groups dense.Buckets
-	groups.Reset(g.N(), n)
-	groupBuf := make([]*pkt, 0, 16)
-
+	var epoch int32
 	for t := minT; t <= endT; t++ {
-		for inCursor < len(arrOrder) && arrOrder[inCursor].req.Arrival == t {
-			p := arrOrder[inCursor]
+		for inCursor < n && pkts[order[inCursor]].req.Arrival == t {
+			i := order[inCursor]
 			inCursor++
-			if rt.arrive(p, drop) {
-				active = append(active, p)
+			if rt.arrive(&pkts[i]) {
+				active = append(active, i)
 			}
 		}
 		if len(active) == 0 {
-			if inCursor == len(arrOrder) {
+			if inCursor == n {
 				break
 			}
 			// Nothing in flight: skip to the next arrival.
-			t = arrOrder[inCursor].req.Arrival - 1
+			t = pkts[order[inCursor]].req.Arrival - 1
 			continue
 		}
 
-		groups.Reset(g.N(), len(active))
-		for i, p := range active {
-			p.pending = -1
-			groups.Put(p.gnode, i)
-		}
-		for _, key := range groups.Keys() {
-			groupBuf = groupBuf[:0]
-			for it := groups.First(int(key)); it >= 0; it = groups.Next(it) {
-				groupBuf = append(groupBuf, active[it])
+		// Group by grid node: chain each packet behind the last one seen at
+		// its node, so a chain keeps the in-flight order and its head is the
+		// first packet of the node in that order.
+		epoch++
+		for _, i := range active {
+			k := pkts[i].gnode
+			link[i] = -1
+			if stamp[k] != epoch {
+				stamp[k], head[k] = epoch, i
+			} else {
+				link[tail[k]] = i
 			}
-			rt.resolveNode(groupBuf, drop)
+			tail[k] = i
 		}
 
-		next := active[:0]
-		for _, p := range active {
-			if p.phase == phDone || p.phase == phDropped {
-				continue
+		// Resolve each node at its head and move every packet. A node's
+		// packets all come at or after its head, so none has moved when the
+		// node is resolved.
+		nxt := spare[:0]
+		for _, i := range active {
+			p := &pkts[i]
+			var a int
+			if head[p.gnode] == i && link[i] < 0 {
+				// Alone at its node: advance along the desired axis,
+				// committing a pending bend (a first-segment packet's bend
+				// starts its internal segment).
+				if p.turn >= 0 {
+					p.dir, p.turn, p.phase = p.turn, -1, phInternal
+				}
+				a = p.dir
+			} else {
+				if head[p.gnode] == i {
+					grp = grp[:0]
+					for j := i; j >= 0; j = link[j] {
+						grp = append(grp, j)
+					}
+					rt.resolveNode(grp, axes)
+				}
+				a, p.pending = p.pending, -1
+				if p.phase == phDropped {
+					continue
+				}
+				if a < 0 {
+					rt.drop(p, p.part(), true) // could not move: impossible per analysis
+					continue
+				}
 			}
-			if p.pending < 0 {
-				drop(p, p.part(), true) // could not move: impossible per analysis
-				continue
-			}
-			a := p.pending
-			p.pending = -1
-			if p.pos[a]+1 >= box.Hi[a] {
-				drop(p, p.part(), true) // fell off the box/horizon
+			if p.pos[a]+1 >= gm.hi[a] {
+				rt.drop(p, p.part(), true) // fell off the box/horizon
 				continue
 			}
 			p.pos[a]++
-			p.gnode += gstride[a]
-			if p.pos[a] == p.next[a] {
-				p.tile += tstride[a]
-				p.next[a] += side[a]
-			}
+			p.gnode += gm.gstride[a]
 			p.moves = append(p.moves, uint8(a))
 			p.arrivedVia = a
-			if rt.arrive(p, drop) {
-				next = append(next, p)
+			if p.pos[a] == p.next[a] {
+				p.tile += gm.tstride[a]
+				p.next[a] += gm.side[a]
+				if !rt.arrive(p) {
+					continue
+				}
+			} else if p.phase == phLastTile && p.pos[a] == p.endCoord && !rt.lastTileStep(p) {
+				continue
 			}
+			nxt = append(nxt, i)
 		}
-		active = next
+		active, spare = nxt, active
 	}
-	for _, p := range active {
-		if p.phase != phDone && p.phase != phDropped {
-			drop(p, p.part(), true)
-		}
+	for _, i := range active {
+		p := &pkts[i]
+		rt.drop(p, p.part(), true)
 	}
 
 	outs := make([]Outcome, n)
 	paths := make([]lattice.Path, n)
-	for i, p := range all {
+	for i := range pkts {
+		p := &pkts[i]
 		o := &outs[i]
 		o.ReachedLastTile = p.reachedLast
 		paths[i] = p.path()
 		o.Path = &paths[i]
 		if p.phase == phDone {
 			o.Delivered = true
-			o.DeliveredAt = p.deliveredAt
-			o.OnTime = p.req.Deadline == grid.InfDeadline || p.deliveredAt <= p.req.Deadline
-			stats.Delivered++
+			o.DeliveredAt = spacetime.TimeOf(p.pos)
+			o.OnTime = p.req.Deadline == grid.InfDeadline || o.DeliveredAt <= p.req.Deadline
+			rt.stats.Delivered++
 		} else {
 			o.DroppedIn = p.droppedIn
 		}
 		if p.reachedLast {
-			stats.ReachedLastTile++
+			rt.stats.ReachedLastTile++
 		}
 	}
-	return outs, stats
+	rt.pkts = nil
+	return outs, rt.stats
 }
 
-// arrive processes a packet that just landed on p.pos (or was injected).
-// It returns false when the packet left the system (delivered or dropped).
-func (rt *Router) arrive(p *pkt, drop func(*pkt, Part, bool)) bool {
+// geom holds a Run's per-axis steps of a packet's grouping key (a
+// row-major grid node id; a hold stays at its node) and of its tile id, the
+// tile sides and the box's upper ends.
+type geom struct {
+	gstride, tstride, side, hi [MaxAxes]int
+}
+
+// inject sets p up at its request's source point, with its pos, start and
+// next cut from c, and returns its move bound. The start tile's origin
+// gives the interval ends and the bound (see the package comment).
+func (rt *Router) inject(p *pkt, a *Admitted, c []int, gm *geom) int {
+	axes := len(c) / 3
+	pos, start, next := c[:axes:axes], c[axes:2*axes:2*axes], c[2*axes:]
+	side := &gm.side
+	*p = pkt{
+		req: a.Req, route: a.Route, pos: pos, start: start, next: next,
+		turn: -1, arrivedVia: -1, pending: -1,
+		firstBend: -1, lastBend: -1,
+	}
+	tl := rt.SK.Tl
+	rt.ST.ToLattice(a.Req.Src, a.Req.Arrival, pos)
+	copy(start, pos)
+	for x := range pos {
+		p.gnode += pos[x] * gm.gstride[x] // 0 on the w axis
+		t := lattice.FloorDiv(pos[x]-tl.Phase[x], side[x])
+		p.tile += (t - tl.TBox.Lo[x]) * gm.tstride[x]
+		next[x] = (t+1)*side[x] + tl.Phase[x]
+	}
+
+	var steps [MaxAxes]int
+	ax := a.Route.Axes
+	for j, x := range ax {
+		steps[x]++
+		if j > 0 && x != ax[j-1] {
+			if p.firstBend < 0 {
+				p.firstBend = j
+			}
+			p.lastBend = j
+		}
+	}
+	// lastOrigin(x) is the last tile's low corner along axis x.
+	lastOrigin := func(x int) int { return next[x] - side[x] + steps[x]*side[x] }
+	if len(ax) > 0 {
+		p.dir = int(ax[0])
+	}
+	// The first segment's interval ends at the entry side of the tile where
+	// it ends (its first bend, else the last tile), plus a full side when
+	// the turn is adaptive: it may happen anywhere inside the bend tile, and
+	// the comparison the paper makes is "ends inside s" vs "ends beyond s".
+	// Every earlier step is along dir.
+	endTile := len(ax)
+	if p.firstBend >= 0 {
+		endTile = p.firstBend
+		if p.firstBend != p.lastBend {
+			endTile++
+		}
+	}
+	p.endCoord = next[p.dir] + (endTile-1)*side[p.dir]
+	if p.lastBend >= 0 {
+		p.lastEnd = lastOrigin(int(ax[p.lastBend]))
+	}
+	m := 0
+	for x := range pos {
+		m += lastOrigin(x) + side[x] - 1 - start[x]
+	}
+	return m
+}
+
+// arrive processes a packet that was just injected or moved into another
+// tile. It returns false when the packet left the system (delivered or
+// dropped).
+func (rt *Router) arrive(p *pkt) bool {
 	tiles := p.route.Tiles
-	cur := p.tile
 
 	// Advance along the tile sequence; leaving it is an overrun.
-	if p.routeIdx+1 < len(tiles) && cur == tiles[p.routeIdx+1] {
+	if p.routeIdx+1 < len(tiles) && p.tile == tiles[p.routeIdx+1] {
 		p.routeIdx++
-	} else if cur != tiles[p.routeIdx] {
-		drop(p, p.part(), true)
+	} else if p.tile != tiles[p.routeIdx] {
+		rt.drop(p, p.part(), true)
 		return false
 	}
 
-	lastIdx := len(tiles) - 1
-
 	// Entering (or starting in) the last tile.
-	if p.phase != phLastTile && p.routeIdx == lastIdx {
+	if p.routeIdx == len(tiles)-1 {
 		p.phase = phLastTile
 		p.reachedLast = true
-	}
-
-	if p.phase == phLastTile {
-		if rt.atDestination(p) {
-			p.phase = phDone
-			p.deliveredAt = spacetime.TimeOf(p.pos)
-			return false
-		}
-		a := rt.lastTileAxis(p)
-		if a < 0 {
-			// Overshot the destination (possible for d ≥ 2; a last-tile
-			// loss accounted by Prop. 36, not an anomaly).
-			drop(p, PartLastTile, false)
-			return false
-		}
-		p.dir = a
-		p.turn = -1
-		p.endCoord = p.req.Dst[a]
-		return true
+		return rt.lastTileStep(p)
 	}
 
 	switch p.phase {
@@ -471,7 +523,7 @@ func (rt *Router) arrive(p *pkt, drop func(*pkt, Part, bool)) bool {
 				p.phase = phLast
 				p.dir = int(p.route.Axes[p.firstBend])
 				p.turn = -1
-				p.endCoord = rt.entryBoundary(p, lastIdx, p.dir)
+				p.endCoord = p.lastEnd
 			} else if p.turn < 0 {
 				// Three or more segments: adaptive knock-knee turn inside
 				// this tile (track 1 → track 2).
@@ -484,103 +536,52 @@ func (rt *Router) arrive(p *pkt, drop func(*pkt, Part, bool)) bool {
 			p.phase = phLast
 			p.dir = int(p.route.Axes[p.lastBend])
 			p.turn = -1
-			p.endCoord = rt.entryBoundary(p, lastIdx, p.dir)
-		} else if p.routeIdx < len(p.route.Axes) && int(p.route.Axes[p.routeIdx]) != p.dir && p.turn < 0 {
+			p.endCoord = p.lastEnd
+		} else if int(p.route.Axes[p.routeIdx]) != p.dir && p.turn < 0 {
 			p.turn = int(p.route.Axes[p.routeIdx])
 		}
 	}
 	return true
 }
 
-// entryBoundary returns the coordinate along axis of the lower side of the
-// route tile with index tileIdx: where a straight run along axis enters it.
-func (rt *Router) entryBoundary(p *pkt, tileIdx, axis int) int {
-	tc := rt.SK.TileCoords(p.route.Tiles[tileIdx], rt.tcBuf)
-	org := rt.SK.Tl.Origin(tc, rt.orgBuf)
-	return org[axis]
-}
-
-// firstEndpoint computes the right endpoint of the first-segment interval:
-// the entry boundary of the tile where the segment ends, plus a full side
-// when the turn is adaptive (the turn may happen anywhere inside the bend
-// tile — the comparison the paper makes is "ends inside s" vs "ends beyond
-// s").
-func (rt *Router) firstEndpoint(p *pkt) int {
-	endTile := len(p.route.Tiles) - 1
-	adaptive := false
-	if p.firstBend >= 0 {
-		endTile = p.firstBend
-		adaptive = p.firstBend != p.lastBend
-	}
-	b := rt.entryBoundary(p, endTile, p.dir)
-	if adaptive {
-		b += rt.SK.Tl.Side[p.dir]
-	}
-	return b
-}
-
-func (rt *Router) atDestination(p *pkt) bool {
-	for a := 0; a < rt.ST.G.D(); a++ {
-		if p.pos[a] != p.req.Dst[a] {
+// lastTileStep routes a packet inside its last tile in dimension order: it
+// is delivered at its destination, else it travels along the first space
+// axis on which it falls short; overshooting an axis (possible for d ≥ 2)
+// is a last-tile loss accounted by Prop. 36, not an anomaly. It returns
+// false when the packet left the system.
+func (rt *Router) lastTileStep(p *pkt) bool {
+	dst := p.req.Dst
+	for a, x := range p.pos[:len(dst)] {
+		if x == dst[a] {
+			continue
+		}
+		if x > dst[a] {
+			rt.drop(p, PartLastTile, false)
 			return false
 		}
+		p.dir = a
+		p.turn = -1
+		p.endCoord = dst[a]
+		return true
 	}
-	return true
+	p.phase = phDone
+	return false
 }
 
-// lastTileAxis picks the next axis inside the last tile (dimension order);
-// -1 when the destination is unreachable (overshoot).
-func (rt *Router) lastTileAxis(p *pkt) int {
-	for a := 0; a < rt.ST.G.D(); a++ {
-		if p.pos[a] < p.req.Dst[a] {
-			return a
-		}
-		if p.pos[a] > p.req.Dst[a] {
-			return -1
-		}
-	}
-	return -1
-}
+// assigned reports whether p claimed an outgoing edge this step.
+func assigned(p *pkt) bool { return p != nil && p.pending >= 0 }
 
-// resolveNode decides, for every packet currently at one lattice node, which
-// outgoing edge (and track) it takes, applying the three per-track rules.
-func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
-	axes := rt.ST.G.D() + 1
-
-	// Fast path: a lone packet at a node meets no contention, so every rule
-	// below degenerates to "advance along the desired axis" (for an internal
-	// packet or a turning first-segment packet, committing a pending bend).
-	if len(pkts) == 1 {
-		p := pkts[0]
-		switch {
-		case p.phase == phInternal:
-			if p.turn >= 0 {
-				p.pending = p.turn
-				p.dir, p.turn = p.turn, -1
-			} else {
-				p.pending = p.dir
-			}
-		case p.phase == phFirst && p.turn >= 0:
-			p.pending = p.turn
-			p.phase = phInternal
-			p.dir, p.turn = p.turn, -1
-		default: // straight track-1/track-3 run
-			p.pending = p.dir
-		}
-		return
-	}
+// resolveNode decides, for the packets of grp (two or more, all at one
+// lattice node, in in-flight order), which outgoing edge (and track) each
+// takes, applying the three per-track rules.
+func (rt *Router) resolveNode(grp []int32, axes int) {
+	pkts := rt.pkts
 
 	// --- Track 2: internal segments (knock-knee rules, Sec. 5.2.3 / 6). ---
-	if cap(rt.in) < axes {
-		rt.in = make([]*pkt, axes)
-		rt.outClaim = make([]*pkt, axes)
-	}
-	in := rt.in[:axes] // internal packet that arrived via each axis
-	outClaim := rt.outClaim[:axes]
-	for a := 0; a < axes; a++ {
-		in[a], outClaim[a] = nil, nil
-	}
-	for _, p := range pkts {
+	var in [MaxAxes]*pkt // internal packet that arrived via each axis
+	var outClaim [MaxAxes]*pkt
+	for _, i := range grp {
+		p := &pkts[i]
 		if p.phase != phInternal {
 			continue
 		}
@@ -588,12 +589,11 @@ func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
 		if via < 0 || in[via] != nil {
 			// Two internal packets on one track-2 edge cannot happen; be
 			// defensive rather than silently mis-route.
-			drop(p, PartInternal, true)
+			rt.drop(p, PartInternal, true)
 			continue
 		}
 		in[via] = p
 	}
-	assigned := func(p *pkt) bool { return p != nil && p.pending >= 0 }
 
 	// (a) Straight traffic has precedence.
 	for j := 0; j < axes; j++ {
@@ -642,7 +642,7 @@ func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
 			p.pending = j
 			outClaim[j] = p
 		} else {
-			drop(p, PartInternal, true) // impossible per the rules
+			rt.drop(p, PartInternal, true) // impossible per the rules
 		}
 	}
 
@@ -650,7 +650,8 @@ func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
 	// They turn when the target track-2 edge is free ("meets a null path or
 	// a path that also wants to bend"); otherwise they stay on track 1 and
 	// try the next crossing.
-	for _, p := range pkts {
+	for _, i := range grp {
+		p := &pkts[i]
 		if p.phase != phFirst || p.turn < 0 {
 			continue
 		}
@@ -663,51 +664,48 @@ func (rt *Router) resolveNode(pkts []*pkt, drop func(*pkt, Part, bool)) {
 	}
 
 	// --- Tracks 1 and 3: straight runs with interval preemption. ---
-	rt.resolveStraight(pkts, axes, true, drop)  // track 1: first/last segments
-	rt.resolveStraight(pkts, axes, false, drop) // track 3: last tile
+	rt.resolveStraight(grp, axes)
 }
 
-// resolveStraight applies the GLL82 rule per outgoing edge: among the
-// packets of one track wanting the same edge, the one whose interval ends
-// first (the lowest admission index among equal ends) survives; the rest
-// are preempted. Sorted arrival (by left endpoint) is guaranteed by the
-// time sweep.
-func (rt *Router) resolveStraight(pkts []*pkt, axes int, track1 bool, drop func(*pkt, Part, bool)) {
-	byAxis := &rt.byAxis
-	for a := range byAxis {
-		byAxis[a] = byAxis[a][:0]
+// resolveStraight applies the GLL82 rule per track and outgoing edge:
+// among the packets of one track (1: first and last segments, 3: the last
+// tile) wanting the same edge, the one whose interval ends first (the
+// lowest admission index among equal ends) survives; the rest are
+// preempted. Sorted arrival (by left endpoint) is guaranteed by the time
+// sweep.
+func (rt *Router) resolveStraight(grp []int32, axes int) {
+	pkts := rt.pkts
+	// win[track][axis] is 1 + the index of the best packet so far, 0 none.
+	var win [2][MaxAxes]int32
+	for _, i := range grp {
+		p := &pkts[i]
+		if p.pending >= 0 {
+			continue
+		}
+		var w *int32
+		switch p.phase {
+		case phFirst, phLast:
+			w = &win[0][p.dir]
+		case phLastTile:
+			w = &win[1][p.dir]
+		default:
+			continue
+		}
+		if *w == 0 || p.endCoord < pkts[*w-1].endCoord || p.endCoord == pkts[*w-1].endCoord && i < *w-1 {
+			*w = i + 1
+		}
 	}
-	for _, p := range pkts {
-		if p.pending >= 0 || p.phase == phDone || p.phase == phDropped {
-			continue
-		}
-		use := false
-		if track1 {
-			use = p.phase == phFirst || p.phase == phLast
-		} else {
-			use = p.phase == phLastTile
-		}
-		if !use {
-			continue
-		}
-		byAxis[p.dir] = append(byAxis[p.dir], p)
-	}
-	for a := 0; a < axes; a++ {
-		group := byAxis[a]
-		if len(group) == 0 {
-			continue
-		}
-		win := group[0]
-		for _, p := range group[1:] {
-			if p.endCoord < win.endCoord || p.endCoord == win.endCoord && p.idx < win.idx {
-				win = p
+	for tr := range win {
+		for a := 0; a < axes; a++ {
+			if w := win[tr][a]; w > 0 {
+				pkts[w-1].pending = a
 			}
 		}
-		win.pending = a
-		for _, p := range group {
-			if p != win {
-				drop(p, p.part(), false)
-			}
+	}
+	for _, i := range grp {
+		p := &pkts[i]
+		if p.pending < 0 && (p.phase == phFirst || p.phase == phLast || p.phase == phLastTile) {
+			rt.drop(p, p.part(), false)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gridroute/internal/core"
@@ -18,35 +19,17 @@ import (
 // TestDetailedRoutingGolden pins detailed routing (package detroute) bit for
 // bit through the engine, the path every batch run takes: each in-regime
 // catalog scenario at seed 1, a bufferless line as experiment E3 builds it,
-// and a perfbench-stream-shaped 16×16 instance. The digest covers every
-// admitted packet's outcome (delivered, delivery time, on time, part dropped
-// in, reached last tile, walked path) and the routing stats; the digests
-// were recorded before detailed routing tracked grid nodes and tiles
-// incrementally.
+// a perfbench-stream-shaped 16×16 instance, and uniform instances on a
+// 64×64 grid and a 40×40×40 lattice. The catalog's d ≥ 2 scenarios route
+// every packet within one tile; the last two are several tiles wide, so
+// their routes bend and reach the knock-knee rules in three and four axes.
+// The digest covers every admitted packet's outcome (delivered, delivery
+// time, on time, part dropped in, reached last tile, walked path) and the
+// routing stats. The digests were recorded before detailed routing tracked
+// grid nodes and tiles incrementally, the last two before it resolved a
+// packet alone at its node inline.
 func TestDetailedRoutingGolden(t *testing.T) {
-	type instance struct {
-		name string
-		g    *grid.Grid
-		reqs []grid.Request
-	}
-	var insts []instance
-	for _, sc := range scenario.Registered() {
-		g, reqs, err := scenario.Generate(sc.ID, map[string]float64{"seed": 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.C >= 3 && (g.B == 0 || g.B >= 3) {
-			insts = append(insts, instance{sc.ID, g, reqs})
-		}
-	}
-	line := grid.Line(64, 0, 3)
-	insts = append(insts, instance{"bufferless-line", line, scenario.Uniform(line, 4*64, 2*64, rand.New(rand.NewSource(1)))})
-	g, reqs, err := scenario.Generate("uniform", map[string]float64{"d": 2, "n": 16, "reqs": 4000, "maxt": 1000, "seed": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts = append(insts, instance{"stream-16x16", g, reqs})
-
+	insts := goldenInstances(t)
 	want := map[string]uint64{
 		"bit-reversal":        0x6bd4e28965188339,
 		"convoy-rate":         0xd02dcfa0a132a3cd,
@@ -65,6 +48,8 @@ func TestDetailedRoutingGolden(t *testing.T) {
 		"zipf-hotspot":        0xf0f54e82c4e9c95a,
 		"bufferless-line":     0x8828dfdf10aba808,
 		"stream-16x16":        0xfcbf7c833d2bcfd6,
+		"grid-64x64":          0x657eab7eddf6d732,
+		"lattice-40x40x40":    0xadeee775371ad04d,
 	}
 	if len(insts) != len(want) {
 		t.Errorf("%d instances, %d recorded digests", len(insts), len(want))
@@ -75,6 +60,83 @@ func TestDetailedRoutingGolden(t *testing.T) {
 		if w, ok := want[in.name]; !ok || got != w {
 			t.Errorf("%s: %d admitted, %d delivered, stats %+v: digest %#x, want %#x",
 				in.name, len(res.Admitted), res.RouteStats.Delivered, res.RouteStats, got, w)
+		}
+	}
+}
+
+type instance struct {
+	name string
+	g    *grid.Grid
+	reqs []grid.Request
+}
+
+// goldenInstances builds TestDetailedRoutingGolden's instances.
+func goldenInstances(t *testing.T) []instance {
+	t.Helper()
+	var insts []instance
+	for _, sc := range scenario.Registered() {
+		g, reqs, err := scenario.Generate(sc.ID, map[string]float64{"seed": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.C >= 3 && (g.B == 0 || g.B >= 3) {
+			insts = append(insts, instance{sc.ID, g, reqs})
+		}
+	}
+	line := grid.Line(64, 0, 3)
+	insts = append(insts, instance{"bufferless-line", line, scenario.Uniform(line, 4*64, 2*64, rand.New(rand.NewSource(1)))})
+	for _, u := range []struct {
+		name   string
+		params map[string]float64
+	}{
+		{"stream-16x16", map[string]float64{"d": 2, "n": 16, "reqs": 4000, "maxt": 1000, "seed": 1}},
+		{"grid-64x64", map[string]float64{"d": 2, "n": 64, "seed": 1}},
+		{"lattice-40x40x40", map[string]float64{"d": 3, "n": 40, "seed": 1}},
+	} {
+		g, reqs, err := scenario.Generate("uniform", u.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, instance{u.name, g, reqs})
+	}
+	return insts
+}
+
+// TestFinishSchedulesMatchPaths: on the golden instances, Finish gives
+// exactly the on-time deliveries a schedule, each equal to what
+// spacetime.PathToSchedule builds from the walked path, and the schedules
+// cut from Finish's shared slab do not alias: an append to one schedule's
+// Src or Moves leaves the next schedule unchanged. The golden digest covers
+// the walked paths, not the schedules.
+func TestFinishSchedulesMatchPaths(t *testing.T) {
+	for _, in := range goldenInstances(t) {
+		res := routeBatch(t, in.g, in.reqs)
+		st := spacetime.New(in.g, res.Horizon)
+		var prev *spacetime.Schedule
+		for j, o := range res.Outcomes {
+			s := res.Schedules[j]
+			if (s != nil) != (o.Delivered && o.OnTime) {
+				t.Fatalf("%s: packet %d: delivered %v, on time %v, has schedule %v", in.name, j, o.Delivered, o.OnTime, s != nil)
+			}
+			if s == nil {
+				continue
+			}
+			want := st.PathToSchedule(res.Admitted[j].Req, o.Path)
+			if s.Req != want.Req || !slices.Equal(s.Src, want.Src) || s.StartT != want.StartT || !slices.Equal(s.Moves, want.Moves) {
+				t.Fatalf("%s: packet %d: schedule %+v, want %+v", in.name, j, *s, *want)
+			}
+			if prev != nil {
+				src, moves := slices.Clone(s.Src), slices.Clone(s.Moves)
+				prev.Src = append(prev.Src, -1)
+				prev.Moves = append(prev.Moves, spacetime.Hold)
+				if !slices.Equal(s.Src, src) || !slices.Equal(s.Moves, moves) {
+					t.Fatalf("%s: packet %d: an append to the previous schedule changed this one to Src %v, Moves %v", in.name, j, s.Src, s.Moves)
+				}
+			}
+			prev = s
+		}
+		if prev == nil {
+			t.Fatalf("%s: no on-time delivery", in.name)
 		}
 	}
 }

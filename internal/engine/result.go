@@ -213,15 +213,23 @@ func (e *Engine) finish() {
 	}
 	router := detroute.New(e.st, e.sk)
 	res.Outcomes, res.RouteStats = router.Run(e.admitted)
-	res.Schedules = make([]*spacetime.Schedule, len(e.admitted))
+	moves := 0
 	for j := range res.Outcomes {
 		o := &res.Outcomes[j]
 		if o.ReachedLastTile {
 			res.ReachedLastTile++
 		}
 		if o.Delivered && o.OnTime {
-			res.Schedules[j] = e.st.PathToSchedule(e.admitted[j].Req, o.Path)
 			res.Throughput++
+			moves += len(o.Path.Axes)
+		}
+	}
+	// The on-time schedules are cut from one slab sized for all of them.
+	res.Schedules = make([]*spacetime.Schedule, len(e.admitted))
+	sl := e.st.NewSlab(res.Throughput, moves)
+	for j := range res.Outcomes {
+		if o := &res.Outcomes[j]; o.Delivered && o.OnTime {
+			res.Schedules[j] = sl.Cut(e.admitted[j].Req, o.Path)
 		}
 	}
 	e.result = res

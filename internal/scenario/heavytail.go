@@ -24,7 +24,9 @@ import (
 // alpha = 1.5, scale = 1 the median gap is ≈ 0.59, so most arrivals
 // collapsed onto one step and the "renewal process" was mostly a burst.)
 func paretoGap(rng *rand.Rand, alpha, scale, maxGap float64) float64 {
-	u := rng.Float64()
+	// rand.Float64 scales a 63-bit draw by 2^-63; the conversion keeps
+	// that product from fusing with 1-u.
+	u := float64(rng.Float64())
 	g := scale * (math.Pow(1-u, -1/alpha) - 1)
 	if g > maxGap {
 		g = maxGap

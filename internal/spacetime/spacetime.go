@@ -16,6 +16,8 @@
 package spacetime
 
 import (
+	"slices"
+
 	"gridroute/internal/grid"
 	"gridroute/internal/lattice"
 )
@@ -185,17 +187,48 @@ func (s *Schedule) Delivers() bool {
 // PathToSchedule converts an untilted lattice path into a packet schedule:
 // space-axis steps become transmissions, w steps become holds.
 func (st *Graph) PathToSchedule(r *grid.Request, p *lattice.Path) *Schedule {
+	sl := st.NewSlab(1, len(p.Axes))
+	return sl.Cut(r, p)
+}
+
+// Slab cuts schedules from three shared backing arrays, one each for the
+// Schedule structs, their source nodes and their moves, so a batch of
+// schedules costs three allocations however many it holds. Each cut
+// schedule's Src and Moves are full-slice expressions: an append to one
+// reallocates it rather than writing into the next.
+type Slab struct {
+	d      int
+	scheds []Schedule
+	nodes  []int
+	moves  []Move
+}
+
+// NewSlab reserves room for n schedules of moves moves in total. A cut past
+// the reservation still works: the slab grows by append, and the schedules
+// cut before keep their backing arrays.
+func (st *Graph) NewSlab(n, moves int) Slab {
 	d := st.G.D()
-	node, t := st.FromLattice(p.Start, nil)
-	s := &Schedule{Req: r, Src: node, StartT: t, Moves: make([]Move, 0, len(p.Axes))}
-	for _, a := range p.Axes {
+	return Slab{d: d, scheds: make([]Schedule, 0, n), nodes: make([]int, 0, n*d), moves: make([]Move, 0, moves)}
+}
+
+// Cut converts the untilted lattice path p of request r into the slab's
+// next schedule: space-axis steps become transmissions, w steps become
+// holds.
+func (sl *Slab) Cut(r *grid.Request, p *lattice.Path) *Schedule {
+	d := sl.d
+	n, m := len(sl.nodes), len(sl.moves)
+	sl.nodes = append(sl.nodes, p.Start[:d]...)
+	sl.moves = slices.Grow(sl.moves, len(p.Axes))[:m+len(p.Axes)]
+	moves := sl.moves[m:len(sl.moves):len(sl.moves)]
+	for i, a := range p.Axes {
 		if int(a) == d {
-			s.Moves = append(s.Moves, Hold)
+			moves[i] = Hold
 		} else {
-			s.Moves = append(s.Moves, Move(a))
+			moves[i] = Move(a)
 		}
 	}
-	return s
+	sl.scheds = append(sl.scheds, Schedule{Req: r, Src: sl.nodes[n:len(sl.nodes):len(sl.nodes)], StartT: TimeOf(p.Start), Moves: moves})
+	return &sl.scheds[len(sl.scheds)-1]
 }
 
 // ScheduleToPath converts a schedule back into an untilted lattice path.

@@ -35,7 +35,7 @@ func Summarize(xs []float64) Summary {
 	}
 	s.Mean /= float64(s.N)
 	for _, x := range xs {
-		s.Std += (x - s.Mean) * (x - s.Mean)
+		s.Std += float64((x - s.Mean) * (x - s.Mean))
 	}
 	if s.N > 1 {
 		s.Std = math.Sqrt(s.Std / float64(s.N-1))
@@ -77,19 +77,19 @@ func GrowthExponent(ns []int, ys []float64) float64 {
 		y := math.Log(ys[i])
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 		m++
 	}
 	if m < 2 {
 		return math.NaN()
 	}
 	fm := float64(m)
-	den := fm*sxx - sx*sx
+	den := float64(fm*sxx) - float64(sx*sx)
 	if den == 0 {
 		return math.NaN()
 	}
-	return (fm*sxy - sx*sy) / den
+	return (float64(fm*sxy) - float64(sx*sy)) / den
 }
 
 // LogFitQuality fits ratio ≈ a + b·log n and returns the residual RMS —
@@ -103,19 +103,19 @@ func LogFitQuality(ns []int, ys []float64) (b, rms float64) {
 		x := math.Log(float64(ns[i]))
 		sx += x
 		sy += ys[i]
-		sxx += x * x
-		sxy += x * ys[i]
+		sxx += float64(x * x)
+		sxy += float64(x * ys[i])
 	}
 	fm := float64(len(ns))
-	den := fm*sxx - sx*sx
+	den := float64(fm*sxx) - float64(sx*sx)
 	if den == 0 {
 		return math.NaN(), math.NaN()
 	}
-	b = (fm*sxy - sx*sy) / den
-	a := (sy - b*sx) / fm
+	b = (float64(fm*sxy) - float64(sx*sy)) / den
+	a := (sy - float64(b*sx)) / fm
 	for i := range ns {
-		d := ys[i] - (a + b*math.Log(float64(ns[i])))
-		rms += d * d
+		d := ys[i] - (a + float64(b*math.Log(float64(ns[i]))))
+		rms += float64(d * d)
 	}
 	return b, math.Sqrt(rms / fm)
 }
