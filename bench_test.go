@@ -866,6 +866,33 @@ func BenchmarkK(b *testing.B) {
 	_ = s
 }
 
+// BenchmarkRunDeterministic times core.RunDeterministic alone, one
+// sub-benchmark per catalog scenario in the deterministic algorithm's
+// regime (c ≥ 3, and B ≥ 3 or B = 0) at seed 1: the instances perfbench's
+// sweep and experiment E14 route, where a batch run is set-up, the decide
+// loop and detailed routing. It is the in-process figure behind sweep's
+// per-pass geometric mean, so paired runs of it check a batch-path change
+// scenario by scenario.
+func BenchmarkRunDeterministic(b *testing.B) {
+	for _, sc := range scenario.Registered() {
+		g, reqs, err := scenario.Generate(sc.ID, map[string]float64{"seed": 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.C < 3 || (g.B != 0 && g.B < 3) {
+			continue
+		}
+		b.Run(sc.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunDeterministic(g, reqs, core.DetConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScenario measures workload-generation cost for every
 // registered scenario at its default parameters — the generation-side
 // counterpart of BenchmarkExperiment (whose E14 timings land in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"gridroute/internal/detroute"
@@ -91,56 +90,34 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 		k = TileSideDet(pmax)
 	}
 
-	// The batch algorithm is the streaming engine fed sequentially: one
-	// producer streams the (already arrival-sorted) requests through Admit,
-	// which issues exactly the LightestRouteInto/Offer sequence of the old
-	// in-line loop — results are byte-identical, and the engine's warm
-	// sketch/packer state is built once, not per request. With one
-	// producer nothing else is ever in flight, so every Admit decides on
-	// this goroutine, without a hand-off to the engine's consumer loop.
-	// No ExpectPackets: a batch run admits a fraction of what it is
-	// offered, and the engine's arenas grow with what it admits.
-	eng, err := engine.New(g, engine.Options{
-		Horizon: horizon, PMax: pmax, TileSide: k, Queue: 1,
-	})
+	// Algorithm 1 decides one request at a time against the weights every
+	// earlier decision left, so the batch run decides the (already
+	// arrival-sorted) requests in order on this goroutine through
+	// engine.Run: the engine's decide step and detailed routing, with its
+	// warm sketch/packer state built once, and without the locks, queue and
+	// clock reads that let concurrent producers share it.
+	fin, err := engine.Run(g, reqs, horizon, pmax, k)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &DetResult{
 		Grid: g, Horizon: horizon, PMax: pmax, K: k,
-		Outcomes:  make([]ReqOutcome, len(reqs)),
-		Schedules: make([]*spacetime.Schedule, len(reqs)),
+		Outcomes:    make([]ReqOutcome, len(reqs)),
+		Schedules:   make([]*spacetime.Schedule, len(reqs)),
+		Admitted:    len(fin.Admitted),
+		RouteStats:  fin.RouteStats,
+		MaxLoad:     fin.MaxLoad,
+		LoadBound:   fin.LoadBound,
+		PrimalValue: fin.PrimalValue,
 	}
-
-	ctx := context.Background()
-	for i := range reqs {
-		// Seq is the request's index, not its ID: RunDeterministic accepts
-		// arbitrary request sequences whose IDs need not be 0..n−1.
-		pkt := engine.PacketOf(&reqs[i])
-		pkt.Seq = i
-		dec, aerr := eng.Admit(ctx, pkt)
-		if aerr != nil {
-			return nil, aerr
-		}
-		res.Outcomes[i].Admitted = dec.Admitted()
-	}
-	if err := eng.Drain(ctx); err != nil {
-		return nil, err
-	}
-	fin, err := eng.Finish()
-	if err != nil {
-		return nil, err
-	}
-
-	res.Admitted = len(fin.Admitted)
-	res.MaxLoad = fin.MaxLoad
-	res.LoadBound = fin.LoadBound
-	res.PrimalValue = fin.PrimalValue
-	res.RouteStats = fin.RouteStats
 	for j, o := range fin.Outcomes {
-		i := fin.Admitted[j].Req.ID // the Seq stamped above
+		// Run numbers each packet by its request's index, not its ID:
+		// RunDeterministic accepts arbitrary request sequences whose IDs
+		// need not be 0..n−1.
+		i := fin.Admitted[j].Req.ID
 		ro := &res.Outcomes[i]
+		ro.Admitted = true
 		ro.ReachedLastTile = o.ReachedLastTile
 		if o.ReachedLastTile {
 			res.ReachedLastTile++

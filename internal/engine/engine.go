@@ -4,17 +4,18 @@
 // packets one at a time, in arrival order, as they are submitted — no
 // spacetime, sketch or tiling state is rebuilt between admits.
 //
-// The Engine is the online counterpart of core.RunDeterministic's batch
-// loop, and the batch runner is now expressed over it: streaming a request
-// sequence through Admit issues exactly the same LightestRouteInto/Offer
-// call sequence as the old in-line loop, so batch results are byte-identical.
-// What the Engine adds is a concurrency boundary: any number of producer
-// goroutines may call Admit concurrently, and packets are decided strictly
-// one at a time under one mutex (decideMu) that guards the mutable routing
-// state. A packet submitted while nothing else is in flight is decided on
-// the submitting goroutine; every other packet goes through the bounded
-// queue to a consumer goroutine, which also owns InOrder parking and the
-// gap watchdog.
+// Batch callers (core.RunDeterministic) use Run, which decides a request
+// slice in order on the caller's goroutine through the same decide step and
+// detailed routing, with no goroutine, lock, queue or clock read. Streaming
+// the same packets from one producer through Admit issues exactly the same
+// LightestRouteInto/Offer call sequence, so both entries give bit-identical
+// results. What a streaming Engine adds is a concurrency boundary: any
+// number of producer goroutines may call Admit concurrently, and packets
+// are decided strictly one at a time under one mutex (decideMu) that guards
+// the mutable routing state. A packet submitted while nothing else is in
+// flight is decided on the submitting goroutine; every other packet goes
+// through the bounded queue to a consumer goroutine, which also owns
+// InOrder parking and the gap watchdog.
 //
 // Backpressure is real, not simulated: the admission queue is a bounded
 // channel sized by Options.Queue, and a packet arriving at a full queue is
@@ -131,10 +132,11 @@ func (d Decision) Admitted() bool { return d.Verdict == Accepted }
 type Options struct {
 	// Horizon is the last simulated time step. It must be positive: a
 	// streaming engine cannot derive a horizon from a workload it has not
-	// seen (batch callers use spacetime.SuggestHorizon).
+	// seen (spacetime.SuggestHorizon derives one from a known workload, as
+	// core.RunDeterministic does for Run).
 	Horizon int64
-	// PMax is the maximum sketch-path length. It must be positive; batch
-	// callers use core.PMaxDet.
+	// PMax is the maximum sketch-path length. It must be positive;
+	// core.PMaxDet gives the paper's bound.
 	PMax int
 	// TileSide is the tile side k; 0 derives ⌈log₂(1+3·pmax)⌉.
 	TileSide int
@@ -149,9 +151,8 @@ type Options struct {
 	// perfbench's stream workload (20,000 packets on a 16×16 grid), a
 	// measured run without it cut set-up from 2.15 to 0.08 ms but moved the
 	// page faults into the timed admits, and closed-loop throughput fell
-	// 19% (2.52M to 2.04M packets/s, behind in 4 of 4 pairs). Batch runs
-	// (core.RunDeterministic) do not set it: they admit a fraction of what
-	// they are offered.
+	// 19% (2.52M to 2.04M packets/s, behind in 4 of 4 pairs). Run does not
+	// set it: a batch run admits a fraction of what it is offered.
 	ExpectPackets int
 	// InOrder makes the engine decide packets in strictly increasing
 	// Seq order, parking early arrivals — the mode that makes the decision
@@ -358,10 +359,10 @@ type Engine struct {
 }
 
 // New builds the engine's persistent routing state — space-time graph,
-// tiling, sketch, one query session, one dense packer, exactly as the batch
-// deterministic algorithm does — and starts the consumer loop. With
-// Options.WALPath set it also creates (truncating) the write-ahead decision
-// log; use Recover to resume an existing log instead.
+// tiling, sketch, one query session, one dense packer, as Run does — and
+// starts the consumer loop. With Options.WALPath set it also creates
+// (truncating) the write-ahead decision log; use Recover to resume an
+// existing log instead.
 func New(g *grid.Grid, opts Options) (*Engine, error) {
 	e, err := newEngine(g, opts)
 	if err != nil {
@@ -374,12 +375,41 @@ func New(g *grid.Grid, opts Options) (*Engine, error) {
 		}
 		e.wal = w
 	}
-	go e.loop()
+	e.start(opts.Queue)
 	return e, nil
 }
 
-// newEngine builds a fully-initialized engine without starting any
-// goroutines, so Recover can replay a WAL into it first.
+// Run is the batch entry: it decides reqs in slice order on the calling
+// goroutine, request i as packet Seq = i, and returns the routed result.
+// Its decisions, routes, schedules and verdict counters are those of a
+// one-producer stream of the same packets through New, Admit, Drain and
+// Finish; a request that is infeasible or arrives before its predecessor is
+// RejectedInvalid, as Admit rejects it. Algorithm 1 decides each request
+// against the weights every earlier decision left, so a batch is decided
+// one request at a time anyway: Run starts no goroutine, opens no queue and
+// pays none of the locks, in-flight count or clock reads that let
+// concurrent producers share one decider. Stats.AvgWait is 0, and
+// Result.Admitted[j].Req.ID is the admitted request's index in reqs.
+//
+//gridroute:deterministic
+func Run(g *grid.Grid, reqs []grid.Request, horizon int64, pmax, k int) (*Result, error) {
+	e, err := newEngine(g, Options{Horizon: horizon, PMax: pmax, TileSide: k})
+	if err != nil {
+		return nil, err
+	}
+	e.submitted.Store(uint64(len(reqs)))
+	for i := range reqs {
+		pkt := PacketOf(&reqs[i])
+		pkt.Seq = i
+		e.count(e.decide(&pkt))
+	}
+	e.finish()
+	return e.result, nil
+}
+
+// newEngine builds the engine's routing and decider state. It starts no
+// goroutine and opens no admission queue, so Recover can replay a WAL into
+// it first, and Run decides on it directly.
 func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if g.B != 0 && (g.B < 3 || g.C < 3) {
 		return nil, fmt.Errorf("engine: deterministic admission requires B, c ≥ 3 (or B = 0, c ≥ 3); got B=%d c=%d", g.B, g.C)
@@ -406,10 +436,6 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if k == 0 {
 		k = ipp.K(opts.PMax)
 	}
-	queue := opts.Queue
-	if queue <= 0 {
-		queue = DefaultQueue
-	}
 
 	st := spacetime.New(g, opts.Horizon)
 	d := g.D()
@@ -420,8 +446,7 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	}
 	tl := tiling.New(st.Box, side, phase)
 	sk := sketch.New(st, tl, sketch.Downscaled)
-	// Splitting tiles doubles path length plus one (Sec. 5.1); dense mode,
-	// same as the batch path.
+	// Splitting tiles doubles path length plus one (Sec. 5.1); dense mode.
 	pk := ipp.NewDense(2*opts.PMax+1, sk.Cap, sk.Universe())
 
 	e := &Engine{
@@ -431,10 +456,7 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 		firstSeq:   opts.FirstSeq,
 		gapTimeout: opts.GapTimeout,
 		inj:        opts.Injector,
-		epoch:      time.Now(), //gridlint:allow metrics-only clock origin (Decision.Wait), never reaches the log
 		maskEpoch:  -1,
-		in:         make(chan *pending, queue),
-		done:       make(chan struct{}),
 		nextSeq:    opts.FirstSeq,
 		watermark:  math.MinInt64,
 		srcBuf:     make([]int, d+1),
@@ -442,18 +464,32 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 	if opts.InOrder {
 		e.parked = make(map[int]*pending)
 	}
-	e.pool.New = func() any {
-		return &pending{
-			src:   make([]int, 0, d),
-			dst:   make([]int, 0, d),
-			reply: make(chan Decision, 1),
-		}
-	}
 	e.arena.init(opts.ExpectPackets)
 	if opts.ExpectPackets > 0 {
 		e.admitted = make([]detroute.Admitted, 0, opts.ExpectPackets)
 	}
 	return e, nil
+}
+
+// start opens the bounded admission queue (queue slots; 0 means
+// DefaultQueue), sets the clock origin of Decision.Wait and starts the
+// consumer loop: what New and Recover add to newEngine's state so that
+// concurrent producers can share one decider.
+func (e *Engine) start(queue int) {
+	if queue <= 0 {
+		queue = DefaultQueue
+	}
+	e.in = make(chan *pending, queue)
+	e.done = make(chan struct{})
+	e.pool.New = func() any {
+		return &pending{
+			src:   make([]int, 0, e.d),
+			dst:   make([]int, 0, e.d),
+			reply: make(chan Decision, 1),
+		}
+	}
+	e.epoch = time.Now() //gridlint:allow metrics-only clock origin (Decision.Wait), never reaches the log
+	go e.loop()
 }
 
 // Grid returns the engine's grid.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,12 +71,30 @@ func stream(t *testing.T, g *grid.Grid, reqs []grid.Request, opts engine.Options
 }
 
 // TestEngineMatchesInlineBatch replays the pre-engine batch admission loop
-// with raw sketch/ipp primitives and checks the streaming engine makes
-// bit-identical decisions and certificates on the same workload.
+// with raw sketch/ipp primitives and checks that both engine entries, the
+// batch Run and a one-producer stream through Admit, make bit-identical
+// decisions and certificates on the same workload and count the same
+// verdicts. The second workload holds an out-of-order arrival and an
+// infeasible request: both entries reject each as RejectedInvalid, and the
+// reference loop skips them, as the engine's validity gate keeps them off
+// the packer.
 func TestEngineMatchesInlineBatch(t *testing.T) {
 	g, reqs, opts := workload(t, 48, 160, 96, 1)
+	t.Run("uniform", func(t *testing.T) { checkInlineBatch(t, g, reqs, opts) })
 
-	// Inline batch loop, as core.RunDeterministic wrote it before the engine.
+	bad := slices.Clone(reqs)
+	i := slices.IndexFunc(bad[1:], func(r grid.Request) bool { return r.Arrival > 0 })
+	bad[i+1].Arrival = -1 // behind its predecessor's arrival
+	bad[100].Deadline = bad[100].Arrival
+	if bad[100].Feasible(g) {
+		t.Fatal("request 100 still feasible with its deadline at its arrival")
+	}
+	t.Run("invalid", func(t *testing.T) { checkInlineBatch(t, g, bad, opts) })
+}
+
+func checkInlineBatch(t *testing.T, g *grid.Grid, reqs []grid.Request, opts engine.Options) {
+	// Inline batch loop, as core.RunDeterministic wrote it before the
+	// engine, behind the engine's validity gate.
 	st := spacetime.New(g, opts.Horizon)
 	d := g.D()
 	k := ipp.K(opts.PMax)
@@ -89,8 +109,14 @@ func TestEngineMatchesInlineBatch(t *testing.T) {
 	sess := sk.NewSession()
 	var route sketch.Route
 	wantAdmit := make([]bool, len(reqs))
+	watermark, invalid := int64(math.MinInt64), uint64(0)
 	for i := range reqs {
 		r := &reqs[i]
+		if r.Arrival < watermark || !r.Feasible(g) {
+			invalid++
+			continue
+		}
+		watermark = r.Arrival
 		src := st.SourcePoint(r)
 		wLo, wHi := st.DestRay(r)
 		if !sess.LightestRouteInto(pk, src, r.Dst, wLo, wHi, opts.PMax, &route) {
@@ -100,16 +126,39 @@ func TestEngineMatchesInlineBatch(t *testing.T) {
 		wantAdmit[i] = pk.Offer(route.Edges, route.Cost)
 	}
 
-	gotAdmit, res := stream(t, g, reqs, opts)
-	if !reflect.DeepEqual(wantAdmit, gotAdmit) {
-		t.Fatal("engine admit pattern diverges from the inline batch loop")
+	streamAdmit, streamed := stream(t, g, reqs, opts)
+	batch, err := engine.Run(g, reqs, opts.Horizon, opts.PMax, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.MaxLoad != pk.MaxLoad() || res.PrimalValue != pk.PrimalValue() {
-		t.Fatalf("packer certificates diverge: engine (%v, %v) vs batch (%v, %v)",
-			res.MaxLoad, res.PrimalValue, pk.MaxLoad(), pk.PrimalValue())
+	batchAdmit := make([]bool, len(reqs))
+	for _, a := range batch.Admitted {
+		if a.Req.ID < 0 || a.Req.ID >= len(reqs) {
+			t.Fatalf("Run admitted Seq %d, want a request index below %d", a.Req.ID, len(reqs))
+		}
+		batchAdmit[a.Req.ID] = true
 	}
-	if int(res.Stats.Accepted) != len(res.Admitted) || res.Stats.Submitted != uint64(len(reqs)) {
-		t.Fatalf("stats inconsistent: %+v vs %d admitted / %d reqs", res.Stats, len(res.Admitted), len(reqs))
+	for _, c := range []struct {
+		entry string
+		admit []bool
+		res   *engine.Result
+	}{{"stream", streamAdmit, streamed}, {"Run", batchAdmit, batch}} {
+		if !reflect.DeepEqual(wantAdmit, c.admit) {
+			t.Fatalf("%s: admit pattern diverges from the inline batch loop", c.entry)
+		}
+		if c.res.MaxLoad != pk.MaxLoad() || c.res.PrimalValue != pk.PrimalValue() {
+			t.Fatalf("%s: packer certificates diverge: engine (%v, %v) vs batch (%v, %v)",
+				c.entry, c.res.MaxLoad, c.res.PrimalValue, pk.MaxLoad(), pk.PrimalValue())
+		}
+		s := c.res.Stats
+		if int(s.Accepted) != len(c.res.Admitted) || s.Submitted != uint64(len(reqs)) || s.Decided() != s.Submitted || s.RejectedInvalid != invalid {
+			t.Fatalf("%s: stats inconsistent: %+v vs %d admitted / %d reqs / %d invalid", c.entry, s, len(c.res.Admitted), len(reqs), invalid)
+		}
+	}
+	want, got := streamed.Stats, batch.Stats
+	if got.Accepted != want.Accepted || got.RejectedCost != want.RejectedCost || got.RejectedNoRoute != want.RejectedNoRoute ||
+		got.RejectedInvalid != want.RejectedInvalid || got.RejectedQueueFull != 0 || got.AvgWait != 0 {
+		t.Fatalf("Run's stats %+v, want the stream's verdict counts %+v and no wait", got, want)
 	}
 }
 

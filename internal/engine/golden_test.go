@@ -17,7 +17,8 @@ import (
 )
 
 // TestDetailedRoutingGolden pins detailed routing (package detroute) bit for
-// bit through the engine, the path every batch run takes: each in-regime
+// bit through both engine entries, the batch Run that every batch run takes
+// and a one-producer stream through Admit, on the same instances: each in-regime
 // catalog scenario at seed 1, a bufferless line as experiment E3 builds it,
 // a perfbench-stream-shaped 16×16 instance, and uniform instances on a
 // 64×64 grid and a 40×40×40 lattice. The catalog's d ≥ 2 scenarios route
@@ -27,7 +28,8 @@ import (
 // time, on time, part dropped in, reached last tile, walked path) and the
 // routing stats. The digests were recorded before detailed routing tracked
 // grid nodes and tiles incrementally, the last two before it resolved a
-// packet alone at its node inline.
+// packet alone at its node inline, and all of them while batch runs still
+// streamed through Admit.
 func TestDetailedRoutingGolden(t *testing.T) {
 	insts := goldenInstances(t)
 	want := map[string]uint64{
@@ -55,11 +57,16 @@ func TestDetailedRoutingGolden(t *testing.T) {
 		t.Errorf("%d instances, %d recorded digests", len(insts), len(want))
 	}
 	for _, in := range insts {
-		res := routeBatch(t, in.g, in.reqs)
-		got := outcomeDigest(res)
-		if w, ok := want[in.name]; !ok || got != w {
-			t.Errorf("%s: %d admitted, %d delivered, stats %+v: digest %#x, want %#x",
-				in.name, len(res.Admitted), res.RouteStats.Delivered, res.RouteStats, got, w)
+		w, ok := want[in.name]
+		for _, entry := range []struct {
+			name  string
+			route func(*testing.T, *grid.Grid, []grid.Request) *engine.Result
+		}{{"Run", routeBatch}, {"stream", routeStream}} {
+			res := entry.route(t, in.g, in.reqs)
+			if got := outcomeDigest(res); !ok || got != w {
+				t.Errorf("%s via %s: %d admitted, %d delivered, stats %+v: digest %#x, want %#x",
+					in.name, entry.name, len(res.Admitted), res.RouteStats.Delivered, res.RouteStats, got, w)
+			}
 		}
 	}
 }
@@ -141,9 +148,22 @@ func TestFinishSchedulesMatchPaths(t *testing.T) {
 	}
 }
 
-// routeBatch streams reqs through a fresh engine as core.RunDeterministic
-// does and returns the finished result.
+// routeBatch routes reqs through engine.Run with the parameters
+// core.RunDeterministic derives, as every batch run does.
 func routeBatch(t *testing.T, g *grid.Grid, reqs []grid.Request) *engine.Result {
+	t.Helper()
+	pmax := core.PMaxDet(g)
+	res, err := engine.Run(g, reqs, spacetime.SuggestHorizon(g, reqs, 3), pmax, core.TileSideDet(pmax))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// routeStream streams reqs from one producer through a fresh engine, with
+// the same parameters and Seq = index as routeBatch, and returns the
+// finished result.
+func routeStream(t *testing.T, g *grid.Grid, reqs []grid.Request) *engine.Result {
 	t.Helper()
 	pmax := core.PMaxDet(g)
 	eng, err := engine.New(g, engine.Options{

@@ -95,7 +95,7 @@ func Recover(g *grid.Grid, opts Options) (*Engine, Recovery, error) {
 	e.wal = w
 	e.recovered.Store(uint64(info.Decisions))
 	info.NextSeq = e.nextSeq
-	go e.loop()
+	e.start(opts.Queue)
 	return e, info, nil
 }
 

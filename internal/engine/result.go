@@ -20,11 +20,11 @@ import (
 //
 // Chunks start small and double up to maxReqChunk requests, maxIntChunk
 // ints and maxAxChunk axes, so a run allocates for what it admits, not for
-// what it is offered: batch runs (core.RunDeterministic) admit a fraction
-// of their requests and pass no ExpectPackets. A caller that sets
-// Options.ExpectPackets gets full-size chunks from the start, the first
-// request/route chunk sized to cover the workload outright, and pays their
-// page faults in New rather than in the timed admits (see ExpectPackets).
+// what it is offered: batch runs (Run) admit a fraction of their requests
+// and pass no ExpectPackets. A caller that sets Options.ExpectPackets gets
+// full-size chunks from the start, the first request/route chunk sized to
+// cover the workload outright, and pays their page faults in New rather
+// than in the timed admits (see ExpectPackets).
 type arena struct {
 	reqs   []grid.Request
 	routes []sketch.Route
@@ -148,8 +148,8 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// Result is the routed outcome of a drained engine: the admitted set in
-// admission order, the detailed-routing outcome and (for on-time
+// Result is the routed outcome of a drained engine or of Run: the admitted
+// set in admission order, the detailed-routing outcome and (for on-time
 // deliveries) the explicit schedule of each, plus the packer's Theorem 1
 // certificates.
 type Result struct {
