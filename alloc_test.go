@@ -6,6 +6,7 @@ package gridroute
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -336,5 +337,48 @@ func TestFinishAllocsConstant(t *testing.T) {
 	large := finishAllocs(map[string]float64{"seed": 1, "n": 256, "reqs": 800, "maxt": 512})
 	if small != large || small > 16 {
 		t.Fatalf("Finish allocates %d times on uniform and %d times on a 4× larger instance, want the same count of at most 16", small, large)
+	}
+}
+
+// TestRunDeterministicWarmBytes: a warm batch run allocates at most 512
+// bytes per request. engine.Run draws its arena, admitted list and
+// detailed-routing slabs from a pool that core.RunDeterministic hands them
+// back to, so once a run of the same instance has grown them, what a run
+// allocates is its geometry (space-time graph, tiling, sketch, packer) and
+// the result the caller keeps. The gate runs on uniform at seed 1 and on
+// TestFinishAllocsConstant's 4× instance, each as a warm-up run and a
+// measured run back to back. sync.Pool keeps an item private to the P it
+// was put on, so a goroutine moved to another P between the two runs, or
+// two collections between them, hand the measured run a fresh workspace;
+// the gate takes the best of 3 pairs.
+func TestRunDeterministicWarmBytes(t *testing.T) {
+	skipIfRace(t)
+	const limit = 512
+	for _, params := range []map[string]float64{
+		{"seed": 1},
+		{"seed": 1, "n": 256, "reqs": 800, "maxt": 512},
+	} {
+		g, reqs, err := scenario.Generate("uniform", params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			if _, err := core.RunDeterministic(g, reqs, core.DetConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			_, err := core.RunDeterministic(g, reqs, core.DetConfig{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(reqs)))
+		}
+		if best > limit {
+			t.Errorf("uniform %v: a warm RunDeterministic allocates %.0f bytes per request, want at most %d", params, best, limit)
+		}
+		t.Logf("uniform %v: %d requests, %.0f bytes per request", params, len(reqs), best)
 	}
 }

@@ -161,6 +161,39 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("DetrouteRunGrid", func(b *testing.B) {
 		benchDetroute(b, "lattice3d-uniform")
 	})
+	// SlabCut times the stage of engine.Finish after detailed routing:
+	// cutting the on-time schedules of one run, the uniform scenario's
+	// 64-node line at seed 1 routed by engine.Run, from a fresh
+	// spacetime.Slab, with the slice of schedule pointers Finish returns.
+	b.Run("SlabCut", func(b *testing.B) {
+		b.ReportAllocs()
+		g, reqs, err := scenario.Generate("uniform", map[string]float64{"seed": 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pmax := core.PMaxDet(g)
+		res, err := engine.Run(g, reqs, spacetime.SuggestHorizon(g, reqs, 3), pmax, core.TileSideDet(pmax))
+		if err != nil {
+			b.Fatal(err)
+		}
+		moves := 0
+		for _, o := range res.Outcomes {
+			if o.Delivered && o.OnTime {
+				moves += len(o.Path.Axes)
+			}
+		}
+		st := spacetime.New(g, res.Horizon)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scheds := make([]*spacetime.Schedule, len(res.Admitted))
+			sl := st.NewSlab(res.Throughput, moves)
+			for j := range res.Outcomes {
+				if o := &res.Outcomes[j]; o.Delivered && o.OnTime {
+					scheds[j] = sl.Cut(res.Admitted[j].Req, o.Path)
+				}
+			}
+		}
+	})
 	// ReplayWarm: a warm Incremental.ReplayInto of the deterministic
 	// algorithm's schedules on a 96-node line (Model 1): size the window,
 	// reset, Add every schedule, scan the counters for breaches.
@@ -218,7 +251,7 @@ func benchDetroute(b *testing.B, id string) {
 		side[i] = res.K
 	}
 	sk := sketch.New(st, tiling.New(st.Box, side, make([]int, len(side))), sketch.Downscaled)
-	rt := detroute.New(st, sk)
+	rt := &detroute.Router{ST: st, SK: sk}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Run(res.Admitted)

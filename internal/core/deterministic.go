@@ -24,17 +24,19 @@ type DetConfig struct {
 	TileSide int
 }
 
-// ReqOutcome is the per-request result of the deterministic algorithm.
+// ReqOutcome is the per-request result of the deterministic algorithm. Its
+// words come first and its flags last, which packs it in 24 bytes.
 type ReqOutcome struct {
-	// Admitted: the ipp algorithm assigned a sketch path (the request was
-	// injected).
-	Admitted bool
-	// Delivered on time (the only outcome that counts toward throughput).
-	Delivered   bool
+	// DeliveredAt is the delivery time of a request Delivered on time.
 	DeliveredAt int64
 	// DroppedIn reports the detailed-routing part that preempted an
 	// admitted, undelivered request.
 	DroppedIn detroute.Part
+	// Admitted: the ipp algorithm assigned a sketch path (the request was
+	// injected).
+	Admitted bool
+	// Delivered on time (the only outcome that counts toward throughput).
+	Delivered bool
 	// ReachedLastTile marks ipp′ membership (Prop. 8).
 	ReachedLastTile bool
 }
@@ -95,7 +97,9 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 	// arrival-sorted) requests in order on this goroutine through
 	// engine.Run: the engine's decide step and detailed routing, with its
 	// warm sketch/packer state built once, and without the locks, queue and
-	// clock reads that let concurrent producers share it.
+	// clock reads that let concurrent producers share it. Its pooled
+	// working memory goes back with Release once the loop below has copied
+	// what the result keeps.
 	fin, err := engine.Run(g, reqs, horizon, pmax, k)
 	if err != nil {
 		return nil, err
@@ -137,6 +141,7 @@ func RunDeterministic(g *grid.Grid, reqs []grid.Request, cfg DetConfig) (*DetRes
 			ro.DroppedIn = o.DroppedIn
 		}
 	}
+	fin.Release()
 	return res, nil
 }
 

@@ -134,19 +134,28 @@ type Stats struct {
 // travel axis.
 const MaxAxes = 8
 
-// Router runs detailed routing over one space-time lattice.
+// Router runs detailed routing over the space-time lattice ST and its
+// sketch SK; a Router with those two set is ready to use, and they may be
+// replaced between runs. Its per-run slabs grow only and are reset in
+// place, so a Router that runs many admitted sets allocates only when a set
+// is larger than every one before: the outcomes and paths Run returns are
+// valid until the router's next Run.
 type Router struct {
 	ST *spacetime.Graph
 	SK *sketch.Graph
 
-	// The packets and counters of the current Run.
-	pkts  []pkt
+	// The counters of the current Run.
 	stats Stats
-}
 
-// New creates a detailed router for the deterministic algorithm.
-func New(st *spacetime.Graph, sk *sketch.Graph) *Router {
-	return &Router{ST: st, SK: sk}
+	// The slabs every Run cuts its lists from: the int32 index lists and
+	// grouping table, the packets, their coordinates and moves, and the
+	// outcomes and paths returned.
+	ix     []int32
+	pkts   []pkt
+	coords []int
+	moves  []uint8
+	outs   []Outcome
+	paths  []lattice.Path
 }
 
 type phase int
@@ -197,9 +206,10 @@ type pkt struct {
 	droppedIn   Part
 }
 
-// path hands the walked path over to the caller. The packet dies with Run,
-// so its slices are returned, not copied; the full-slice expressions keep an
-// append by the caller from writing into spare capacity.
+// path hands the walked path over to the caller. Its slices are returned,
+// not copied: they live in the router's slabs until the next Run, as the
+// returned path does. The full-slice expressions keep an append by the
+// caller from writing into spare capacity.
 func (p *pkt) path() lattice.Path {
 	return lattice.Path{Start: p.start[:len(p.start):len(p.start)], Axes: p.moves[:len(p.moves):len(p.moves)]}
 }
@@ -234,8 +244,18 @@ func (rt *Router) drop(p *pkt, part Part, anomaly bool) {
 	}
 }
 
+// slab returns the first n items of *s, growing *s first if it is shorter.
+// The items keep whatever an earlier run left in them.
+func slab[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
+
 // Run performs detailed routing for all admitted requests and returns
-// per-request outcomes plus aggregate stats.
+// per-request outcomes plus aggregate stats. The outcomes and their paths
+// are cut from the router's slabs and stay valid until its next Run.
 func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	n := len(admitted)
 	g := rt.ST.G
@@ -259,16 +279,18 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 	// for the grouping table, grid node ids): the injection order, each
 	// packet's move bound, this step's and the next step's in-flight
 	// packets, the group chain and the group being resolved; then a stamp,
-	// a head and a tail per grid node.
+	// a head and a tail per grid node. Every list but the stamps is written
+	// before it is read; the stamps are cleared, since an earlier run's
+	// epochs would pass for this run's.
 	nodes := g.N()
-	ix := make([]int32, 6*n+3*nodes)
+	ix := slab(&rt.ix, 6*n+3*nodes)
 	order, bound, active, spare, link, grp := ix[:n], ix[n:2*n], ix[2*n:2*n:3*n], ix[3*n:3*n:4*n], ix[4*n:5*n], ix[5*n:5*n:6*n]
 	stamp, head, tail := ix[6*n:6*n+nodes], ix[6*n+nodes:6*n+2*nodes], ix[6*n+2*nodes:]
+	clear(stamp)
 
 	// Each packet's coordinates are cut from one per-run slice.
-	pkts := make([]pkt, n)
-	rt.pkts = pkts
-	coords := make([]int, 3*n*axes)
+	pkts := slab(&rt.pkts, n)
+	coords := slab(&rt.coords, 3*n*axes)
 	total := 0
 	for i := range admitted {
 		m := rt.inject(&pkts[i], &admitted[i], coords[3*i*axes:3*(i+1)*axes], &gm)
@@ -276,7 +298,7 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		total += m
 		order[i] = int32(i)
 	}
-	moves := make([]uint8, total)
+	moves := slab(&rt.moves, total)
 	for i := range pkts {
 		m := int(bound[i])
 		pkts[i].moves = moves[:0:m]
@@ -399,8 +421,10 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 		rt.drop(p, p.part(), true)
 	}
 
-	outs := make([]Outcome, n)
-	paths := make([]lattice.Path, n)
+	// Only some fields of an outcome are set below, so the slab is cleared.
+	outs := slab(&rt.outs, n)
+	clear(outs)
+	paths := slab(&rt.paths, n)
 	for i := range pkts {
 		p := &pkts[i]
 		o := &outs[i]
@@ -419,7 +443,6 @@ func (rt *Router) Run(admitted []Admitted) ([]Outcome, Stats) {
 			rt.stats.ReachedLastTile++
 		}
 	}
-	rt.pkts = nil
 	return outs, rt.stats
 }
 

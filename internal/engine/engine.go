@@ -6,7 +6,11 @@
 //
 // Batch callers (core.RunDeterministic) use Run, which decides a request
 // slice in order on the caller's goroutine through the same decide step and
-// detailed routing, with no goroutine, lock, queue or clock read. Streaming
+// detailed routing, with no goroutine, lock, queue or clock read. A run's
+// working memory (the accepted-packet arena, the admitted list and the
+// detailed router's slabs) comes from a pool, and the caller hands it back
+// with Result.Release once it has copied what it keeps, so repeated batch
+// runs reuse it instead of allocating it afresh. Streaming
 // the same packets from one producer through Admit issues exactly the same
 // LightestRouteInto/Offer call sequence, so both entries give bit-identical
 // results. What a streaming Engine adds is a concurrency boundary: any
@@ -151,8 +155,10 @@ type Options struct {
 	// perfbench's stream workload (20,000 packets on a 16×16 grid), a
 	// measured run without it cut set-up from 2.15 to 0.08 ms but moved the
 	// page faults into the timed admits, and closed-loop throughput fell
-	// 19% (2.52M to 2.04M packets/s, behind in 4 of 4 pairs). Run does not
-	// set it: a batch run admits a fraction of what it is offered.
+	// 19% (2.52M to 2.04M packets/s, behind in 4 of 4 pairs). Run takes no
+	// Options: a batch run admits a fraction of what it is offered, and its
+	// arena and admitted list come from a pooled workspace that earlier runs
+	// grew (see Result.Release).
 	ExpectPackets int
 	// InOrder makes the engine decide packets in strictly increasing
 	// Seq order, parking early arrivals — the mode that makes the decision
@@ -340,9 +346,10 @@ type Engine struct {
 	watermark int64
 	srcBuf    []int
 	scratch   sketch.Route
-	admitted  []detroute.Admitted
 	decisions []Decision
-	arena     arena
+	// ws holds the accepted packets (arena and admitted list) and the
+	// detailed router that Finish runs over them.
+	ws *workspace
 
 	submitted  atomic.Uint64
 	accepted   atomic.Uint64
@@ -364,7 +371,7 @@ type Engine struct {
 // (truncating) the write-ahead decision log; use Recover to resume an
 // existing log instead.
 func New(g *grid.Grid, opts Options) (*Engine, error) {
-	e, err := newEngine(g, opts)
+	e, err := newEngine(g, opts, newWorkspace(opts.ExpectPackets))
 	if err != nil {
 		return nil, err
 	}
@@ -391,10 +398,15 @@ func New(g *grid.Grid, opts Options) (*Engine, error) {
 // concurrent producers share one decider. Stats.AvgWait is 0, and
 // Result.Admitted[j].Req.ID is the admitted request's index in reqs.
 //
+// The arena, admitted list and detailed router come from a pool, and the
+// result holds them until Release hands them back.
+//
 //gridroute:deterministic
 func Run(g *grid.Grid, reqs []grid.Request, horizon int64, pmax, k int) (*Result, error) {
-	e, err := newEngine(g, Options{Horizon: horizon, PMax: pmax, TileSide: k})
+	ws := workspaces.Get().(*workspace)
+	e, err := newEngine(g, Options{Horizon: horizon, PMax: pmax, TileSide: k}, ws)
 	if err != nil {
+		workspaces.Put(ws)
 		return nil, err
 	}
 	e.submitted.Store(uint64(len(reqs)))
@@ -404,13 +416,14 @@ func Run(g *grid.Grid, reqs []grid.Request, horizon int64, pmax, k int) (*Result
 		e.count(e.decide(&pkt))
 	}
 	e.finish()
+	e.result.ws = ws
 	return e.result, nil
 }
 
-// newEngine builds the engine's routing and decider state. It starts no
-// goroutine and opens no admission queue, so Recover can replay a WAL into
-// it first, and Run decides on it directly.
-func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
+// newEngine builds the engine's routing and decider state over the empty
+// workspace ws. It starts no goroutine and opens no admission queue, so
+// Recover can replay a WAL into it first, and Run decides on it directly.
+func newEngine(g *grid.Grid, opts Options, ws *workspace) (*Engine, error) {
 	if g.B != 0 && (g.B < 3 || g.C < 3) {
 		return nil, fmt.Errorf("engine: deterministic admission requires B, c ≥ 3 (or B = 0, c ≥ 3); got B=%d c=%d", g.B, g.C)
 	}
@@ -460,13 +473,10 @@ func newEngine(g *grid.Grid, opts Options) (*Engine, error) {
 		nextSeq:    opts.FirstSeq,
 		watermark:  math.MinInt64,
 		srcBuf:     make([]int, d+1),
+		ws:         ws,
 	}
 	if opts.InOrder {
 		e.parked = make(map[int]*pending)
-	}
-	e.arena.init(opts.ExpectPackets)
-	if opts.ExpectPackets > 0 {
-		e.admitted = make([]detroute.Admitted, 0, opts.ExpectPackets)
 	}
 	return e, nil
 }
@@ -815,7 +825,7 @@ func (e *Engine) decide(pkt *Packet) Decision {
 		return d
 	}
 	d.Verdict = Accepted
-	e.admitted = append(e.admitted, e.arena.retain(&r, &e.scratch))
+	e.ws.admitted = append(e.ws.admitted, e.ws.arena.retain(&r, &e.scratch))
 	return d
 }
 

@@ -416,12 +416,19 @@ func TestEnginePacketReuseConcurrent(t *testing.T) {
 }
 
 // TestEngineBackpressure checks that a full bounded queue rejects instead of
-// blocking: with a single-slot queue and many producers racing a consumer
-// that does real DP work per packet, some submissions must bounce, and every
-// submission is accounted for exactly once.
+// blocking, and that every submission is accounted for exactly once. The
+// queue holds one packet, and an injected pause holds the consumer on seq 0
+// for 50 ms (an injector also keeps every packet off the inline path): the
+// other producers start once seq 0 is submitted, so one of their packets
+// fills the queue and later admits bounce.
 func TestEngineBackpressure(t *testing.T) {
 	g, reqs, opts := workload(t, 64, 1024, 256, 3)
 	opts.Queue = 1
+	sched, err := fault.Parse("pause(seq=0,n=1,dur=50ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Injector = fault.NewInjector(sched)
 
 	eng, err := engine.New(g, opts)
 	if err != nil {
@@ -432,6 +439,12 @@ func TestEngineBackpressure(t *testing.T) {
 	bounced := make([]uint64, producers)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
+		if p == 1 {
+			// Producer 0's first packet is seq 0.
+			for eng.Stats().Submitted == 0 {
+				runtime.Gosched()
+			}
+		}
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
@@ -464,7 +477,7 @@ func TestEngineBackpressure(t *testing.T) {
 		t.Fatalf("engine counted %d queue-full, producers saw %d", s.RejectedQueueFull, total)
 	}
 	if total == 0 {
-		t.Skip("queue never filled (consumer outpaced 8 producers); backpressure accounting not exercised")
+		t.Fatal("no admit bounced off the full queue")
 	}
 	if s.Submitted != uint64(len(reqs)) {
 		t.Fatalf("submitted %d != %d", s.Submitted, len(reqs))

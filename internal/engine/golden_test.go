@@ -29,7 +29,15 @@ import (
 // routing stats. The digests were recorded before detailed routing tracked
 // grid nodes and tiles incrementally, the last two before it resolved a
 // packet alone at its node inline, and all of them while batch runs still
-// streamed through Admit.
+// streamed through Admit and allocated their working memory afresh.
+//
+// Each Run result is released after its digest, so its workspace (arena,
+// admitted list, detailed-routing slabs) goes back to the pool, and the
+// instances are then routed through Run again in reverse order: every
+// instance but the first and the last then runs in memory an instance of
+// another size and shape left behind. The race detector makes the pool drop
+// a random share of what is put back, so under -race both fresh and reused
+// workspaces run.
 func TestDetailedRoutingGolden(t *testing.T) {
 	insts := goldenInstances(t)
 	want := map[string]uint64{
@@ -56,18 +64,29 @@ func TestDetailedRoutingGolden(t *testing.T) {
 	if len(insts) != len(want) {
 		t.Errorf("%d instances, %d recorded digests", len(insts), len(want))
 	}
-	for _, in := range insts {
+	check := func(in instance, via string, res *engine.Result) {
+		t.Helper()
 		w, ok := want[in.name]
-		for _, entry := range []struct {
-			name  string
-			route func(*testing.T, *grid.Grid, []grid.Request) *engine.Result
-		}{{"Run", routeBatch}, {"stream", routeStream}} {
-			res := entry.route(t, in.g, in.reqs)
-			if got := outcomeDigest(res); !ok || got != w {
-				t.Errorf("%s via %s: %d admitted, %d delivered, stats %+v: digest %#x, want %#x",
-					in.name, entry.name, len(res.Admitted), res.RouteStats.Delivered, res.RouteStats, got, w)
-			}
+		if got := outcomeDigest(res); !ok || got != w {
+			t.Errorf("%s via %s: %d admitted, %d delivered, stats %+v: digest %#x, want %#x",
+				in.name, via, len(res.Admitted), res.RouteStats.Delivered, res.RouteStats, got, w)
 		}
+	}
+	for _, in := range insts {
+		res := routeBatch(t, in.g, in.reqs)
+		check(in, "Run", res)
+		res.Release()
+		if res.Admitted != nil || res.Outcomes != nil || res.Schedules != nil {
+			t.Errorf("%s: Release left Admitted, Outcomes or Schedules set", in.name)
+		}
+		res = routeStream(t, in.g, in.reqs)
+		res.Release() // a streaming engine's result holds no workspace: a no-op
+		check(in, "stream", res)
+	}
+	for _, in := range slices.Backward(insts) {
+		res := routeBatch(t, in.g, in.reqs)
+		check(in, "Run in reverse order", res)
+		res.Release()
 	}
 }
 

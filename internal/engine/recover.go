@@ -46,7 +46,7 @@ func Recover(g *grid.Grid, opts Options) (*Engine, Recovery, error) {
 	if opts.WALPath == "" {
 		return nil, Recovery{}, errors.New("engine: Recover requires Options.WALPath")
 	}
-	e, err := newEngine(g, opts)
+	e, err := newEngine(g, opts, newWorkspace(opts.ExpectPackets))
 	if err != nil {
 		return nil, Recovery{}, err
 	}
@@ -164,7 +164,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 			ID: rec.Seq, Src: grid.Vec(rec.Src), Dst: grid.Vec(rec.Dst),
 			Arrival: rec.Arrival, Deadline: rec.Deadline,
 		}
-		e.admitted = append(e.admitted, e.arena.retain(&r, route))
+		e.ws.admitted = append(e.ws.admitted, e.ws.arena.retain(&r, route))
 		e.accepted.Add(1)
 		e.watermark = rec.Arrival
 	case RejectedCost:
@@ -239,7 +239,7 @@ func (e *Engine) walAppend(pkt *Packet, d Decision) {
 	rec.Tiles = d.Tiles
 	rec.HasRoute = d.Verdict == Accepted
 	if rec.HasRoute {
-		last := &e.admitted[len(e.admitted)-1]
+		last := &e.ws.admitted[len(e.ws.admitted)-1]
 		rec.Deadline = pkt.Deadline
 		rec.Src = append(rec.Src[:0], pkt.Src...)
 		rec.Dst = append(rec.Dst[:0], pkt.Dst...)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"gridroute/internal/detroute"
 	"gridroute/internal/grid"
@@ -21,7 +22,10 @@ import (
 // Chunks start small and double up to maxReqChunk requests, maxIntChunk
 // ints and maxAxChunk axes, so a run allocates for what it admits, not for
 // what it is offered: batch runs (Run) admit a fraction of their requests
-// and pass no ExpectPackets. A caller that sets Options.ExpectPackets gets
+// and pass no ExpectPackets. A batch run's arena lives in a pooled
+// workspace, and reset keeps the newest chunk of each kind for the next run
+// to refill, so once a sweep's runs have grown the chunks they allocate
+// nothing here. A caller that sets Options.ExpectPackets gets
 // full-size chunks from the start, the first request/route chunk sized to
 // cover the workload outright, and pays their page faults in New rather
 // than in the timed admits (see ExpectPackets).
@@ -42,6 +46,14 @@ const (
 	// The first chunks hold 1/64 of the largest.
 	growSteps = 6
 )
+
+// reset empties the arena for another run. It keeps the current chunk of
+// each kind, the newest and largest, and the sizes the next chunks grew to;
+// the packets of the run before are overwritten as the chunks refill.
+func (a *arena) reset() {
+	a.reqs, a.routes = a.reqs[:0], a.routes[:0]
+	a.ints, a.axes = a.ints[:0], a.axes[:0]
+}
 
 func (a *arena) init(hint int) {
 	if hint <= 0 {
@@ -115,6 +127,40 @@ func (a *arena) retain(r *grid.Request, rt *sketch.Route) detroute.Admitted {
 	return detroute.Admitted{Req: req, Route: ro}
 }
 
+// workspace is the memory a run works in and no caller keeps: the
+// accepted-packet arena, the admitted list and a detailed router whose slabs
+// grow only. A streaming engine owns one. Run draws one from workspaces and
+// Result.Release hands it back, so that a sweep of batch runs, which route
+// one instance after another, reuses it instead of allocating it afresh.
+type workspace struct {
+	arena    arena
+	admitted []detroute.Admitted
+	router   detroute.Router
+}
+
+// workspaces pools the workspaces of batch runs.
+var workspaces = sync.Pool{New: func() any { return newWorkspace(0) }}
+
+// newWorkspace returns an empty workspace whose arena and admitted list are
+// sized for hint packets (see Options.ExpectPackets).
+func newWorkspace(hint int) *workspace {
+	ws := new(workspace)
+	ws.arena.init(hint)
+	if hint > 0 {
+		ws.admitted = make([]detroute.Admitted, 0, hint)
+	}
+	return ws
+}
+
+// reset empties ws for another run and keeps its memory. The router drops
+// its geometry, so a pooled workspace keeps no run's space-time graph or
+// sketch alive.
+func (ws *workspace) reset() {
+	ws.arena.reset()
+	ws.admitted = ws.admitted[:0]
+	ws.router.ST, ws.router.SK = nil, nil
+}
+
 // Drain closes the engine to new admissions, waits for the queue (and, in
 // InOrder mode, any parked packets) to be fully decided, and returns when
 // the consumer loop has exited. Subsequent Admit calls return ErrClosed;
@@ -151,7 +197,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 // Result is the routed outcome of a drained engine or of Run: the admitted
 // set in admission order, the detailed-routing outcome and (for on-time
 // deliveries) the explicit schedule of each, plus the packer's Theorem 1
-// certificates.
+// certificates. A result of Run holds a pooled workspace until Release.
 type Result struct {
 	Grid    *grid.Grid
 	Horizon int64
@@ -183,6 +229,27 @@ type Result struct {
 
 	// Stats is the final counter snapshot.
 	Stats Stats
+
+	// ws is the pooled workspace of a Run result, nil once released and for
+	// a streaming engine's result.
+	ws *workspace
+}
+
+// Release hands a Run result's workspace back to the pool for the next Run
+// to reuse, and nils Admitted, Outcomes and Schedules: the first two, and
+// the Req of every schedule, point into memory the next Run overwrites. The
+// schedules themselves are fresh memory, so a caller may keep one taken
+// before Release once it re-points its Req, as core.RunDeterministic does.
+// Release does nothing on a released result or on a streaming engine's,
+// which Finish returns again on every call.
+func (r *Result) Release() {
+	ws := r.ws
+	if ws == nil {
+		return
+	}
+	r.ws, r.Admitted, r.Outcomes, r.Schedules = nil, nil, nil, nil
+	ws.reset()
+	workspaces.Put(ws)
 }
 
 // ErrNotDrained is returned by Finish before Drain has completed.
@@ -202,17 +269,19 @@ func (e *Engine) Finish() (*Result, error) {
 }
 
 func (e *Engine) finish() {
+	admitted := e.ws.admitted
 	res := &Result{
 		Grid: e.g, Horizon: e.horizon, PMax: e.pmax, K: e.k,
-		Admitted:    e.admitted,
+		Admitted:    admitted,
 		MaxLoad:     e.pk.MaxLoad(),
 		LoadBound:   e.pk.LoadBound(),
 		PrimalValue: e.pk.PrimalValue(),
 		Decisions:   e.decisions,
 		Stats:       e.Stats(),
 	}
-	router := detroute.New(e.st, e.sk)
-	res.Outcomes, res.RouteStats = router.Run(e.admitted)
+	router := &e.ws.router
+	router.ST, router.SK = e.st, e.sk
+	res.Outcomes, res.RouteStats = router.Run(admitted)
 	moves := 0
 	for j := range res.Outcomes {
 		o := &res.Outcomes[j]
@@ -224,12 +293,13 @@ func (e *Engine) finish() {
 			moves += len(o.Path.Axes)
 		}
 	}
-	// The on-time schedules are cut from one slab sized for all of them.
-	res.Schedules = make([]*spacetime.Schedule, len(e.admitted))
+	// The on-time schedules are cut from one fresh slab sized for all of
+	// them, never from the workspace: a caller keeps them past Release.
+	res.Schedules = make([]*spacetime.Schedule, len(admitted))
 	sl := e.st.NewSlab(res.Throughput, moves)
 	for j := range res.Outcomes {
 		if o := &res.Outcomes[j]; o.Delivered && o.OnTime {
-			res.Schedules[j] = sl.Cut(e.admitted[j].Req, o.Path)
+			res.Schedules[j] = sl.Cut(admitted[j].Req, o.Path)
 		}
 	}
 	e.result = res
